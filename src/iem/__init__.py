@@ -9,7 +9,6 @@ laptop.
 """
 
 from .errors import DataError, IEMError, NumericError
-from .kernels import BACKEND, HAVE_NUMBA
 from .metrics import (
     MetricsBreakdown,
     binarize,
@@ -71,10 +70,10 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentRecipe", "BACKEND", "ChunkSpec", "DataError", "ExampleRecord",
-    "HAVE_NUMBA", "IEMError", "ImageCache", "MetricsBreakdown", "ModelParams",
-    "NumericError", "PoolState", "STRATEGIES", "Scenario", "SelectedSubset",
-    "SelectionConfig", "StageResult", "StrategyReport", "TrainConfig",
+    "AugmentRecipe", "ChunkSpec", "DataError", "ExampleRecord", "IEMError",
+    "ImageCache", "MetricsBreakdown", "ModelParams", "NumericError",
+    "PoolState", "STRATEGIES", "Scenario", "SelectedSubset", "SelectionConfig",
+    "StageResult", "StrategyReport", "TrainConfig",
     "add_chunk", "binarize", "compute_partition_number", "connected_components",
     "default_scenario", "error_term", "evaluate_detection", "evaluate_example",
     "evaluate_model", "forward", "generate_chunk", "generate_scenario",

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import harness, kernels, synth
+from . import harness, synth
 from .errors import DataError, NumericError
 from .pgm import ImageCache
 from .selection import SelectionConfig
@@ -145,7 +145,6 @@ def cmd_train(args):
     for chunk in train_chunks:
         synth.verify_labels(chunk, cache)
     synth.verify_labels(test_records, cache)
-    kernels.warmup()
     report, params, pool, trace = harness.run_strategy(
         strategy, train_chunks, test_records, selcfg, traincfg, cache
     )
@@ -165,7 +164,6 @@ def cmd_eval(args):
     selcfg, _ = make_configs(
         load_settings(args.config, None, args.tau, args.variant)
     )
-    kernels.warmup()
     precision, recall, f1, jaccard = harness.evaluate_model(
         params, records, selcfg, ImageCache()
     )

@@ -1,78 +1,59 @@
 """Hot per-pixel kernels: component labeling, 3x3 local stats, cross-entropy.
 
-Two interchangeable backends. The numba backend JIT-compiles plain loops;
-the numpy backend uses vectorized array ops only. Selection happens once at
-import via the ``IEM_BACKEND`` environment variable:
-
-  IEM_BACKEND=auto   use numba when importable, else numpy (default)
-  IEM_BACKEND=numba  require numba, fail if missing
-  IEM_BACKEND=numpy  force the pure-numpy path
-
-Both backends label components in the same order (row-major first pixel) so
-label arrays are interchangeable. ``python -m iem.benchmark`` times the two
-paths against each other.
+All three are vectorized numpy with no per-pixel Python loop.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("IEM_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"IEM_BACKEND must be auto, numba or numpy (got {_requested!r})"
-    )
 
-HAVE_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
+def label_components(mask):
+    """Label 8-connected components of a boolean mask.
 
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
+    Returns (labels, n): int32 array with 0 for background and 1..n for
+    components, numbered by their first on-pixel in row-major order.
 
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# -- pure-numpy implementations ------------------------------------------
-
-
-def _dilate8(m):
-    """One step of 8-connected binary dilation via shifted ORs."""
-    out = m.copy()
-    out[1:, :] |= m[:-1, :]
-    out[:-1, :] |= m[1:, :]
-    out[:, 1:] |= m[:, :-1]
-    out[:, :-1] |= m[:, 1:]
-    out[1:, 1:] |= m[:-1, :-1]
-    out[1:, :-1] |= m[:-1, 1:]
-    out[:-1, 1:] |= m[1:, :-1]
-    out[:-1, :-1] |= m[1:, 1:]
-    return out
-
-
-def _label_components_numpy(mask):
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    todo = mask.copy()
-    n = 0
-    while todo.any():
-        seed = int(np.flatnonzero(todo.ravel())[0])
-        comp = np.zeros_like(mask)
-        comp.ravel()[seed] = True
-        while True:
-            grown = _dilate8(comp) & mask
-            if np.array_equal(grown, comp):
-                break
-            comp = grown
-        n += 1
-        labels[comp] = n
-        todo &= ~comp
-    return labels, n
+    Each on-pixel starts labelled with its own raster index; background
+    holds the sentinel h*w. Every round takes the 3x3 window minimum (a
+    vertical then a horizontal 3-min over a sentinel-padded copy) and then
+    jumps one pointer, label <- label[label[min]]. A label is always the
+    raster index of a pixel in the same component and never above the
+    pixel's own index, so at the fixed point each component carries its
+    smallest raster index, i.e. its first on-pixel: the component's root.
+    """
+    mask = np.asarray(mask, dtype=np.bool_)
+    h, w = mask.shape
+    n_px = h * w
+    on = np.flatnonzero(mask)
+    labels = np.zeros(n_px, dtype=np.int32)
+    if on.size == 0:
+        return labels.reshape(h, w), 0
+    lab = np.full(n_px + 1, n_px, dtype=np.intp)
+    lab[on] = on
+    padded = np.full((h + 2, w + 2), n_px, dtype=np.intp)
+    inner = padded[1:-1, 1:-1]
+    while True:
+        inner[...] = lab[:n_px].reshape(h, w)
+        vert = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+        win = np.minimum(np.minimum(vert[:, :-2], vert[:, 1:-1]), vert[:, 2:])
+        new = lab[lab[win.ravel()[on]]]
+        if np.array_equal(new, lab[on]):
+            break
+        lab[on] = new
+    # roots label themselves; numbering them in raster order numbers each
+    # component by its first on-pixel
+    roots = on[new == on]
+    labels[roots] = np.arange(1, roots.size + 1, dtype=np.int32)
+    labels[on] = labels[new]
+    return labels.reshape(h, w), int(roots.size)
 
 
-def _local_mean_std_numpy(img):
+def local_mean_std(img):
+    """Per-pixel mean and standard deviation over a 3x3 window.
+
+    Border pixels use edge-replicated neighborhoods. Std is the population
+    std of the 9 window values.
+    """
+    img = np.ascontiguousarray(img, dtype=np.float64)
     h, w = img.shape
     padded = np.pad(img, 1, mode="edge")
     s1 = np.zeros((h, w), dtype=np.float64)
@@ -87,127 +68,9 @@ def _local_mean_std_numpy(img):
     return mean, np.sqrt(var)
 
 
-def _cross_entropy_sum_numpy(p, y, eps):
-    q = np.clip(p, eps, 1.0 - eps)
-    return float(-(np.log(q[y]).sum() + np.log(1.0 - q[~y]).sum()))
-
-
-# -- numba implementations -----------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _label_components_numba(mask):
-        h, w = mask.shape
-        labels = np.zeros((h, w), dtype=np.int32)
-        stack = np.empty((h * w, 2), dtype=np.int32)
-        n = 0
-        for r in range(h):
-            for c in range(w):
-                if mask[r, c] and labels[r, c] == 0:
-                    n += 1
-                    labels[r, c] = n
-                    stack[0, 0] = r
-                    stack[0, 1] = c
-                    top = 1
-                    while top > 0:
-                        top -= 1
-                        cr = stack[top, 0]
-                        cc = stack[top, 1]
-                        for dr in range(-1, 2):
-                            for dc in range(-1, 2):
-                                nr = cr + dr
-                                nc = cc + dc
-                                if 0 <= nr < h and 0 <= nc < w:
-                                    if mask[nr, nc] and labels[nr, nc] == 0:
-                                        labels[nr, nc] = n
-                                        stack[top, 0] = nr
-                                        stack[top, 1] = nc
-                                        top += 1
-        return labels, n
-
-    @njit(cache=True)
-    def _local_mean_std_numba(img):
-        h, w = img.shape
-        mean = np.empty((h, w), dtype=np.float64)
-        std = np.empty((h, w), dtype=np.float64)
-        for r in range(h):
-            for c in range(w):
-                s1 = 0.0
-                s2 = 0.0
-                for dr in range(-1, 2):
-                    for dc in range(-1, 2):
-                        rr = min(max(r + dr, 0), h - 1)
-                        cc = min(max(c + dc, 0), w - 1)
-                        v = img[rr, cc]
-                        s1 += v
-                        s2 += v * v
-                m = s1 / 9.0
-                var = s2 / 9.0 - m * m
-                if var < 0.0:
-                    var = 0.0
-                mean[r, c] = m
-                std[r, c] = np.sqrt(var)
-        return mean, std
-
-    @njit(cache=True)
-    def _cross_entropy_sum_numba(p, y, eps):
-        h, w = p.shape
-        total = 0.0
-        for r in range(h):
-            for c in range(w):
-                q = p[r, c]
-                if q < eps:
-                    q = eps
-                elif q > 1.0 - eps:
-                    q = 1.0 - eps
-                if y[r, c]:
-                    total += -np.log(q)
-                else:
-                    total += -np.log(1.0 - q)
-        return total
-
-
-# -- dispatch -------------------------------------------------------------
-
-
-def label_components(mask):
-    """Label 8-connected components of a boolean mask.
-
-    Returns (labels, n): int32 array with 0 for background and 1..n for
-    components, numbered by their first on-pixel in row-major order.
-    """
-    mask = np.ascontiguousarray(mask, dtype=np.bool_)
-    if BACKEND == "numba":
-        return _label_components_numba(mask)
-    return _label_components_numpy(mask)
-
-
-def local_mean_std(img):
-    """Per-pixel mean and standard deviation over a 3x3 window.
-
-    Border pixels use edge-replicated neighborhoods. Std is the population
-    std of the 9 window values.
-    """
-    img = np.ascontiguousarray(img, dtype=np.float64)
-    if BACKEND == "numba":
-        return _local_mean_std_numba(img)
-    return _local_mean_std_numpy(img)
-
-
 def cross_entropy_sum(p, y, eps):
     """Sum over pixels of -[y ln p + (1-y) ln(1-p)], with p clamped to [eps, 1-eps]."""
     p = np.ascontiguousarray(p, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.bool_)
-    if BACKEND == "numba":
-        return _cross_entropy_sum_numba(p, y, eps)
-    return _cross_entropy_sum_numpy(p, y, eps)
-
-
-def warmup():
-    """Trigger JIT compilation so timed sections never pay compile cost."""
-    m = np.zeros((4, 4), dtype=np.bool_)
-    m[1, 1] = True
-    label_components(m)
-    local_mean_std(np.zeros((4, 4)))
-    cross_entropy_sum(np.full((4, 4), 0.5), m, 1e-7)
+    q = np.clip(p, eps, 1.0 - eps)
+    return float(-(np.log(q[y]).sum() + np.log(1.0 - q[~y]).sum()))

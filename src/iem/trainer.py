@@ -140,8 +140,9 @@ def train_on_subset(params, examples, cfg, rng):
     """SGD over (image, mask) pairs, one rng-chosen view per example per epoch.
 
     Examples are visited in a fresh shuffled order each epoch. Raises
-    NumericError if an update produces non-finite weights (learning rate
-    too high for the data).
+    NumericError if an update would produce non-finite weights (learning
+    rate too high for the data); params then keep the last finite weights
+    and their version.
     """
     if not examples:
         raise ValueError("training subset must be nonempty")
@@ -152,15 +153,16 @@ def train_on_subset(params, examples, cfg, rng):
             img, mask = examples[idx]
             j = int(rng.integers(1, n_views + 1))
             aug_img, aug_mask = augment(img, mask, cfg.recipe, rng, j)
-            params.weights = params.weights - cfg.learning_rate * gradient(
+            weights = params.weights - cfg.learning_rate * gradient(
                 params, aug_img, aug_mask
             )
-            params.version += 1
-            if not np.all(np.isfinite(params.weights)):
+            if not np.all(np.isfinite(weights)):
                 raise NumericError(
                     "non-finite weights after SGD step "
-                    f"{params.version} (learning rate {cfg.learning_rate} too high)"
+                    f"{params.version + 1} (learning rate {cfg.learning_rate} too high)"
                 )
+            params.weights = weights
+            params.version += 1
     return params
 
 

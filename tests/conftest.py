@@ -1,19 +1,12 @@
-"""Shared fixtures: warmed kernels and a small generated dataset."""
+"""Shared fixtures: a small generated dataset and fast configs."""
 
 import numpy as np
 import pytest
 
-from iem import kernels
 from iem.harness import load_dataset
 from iem.selection import SelectionConfig
 from iem.synth import ChunkSpec, Scenario, generate_scenario
 from iem.trainer import TrainConfig
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay any JIT compile cost once, before timed tests
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -45,6 +45,23 @@ def flood_components(mask):
     return [t[3] for t in keyed]
 
 
+def raster_labels(mask):
+    """Label array of flood_components, numbered by first row-major pixel.
+
+    Returns (labels, n) in the same form as kernels.label_components: int32,
+    0 for background, 1..n for components.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    comps = flood_components(mask)
+    # pixels are (row, col) tuples, so min() is the first row-major pixel
+    by_first_pixel = sorted(comps, key=min)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    for number, pixels in enumerate(by_first_pixel, start=1):
+        for r, c in pixels:
+            labels[r, c] = number
+    return labels, len(comps)
+
+
 def pixelwise_cross_entropy(p, y, eps=1e-7):
     """Mean cross-entropy by a plain double loop over pixels."""
     h, w = p.shape

@@ -6,15 +6,21 @@ import sys
 
 import pytest
 
+import iem
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 
 
-def run_cli(*args, backend="numpy"):
-    """Run ``python -m iem``; the numpy backend keeps startup cheap."""
-    env = dict(os.environ, IEM_BACKEND=backend)
+SRC_DIR = os.path.dirname(os.path.dirname(iem.__file__))
+
+
+def run_cli(*args):
+    """Run ``python -m iem`` against the same source tree as the tests."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC_DIR + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "iem", *map(str, args)],
         capture_output=True, text=True, env=env,

@@ -1,8 +1,4 @@
-"""Kernel correctness and numba/numpy backend agreement."""
-
-import os
-import subprocess
-import sys
+"""Kernel correctness against the brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -30,6 +26,96 @@ def test_label_components_matches_flood_fill():
             assert set(got) == set(expected)
             assert (labels > 0).sum() == mask.sum()
             assert not labels[~mask].any()
+
+
+def _random_shape(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        side = int(rng.integers(1, 25))
+        return side, side
+    if kind == 1:
+        return int(rng.integers(1, 25)), int(rng.integers(1, 25))
+    if kind == 2:
+        return 1, int(rng.integers(1, 40))
+    return int(rng.integers(1, 40)), 1
+
+
+def _assert_exact_labels(mask):
+    labels, n = kernels.label_components(mask)
+    want_labels, want_n = oracles.raster_labels(mask)
+    assert n == want_n
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, want_labels)
+
+
+def test_label_components_numbering_matches_raster_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(2400):
+        shape = _random_shape(rng)
+        mask = _random_mask(rng, shape, density=rng.uniform(0.02, 0.9))
+        _assert_exact_labels(mask)
+
+
+def _serpentine(h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for r in range(1, h, 2):
+        mask[r, w - 1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+def _spiral(side):
+    # walk inward from the top-left corner, turning right before running
+    # off the grid or next to an earlier turn of the spiral
+    def on_grid(r, c):
+        return 0 <= r < side and 0 <= c < side
+
+    def can_step(r, c, dr, dc):
+        r1, c1, r2, c2 = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        return (on_grid(r1, c1) and not mask[r1, c1]
+                and not (on_grid(r2, c2) and mask[r2, c2]))
+
+    mask = np.zeros((side, side), dtype=bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    mask[r, c] = True
+    while True:
+        if not can_step(r, c, dr, dc):
+            dr, dc = dc, -dr
+            if not can_step(r, c, dr, dc):
+                return mask
+        r, c = r + dr, c + dc
+        mask[r, c] = True
+
+
+def _comb(h, w):
+    # teeth hang from a spine on the bottom row; each tooth's top pixel
+    # comes before the spine in raster order
+    mask = np.zeros((h, w), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    _serpentine(24, 24),
+    _serpentine(7, 31),
+    _spiral(24),
+    _spiral(13),
+    _comb(24, 24),
+    np.indices((24, 24)).sum(axis=0) % 2 == 0,  # checkerboard
+    np.indices((9, 14)).sum(axis=0) % 2 == 1,
+    np.eye(24, dtype=bool),
+    np.fliplr(np.eye(24, dtype=bool)),
+    np.eye(10, 17, k=3, dtype=bool) | np.eye(10, 17, k=-4, dtype=bool),
+    np.zeros((24, 24), dtype=bool),
+    np.ones((24, 24), dtype=bool),
+    np.ones((1, 1), dtype=bool),
+    np.zeros((1, 1), dtype=bool),
+], ids=["serpentine", "serpentine-wide", "spiral", "spiral-odd", "comb",
+        "checkerboard", "checkerboard-odd", "diagonal", "antidiagonal",
+        "two-diagonals", "empty", "full", "one-on", "one-off"])
+def test_label_components_exact_on_adversarial_masks(mask):
+    _assert_exact_labels(mask)
 
 
 def test_label_components_empty_and_full():
@@ -87,46 +173,3 @@ def test_cross_entropy_sum_matches_loop_and_clamps():
     want = oracles.pixelwise_cross_entropy(p, y) * p.size
     assert got == pytest.approx(want, abs=1e-9)
     assert np.isfinite(got)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not available")
-def test_backends_agree():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        mask = _random_mask(rng, (24, 24), density=rng.uniform(0.1, 0.8))
-        img = rng.random((24, 24))
-        prob = rng.random((24, 24))
-        labels_nb, n_nb = kernels._label_components_numba(mask)
-        labels_np, n_np = kernels._label_components_numpy(mask)
-        assert n_nb == n_np
-        assert np.array_equal(labels_nb, labels_np)
-        mean_nb, std_nb = kernels._local_mean_std_numba(img)
-        mean_np, std_np = kernels._local_mean_std_numpy(img)
-        np.testing.assert_allclose(mean_nb, mean_np, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(std_nb, std_np, rtol=1e-12, atol=1e-12)
-        ce_nb = kernels._cross_entropy_sum_numba(prob, mask, 1e-7)
-        ce_np = kernels._cross_entropy_sum_numpy(prob, mask, 1e-7)
-        assert ce_nb == pytest.approx(ce_np, rel=1e-12, abs=1e-9)
-
-
-def test_backend_env_override():
-    env = dict(os.environ, IEM_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from iem import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-    env["IEM_BACKEND"] = "nonsense"
-    out = subprocess.run(
-        [sys.executable, "-c", "import iem.kernels"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode != 0
-    assert "IEM_BACKEND" in out.stderr
-
-
-def test_warmup_is_idempotent():
-    kernels.warmup()
-    kernels.warmup()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from iem import metrics
+from iem import metrics, trainer
 from iem.errors import DataError, NumericError
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
 from iem.pool import ExampleRecord, PoolState
@@ -234,9 +234,23 @@ def test_train_flags_divergence_as_numeric_error():
     # non-finite guard is tripped with an unbounded rate
     img, mask = _blob_pair()
     cfg = TrainConfig(learning_rate=float("inf"))
+    params = init_params()
     with pytest.raises(NumericError, match="learning rate"):
-        train_on_subset(init_params(), [(img, mask)], cfg,
+        train_on_subset(params, [(img, mask)], cfg, np.random.default_rng(0))
+    assert np.array_equal(params.weights, np.zeros(4))
+    assert params.version == 0
+
+
+def test_numeric_error_keeps_last_finite_weights(monkeypatch):
+    img, mask = _blob_pair()
+    steps = iter([np.ones(4), np.full(4, 2.0), np.array([np.inf, 0.0, 0.0, 0.0])])
+    monkeypatch.setattr(trainer, "gradient", lambda params, img, mask: next(steps))
+    params = ModelParams(weights=np.zeros(4), version=5)
+    with pytest.raises(NumericError, match="step 8"):
+        train_on_subset(params, [(img, mask)] * 3, TrainConfig(learning_rate=0.5),
                         np.random.default_rng(0))
+    assert np.array_equal(params.weights, np.full(4, -1.5))
+    assert params.version == 7
 
 
 # -- example rng -----------------------------------------------------------
