@@ -160,7 +160,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params = load_params(args.checkpoint)
-    records = synth.read_manifest(args.test)
+    records = harness.read_nonempty_manifest(args.test)
     selcfg, _ = make_configs(
         load_settings(args.config, None, args.tau, args.variant)
     )

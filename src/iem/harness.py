@@ -31,13 +31,14 @@ import numpy as np
 from . import metrics
 from .errors import DataError
 from .pgm import ImageCache
-from .pool import PoolState, add_chunk, refresh_errors, record_training_update, save_state
-from .selection import partition_number_for, select_subset
+from .pool import PoolState, add_chunk, save_state
+from .selection import partition_number_for
+from .synth import MANIFEST_NAME, read_manifest
 from .trainer import (
-    augmented_error_terms,
-    example_rng,
     forward,
+    incremental_step,
     init_params,
+    mine,
     save_params,
     train_on_subset,
 )
@@ -135,158 +136,67 @@ def _pairs(records, cache):
     return [cache.pair(rec.image_ref, rec.mask_ref) for rec in records]
 
 
-def _train_initial(params, chunk, selcfg, traincfg, cache, trace):
+# Each runner is a generator over (params, pool, trace_round, train_chunks,
+# selcfg, traincfg, cache). It trains params in place and yields
+# (stage, set_size) once per reported stage. set_size is the size of the
+# fixed set a stage trained on, or None for a mining stage, whose rounds
+# are passed to trace_round as they run. Only pool-based runners fill pool.
+
+
+def _train_initial(params, chunk, selcfg, traincfg, cache):
     """Shared stage-0 routine: iterations_per_step passes over the chunk."""
     rng = np.random.default_rng([selcfg.seed, 0])
     examples = _pairs(chunk, cache)
     for _ in range(selcfg.iterations_per_step):
         train_on_subset(params, examples, traincfg, rng)
-    presented = selcfg.iterations_per_step * len(examples) * traincfg.epochs_per_iteration
-    trace.append(f"stage=0\tset_size={len(examples)}\tpresentations={presented}")
-    return presented
 
 
-def _format_subset(stage, iteration, subset):
-    return "\t".join([
-        f"stage={stage}",
-        f"iter={iteration}",
-        "hard_pos=" + ",".join(subset.hard_positives),
-        "hard_neg=" + ",".join(subset.hard_negatives),
-        "easy_pos=" + ",".join(subset.easy_positives),
-        "easy_neg=" + ",".join(subset.easy_negatives),
-    ])
-
-
-def _run_iem(train_chunks, test_records, selcfg, traincfg, cache):
-    from .trainer import incremental_step
-
-    pool = PoolState([])
-    params = init_params()
-    rows, trace = [], []
-    t0 = time.perf_counter()
+def _run_iem(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
     add_chunk(pool, train_chunks[0], 0)
-    presented = _train_initial(params, train_chunks[0], selcfg, traincfg, cache, trace)
-    seconds = time.perf_counter() - t0
-    rows.append(StageResult(0, *evaluate_model(params, test_records, selcfg, cache),
-                            seconds, presented))
+    _train_initial(params, train_chunks[0], selcfg, traincfg, cache)
+    yield 0, len(train_chunks[0])
     for chunk in train_chunks[1:]:
-        counter = [0]
-
-        def trace_cb(stage, iteration, subset):
-            counter[0] += len(subset) * traincfg.epochs_per_iteration
-            trace.append(_format_subset(stage, iteration, subset))
-
-        t0 = time.perf_counter()
-        pool, params = incremental_step(
-            pool, params, selcfg, traincfg, chunk, cache, trace_cb
-        )
-        seconds = time.perf_counter() - t0
-        rows.append(StageResult(
-            pool.stage, *evaluate_model(params, test_records, selcfg, cache),
-            seconds, counter[0],
-        ))
-    return rows, params, pool, trace
+        incremental_step(pool, params, selcfg, traincfg, chunk, cache, trace_round)
+        yield pool.stage, None
 
 
-def _run_naive(train_chunks, test_records, selcfg, traincfg, cache):
-    params = init_params()
-    rows, trace = [], []
-    t0 = time.perf_counter()
-    presented = _train_initial(params, train_chunks[0], selcfg, traincfg, cache, trace)
-    seconds = time.perf_counter() - t0
-    rows.append(StageResult(0, *evaluate_model(params, test_records, selcfg, cache),
-                            seconds, presented))
+def _run_naive(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
+    _train_initial(params, train_chunks[0], selcfg, traincfg, cache)
+    yield 0, len(train_chunks[0])
     for stage, chunk in enumerate(train_chunks[1:], start=1):
-        t0 = time.perf_counter()
         rng = np.random.default_rng([selcfg.seed, stage])
         batch_size = 4 * partition_number_for(selcfg, chunk)
         cycler = _Cycler(_pairs(chunk, cache), rng)
-        presented = 0
         for _ in range(selcfg.iterations_per_step):
-            batch = cycler.take(batch_size)
-            train_on_subset(params, batch, traincfg, rng)
-            presented += len(batch) * traincfg.epochs_per_iteration
-        seconds = time.perf_counter() - t0
-        trace.append(f"stage={stage}\tset_size={len(chunk)}\tpresentations={presented}")
-        rows.append(StageResult(
-            stage, *evaluate_model(params, test_records, selcfg, cache),
-            seconds, presented,
-        ))
-    return rows, params, None, trace
+            train_on_subset(params, cycler.take(batch_size), traincfg, rng)
+        yield stage, len(chunk)
 
 
-def _run_full(train_chunks, test_records, selcfg, traincfg, cache):
-    params = init_params()
-    trace = []
-    final_stage = len(train_chunks) - 1
-    pooled = [rec for chunk in train_chunks for rec in chunk]
+def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
     budget = sum(stage_budgets(train_chunks, selcfg))
-    t0 = time.perf_counter()
     rng = np.random.default_rng([selcfg.seed, 0])
-    examples = _pairs(pooled, cache)
+    examples = _pairs([rec for chunk in train_chunks for rec in chunk], cache)
     epochs, remainder = divmod(budget, len(examples))
     for _ in range(epochs):
         train_on_subset(params, examples, traincfg, rng)
     if remainder:
         idx = rng.permutation(len(examples))[:remainder]
         train_on_subset(params, [examples[int(i)] for i in idx], traincfg, rng)
-    presented = budget * traincfg.epochs_per_iteration
-    seconds = time.perf_counter() - t0
-    trace.append(
-        f"stage={final_stage}\tset_size={len(examples)}\tpresentations={presented}"
-    )
-    rows = [StageResult(
-        final_stage, *evaluate_model(params, test_records, selcfg, cache),
-        seconds, presented,
-    )]
-    return rows, params, None, trace
+    yield len(train_chunks) - 1, len(examples)
 
 
-def _run_hem(train_chunks, test_records, selcfg, traincfg, cache):
-    """Pooled run with the mining loop's batch composition and error updates.
+def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
+    """The mining loop run once over the pooled stream, for the whole budget.
 
     K follows the newest chunk's positive count, matching what the
     incremental loop would use at its final stage.
     """
-    params = init_params()
-    trace = []
-    final_stage = len(train_chunks) - 1
-    pool = PoolState([])
     for i, chunk in enumerate(train_chunks):
         add_chunk(pool, chunk, i)
     K = partition_number_for(selcfg, train_chunks[-1])
-    budget = sum(stage_budgets(train_chunks, selcfg))
-    t0 = time.perf_counter()
-    refresh_errors(pool, lambda img: forward(params, img), selcfg, cache)
-    rng = np.random.default_rng([selcfg.seed, final_stage])
-    presented = 0
-    for iteration in range(budget // (4 * K)):
-        subset = select_subset(pool, K, rng)
-        ids = subset.all_ids()
-        if not ids:
-            break
-        train_on_subset(
-            params,
-            [cache.pair(pool.record_for(i).image_ref, pool.record_for(i).mask_ref)
-             for i in ids],
-            traincfg, rng,
-        )
-        presented += len(ids) * traincfg.epochs_per_iteration
-        for example_id in sorted(ids):
-            rec = pool.record_for(example_id)
-            img, mask = cache.pair(rec.image_ref, rec.mask_ref)
-            errors = augmented_error_terms(
-                params, img, mask, selcfg, traincfg.recipe,
-                example_rng(selcfg.seed, final_stage, iteration, example_id),
-            )
-            record_training_update(pool, example_id, errors, selcfg.d)
-        trace.append(_format_subset(final_stage, iteration, subset))
-    seconds = time.perf_counter() - t0
-    rows = [StageResult(
-        final_stage, *evaluate_model(params, test_records, selcfg, cache),
-        seconds, presented,
-    )]
-    return rows, params, pool, trace
+    rounds = sum(stage_budgets(train_chunks, selcfg)) // (4 * K)
+    mine(pool, params, K, rounds, selcfg, traincfg, cache, trace_round)
+    yield pool.stage, None
 
 
 _RUNNERS = {
@@ -301,6 +211,8 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, cache=N
     """Train one strategy end to end; returns (report, params, pool, trace).
 
     ``pool`` is None for strategies that do not keep error bookkeeping.
+    Each stage's seconds cover its training but not its evaluation, and
+    its examples_trained is the number of SGD steps it took.
     """
     if strategy not in _RUNNERS:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -308,14 +220,39 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, cache=N
         raise ValueError("need at least one nonempty training chunk")
     if cache is None:
         cache = ImageCache()
-    rows, params, pool, trace = _RUNNERS[strategy](
-        train_chunks, test_records, selcfg, traincfg, cache
+    params, pool, trace, rows = init_params(), PoolState([]), [], []
+
+    def trace_round(stage, iteration, subset):
+        trace.append("\t".join([
+            f"stage={stage}",
+            f"iter={iteration}",
+            "hard_pos=" + ",".join(subset.hard_positives),
+            "hard_neg=" + ",".join(subset.hard_negatives),
+            "easy_pos=" + ",".join(subset.easy_positives),
+            "easy_neg=" + ",".join(subset.easy_negatives),
+        ]))
+
+    stages = _RUNNERS[strategy](
+        params, pool, trace_round, train_chunks, selcfg, traincfg, cache
     )
+    steps, t0 = params.version, time.perf_counter()
+    for stage, set_size in stages:
+        seconds = time.perf_counter() - t0
+        presented, steps = params.version - steps, params.version
+        if set_size is not None:
+            trace.append(
+                f"stage={stage}\tset_size={set_size}\tpresentations={presented}"
+            )
+        rows.append(StageResult(
+            stage, *evaluate_model(params, test_records, selcfg, cache),
+            seconds, presented,
+        ))
+        t0 = time.perf_counter()
     report = StrategyReport(
         strategy=strategy, seed=selcfg.seed, config_hash=selcfg.fingerprint(),
         rows=tuple(rows),
     )
-    return report, params, pool, trace
+    return report, params, pool if pool.records else None, trace
 
 
 def write_strategy_outputs(out_dir, report, params, pool, trace):
@@ -487,21 +424,29 @@ def final_stage_table(merged):
     return "\n".join(lines)
 
 
-def load_dataset(data_dir):
-    """Read chunk0..chunkN and test manifests from a generated data tree."""
-    from .synth import MANIFEST_NAME, read_manifest
+def read_nonempty_manifest(path):
+    """Records of a manifest that must list at least one example."""
+    records = read_manifest(path)
+    if not records:
+        raise DataError(f"{path}: empty manifest")
+    return records
 
-    chunks = []
-    i = 0
+
+def load_dataset(data_dir):
+    """Read chunk0..chunkN and test manifests from a generated data tree.
+
+    Every manifest must list at least one example.
+    """
+    manifests = []
     while True:
-        manifest = os.path.join(data_dir, f"chunk{i}", MANIFEST_NAME)
+        manifest = os.path.join(data_dir, f"chunk{len(manifests)}", MANIFEST_NAME)
         if not os.path.isfile(manifest):
             break
-        chunks.append(read_manifest(manifest))
-        i += 1
-    if not chunks:
+        manifests.append(manifest)
+    if not manifests:
         raise DataError(f"no chunk manifests under {data_dir}")
     test_manifest = os.path.join(data_dir, "test", MANIFEST_NAME)
     if not os.path.isfile(test_manifest):
         raise DataError(f"missing test manifest {test_manifest}")
-    return chunks, read_manifest(test_manifest)
+    return ([read_nonempty_manifest(m) for m in manifests],
+            read_nonempty_manifest(test_manifest))

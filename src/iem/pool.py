@@ -57,9 +57,6 @@ class PoolState:
         except KeyError:
             raise ValueError(f"unknown example id {example_id!r}") from None
 
-    def active_records(self):
-        return [r for r in self.records if not r.dropped]
-
     def __len__(self):
         return len(self.records)
 
@@ -134,13 +131,6 @@ def record_training_update(pool, example_id, per_augmentation_errors, d):
         record.dropped = True
         record.E = 0.0
     return pool
-
-
-def partition_by_label(pool):
-    """Non-dropped records split into (positives, negatives), pool order."""
-    positives = [r for r in pool.records if not r.dropped and r.label == "positive"]
-    negatives = [r for r in pool.records if not r.dropped and r.label == "negative"]
-    return positives, negatives
 
 
 def save_state(pool, path):

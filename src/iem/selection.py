@@ -84,28 +84,6 @@ class SelectedSubset:
         return (len(self.hard_positives) + len(self.hard_negatives)
                 + len(self.easy_positives) + len(self.easy_negatives))
 
-    def __contains__(self, example_id):
-        return (example_id in self.hard_positives
-                or example_id in self.hard_negatives
-                or example_id in self.easy_positives
-                or example_id in self.easy_negatives)
-
-    def is_hard(self, example_id):
-        return (example_id in self.hard_positives
-                or example_id in self.hard_negatives)
-
-    def is_easy(self, example_id):
-        return (example_id in self.easy_positives
-                or example_id in self.easy_negatives)
-
-    def category(self, example_id):
-        """Name of the category holding the id, or None."""
-        for name in ("hard_positives", "hard_negatives",
-                     "easy_positives", "easy_negatives"):
-            if example_id in getattr(self, name):
-                return name
-        return None
-
 
 def compute_partition_number(chunk):
     """K for a new chunk: its positive count, floored at 1."""

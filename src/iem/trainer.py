@@ -192,24 +192,19 @@ def example_rng(seed, stage, iteration, example_id):
     )
 
 
-def incremental_step(pool, params, selcfg, traincfg, new_chunk, cache=None,
-                     trace=None):
-    """Run one full incremental stage for a newly arrived chunk.
+def mine(pool, params, K, rounds, selcfg, traincfg, cache, trace=None):
+    """Run ``rounds`` mining rounds over the pool at its current stage.
 
-    Ingests the chunk, sets K to its positive count, refreshes E over the
-    whole pool with the incoming model, then runs iterations_per_step
+    Refreshes E over the whole pool with the incoming model, then runs
     rounds of select / train / per-example error update. Per-example
-    updates commit in id order. ``trace``, when given, is called with
-    (stage, iteration, subset) after each round.
+    updates commit in id order. A round whose selection is empty trains
+    nothing. ``trace``, when given, is called with (stage, iteration,
+    subset) after each round.
     """
-    if cache is None:
-        cache = ImageCache()
-    stage = 0 if not pool.records else pool.stage + 1
-    K = partition_number_for(selcfg, new_chunk)
-    add_chunk(pool, new_chunk, stage)
+    stage = pool.stage
     refresh_errors(pool, lambda img: forward(params, img), selcfg, cache)
     rng = np.random.default_rng([selcfg.seed, stage])
-    for iteration in range(selcfg.iterations_per_step):
+    for iteration in range(rounds):
         subset = select_subset(pool, K, rng)
         ids = subset.all_ids()
         if ids:
@@ -218,7 +213,7 @@ def incremental_step(pool, params, selcfg, traincfg, new_chunk, cache=None,
                            pool.record_for(i).mask_ref)
                 for i in ids
             ]
-            params = train_on_subset(params, examples, traincfg, rng)
+            train_on_subset(params, examples, traincfg, rng)
             for example_id in sorted(ids):
                 record = pool.record_for(example_id)
                 img, mask = cache.pair(record.image_ref, record.mask_ref)
@@ -229,6 +224,22 @@ def incremental_step(pool, params, selcfg, traincfg, new_chunk, cache=None,
                 record_training_update(pool, example_id, errors, selcfg.d)
         if trace is not None:
             trace(stage, iteration, subset)
+
+
+def incremental_step(pool, params, selcfg, traincfg, new_chunk, cache=None,
+                     trace=None):
+    """Run one full incremental stage for a newly arrived chunk.
+
+    Ingests the chunk, sets K to its positive count, then runs
+    iterations_per_step mining rounds (see ``mine``).
+    """
+    if cache is None:
+        cache = ImageCache()
+    stage = 0 if not pool.records else pool.stage + 1
+    K = partition_number_for(selcfg, new_chunk)
+    add_chunk(pool, new_chunk, stage)
+    mine(pool, params, K, selcfg.iterations_per_step, selcfg, traincfg, cache,
+         trace)
     return pool, params
 
 

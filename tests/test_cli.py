@@ -1,6 +1,7 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import iem
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
+from iem.trainer import init_params, save_params
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 
@@ -189,6 +191,28 @@ def test_eval_missing_checkpoint(tmp_path, tiny_dataset_dir):
                   "--test", os.path.join(tiny_dataset_dir, "test", "manifest.tsv"))
     assert out.returncode == 3
     assert "cannot read checkpoint" in out.stderr
+
+
+@pytest.mark.parametrize("piece", ["test", "chunk2"])
+def test_train_rejects_empty_manifest(tiny_dataset_dir, tmp_path, piece):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    manifest = data / piece / "manifest.tsv"
+    manifest.write_text("")
+    out = run_cli("train", "--strategy", "iem", "--data", data,
+                  "--out", tmp_path / "runs")
+    assert out.returncode == 3
+    assert f"{manifest}: empty manifest" in out.stderr
+
+
+def test_eval_rejects_empty_manifest(tmp_path):
+    checkpoint = tmp_path / "checkpoint.txt"
+    save_params(init_params(), checkpoint)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("")
+    out = run_cli("eval", "--checkpoint", checkpoint, "--test", manifest)
+    assert out.returncode == 3
+    assert f"{manifest}: empty manifest" in out.stderr
 
 
 # -- compare ---------------------------------------------------------------

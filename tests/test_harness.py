@@ -127,6 +127,39 @@ def test_budget_compliance(tiny_dataset, tiny_selcfg, tiny_traincfg):
     assert 0 < report.rows[0].examples_trained <= sum(budgets) * epochs
 
 
+def _one_of_each_label(tmp_path, name):
+    """An 8x8 positive with a 3x3 lesion and a blank 8x8 negative."""
+    records = []
+    for label in ("positive", "negative"):
+        mask = np.zeros((8, 8), dtype=bool)
+        if label == "positive":
+            mask[2:5, 3:6] = True
+        rid = f"{name}-{label}"
+        image_ref = str(tmp_path / f"{rid}.pgm")
+        mask_ref = str(tmp_path / f"{rid}-mask.pgm")
+        write_pgm(image_ref, 0.2 + 0.6 * mask)
+        write_mask_pgm(mask_ref, mask)
+        records.append(ExampleRecord(id=rid, image_ref=image_ref,
+                                     mask_ref=mask_ref, label=label))
+    return records
+
+
+def test_hem_traces_empty_rounds_once_the_pool_runs_dry(tmp_path):
+    # budget 3 * 2 + 3 * 4 * 1 = 18 gives 18 // 4 = 4 rounds; the first
+    # two select all four examples, which drops them all at d=1
+    chunks = [_one_of_each_label(tmp_path, "c0"), _one_of_each_label(tmp_path, "c1")]
+    selcfg = SelectionConfig(seed=0, iterations_per_step=3, t=1, d=1)
+    report, _, pool, trace = run_strategy("baseline_hem", chunks, chunks[1],
+                                          selcfg, TrainConfig())
+    assert len(trace) == 4
+    assert trace[2:] == [
+        f"stage=1\titer={i}\thard_pos=\thard_neg=\teasy_pos=\teasy_neg="
+        for i in (2, 3)
+    ]
+    assert report.final_row().examples_trained == 8
+    assert len(pool) == 4 and all(r.dropped for r in pool.records)
+
+
 def test_traces_describe_what_was_trained(tiny_dataset, tiny_selcfg,
                                           tiny_traincfg):
     chunks, test_records = tiny_dataset
@@ -353,4 +386,8 @@ def test_load_dataset_rejects_missing_pieces(tmp_path):
     (tmp_path / "chunk0").mkdir()
     write_manifest([], str(tmp_path / "chunk0" / "manifest.tsv"))
     with pytest.raises(DataError, match="missing test manifest"):
+        load_dataset(str(tmp_path))
+    (tmp_path / "test").mkdir()
+    write_manifest([], str(tmp_path / "test" / "manifest.tsv"))
+    with pytest.raises(DataError, match="chunk0.*empty manifest"):
         load_dataset(str(tmp_path))

@@ -12,7 +12,6 @@ from iem.pool import (
     PoolState,
     add_chunk,
     load_state,
-    partition_by_label,
     record_training_update,
     refresh_errors,
     save_state,
@@ -162,24 +161,6 @@ def test_update_rejects_unknown_or_empty():
         record_training_update(pool, "zz", [1.0], d=10)
     with pytest.raises(ValueError, match="nonempty"):
         record_training_update(pool, "a", [], d=10)
-
-
-# -- partition_by_label ----------------------------------------------------
-
-
-def test_partition_excludes_dropped_and_keeps_order():
-    records = [
-        _rec("p1"), _rec("n1", label="negative"), _rec("p2"),
-        _rec("n2", label="negative", dropped=True), _rec("n3", label="negative"),
-    ]
-    pos, neg = partition_by_label(_pool(*records))
-    assert [r.id for r in pos] == ["p1", "p2"]
-    assert [r.id for r in neg] == ["n1", "n3"]
-
-
-def test_partition_all_dropped():
-    pos, neg = partition_by_label(_pool(_rec("a", dropped=True)))
-    assert pos == [] and neg == []
 
 
 # -- persistence -----------------------------------------------------------

@@ -90,7 +90,7 @@ def test_dropped_records_never_selected():
         _rec("y", "negative", 0.3),
     )
     subset = select_subset(pool, 1, np.random.default_rng(0))
-    assert "a" not in subset
+    assert "a" not in subset.all_ids()
     assert subset.hard_positives == ("b",)
 
 
@@ -141,11 +141,10 @@ def test_subset_helpers():
               _rec("x", "negative", 3.0), _rec("y", "negative", 0.5)),
         1, np.random.default_rng(0),
     )
-    assert subset.category("a") == "hard_positives"
-    assert subset.category("x") == "hard_negatives"
-    assert subset.is_hard("a") and not subset.is_easy("a")
-    assert subset.is_easy("b") and subset.is_easy("y")
-    assert subset.category("zz") is None
+    assert subset.hard_positives == ("a",)
+    assert subset.hard_negatives == ("x",)
+    assert subset.easy_positives == ("b",)
+    assert subset.easy_negatives == ("y",)
     assert subset.all_ids() == ["a", "x", "b", "y"]
 
 
