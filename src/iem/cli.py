@@ -151,9 +151,11 @@ def cmd_train(args):
     out_dir = os.path.join(args.out, strategy)
     harness.write_strategy_outputs(out_dir, report, params, pool, trace)
     row = report.final_row()
+    presented = sum(r.examples_trained for r in report.rows)
+    seconds = sum(r.seconds for r in report.rows)
     print(f"{strategy}: stage {row.stage} precision={row.precision:.4f} "
-          f"recall={row.recall:.4f} f1={row.f1:.4f} jaccard={row.jaccard:.4f} "
-          f"({row.examples_trained} presentations, {row.seconds:.2f}s); "
+          f"recall={row.recall:.4f} f1={row.f1:.4f} jaccard={row.jaccard:.4f}; "
+          f"run totals: {presented} presentations, {seconds:.2f}s of training; "
           f"outputs in {out_dir}")
     return 0
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DataError
+from .kernels import shape_blocks
 from .pgm import ImageCache
 from .pool import PoolState, add_chunk, save_state
 from .selection import partition_number_for
@@ -92,16 +93,27 @@ class StrategyReport:
 
 
 def evaluate_model(params, test_records, selcfg, cache):
-    """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard."""
-    preds, gts, jis = [], [], []
-    for rec in test_records:
-        img, mask = cache.pair(rec.image_ref, rec.mask_ref)
-        pred = metrics.binarize(forward(params, img), selcfg.binarize_threshold)
-        preds.append(pred)
-        gts.append(mask)
-        jis.append(metrics.jaccard_index(pred, mask))
-    precision, recall, f1 = metrics.evaluate_detection(preds, gts, selcfg.tau)
-    return precision, recall, f1, float(np.mean(jis))
+    """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
+
+    Runs over blocks of up to 8 same-shape test images, keeping running
+    lesion counts and the per-image Jaccard values.
+    """
+    tp = fp = fn = 0
+    jis = []
+    pairs = (cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records)
+    for block in shape_blocks(pairs):
+        masks = np.stack([mask for _, mask in block])
+        preds = metrics.binarize(
+            forward(params, np.stack([img for img, _ in block])),
+            selcfg.binarize_threshold,
+        )
+        matched, false_pos, false_neg = metrics.lesion_counts(
+            preds, masks, selcfg.tau)
+        tp += int(matched.sum())
+        fp += int(false_pos.sum())
+        fn += int(false_neg.sum())
+        jis.extend(metrics.jaccard_index(preds, masks).tolist())
+    return (*metrics.detection_scores(tp, fp, fn), float(np.mean(jis)))
 
 
 def stage_budgets(train_chunks, selcfg):

@@ -63,15 +63,18 @@ def mean_cross_entropy(p, y):
 
 
 def jaccard_index(a, b):
-    """|a n b| / |a u b| over boolean masks; 1.0 when both masks are empty."""
+    """|a n b| / |a u b| over boolean masks; 1.0 when both masks are empty.
+
+    On (n, h, w) stacks, an array of the n per-image values.
+    """
     a = np.asarray(a, dtype=np.bool_)
     b = np.asarray(b, dtype=np.bool_)
     _check_same_shape(a, b)
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 1.0
-    inter = np.logical_and(a, b).sum()
-    return float(inter) / float(union)
+    union = np.logical_or(a, b).sum(axis=(-2, -1))
+    inter = np.logical_and(a, b).sum(axis=(-2, -1))
+    # both masks empty: (0 + 1) / 1
+    ji = (inter + (union == 0)) / np.maximum(union, 1)
+    return float(ji) if a.ndim == 2 else ji
 
 
 def binarize(p, threshold=0.5):
@@ -79,6 +82,18 @@ def binarize(p, threshold=0.5):
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1), got {threshold}")
     return np.asarray(p, dtype=np.float64) >= threshold
+
+
+def _components(labels, n):
+    """((min row, min col, first on-pixel), rows, cols) of components 1..n.
+
+    The key is ``connected_components``' order; labels come from
+    ``kernels.label_components`` on one image.
+    """
+    for k in range(1, n + 1):
+        rows, cols = np.nonzero(labels == k)
+        first = int(rows[0] * labels.shape[1] + cols[0])
+        yield (int(rows.min()), int(cols.min()), first), rows, cols
 
 
 def connected_components(mask):
@@ -89,17 +104,12 @@ def connected_components(mask):
     row-major order.
     """
     mask = np.asarray(mask, dtype=np.bool_)
-    labels, n = kernels.label_components(mask)
-    if n == 0:
-        return []
-    comps = []
-    for k in range(1, n + 1):
-        rows, cols = np.nonzero(labels == k)
-        first = rows[0] * mask.shape[1] + cols[0]
-        comps.append((int(rows.min()), int(cols.min()), int(first),
-                      frozenset(zip(rows.tolist(), cols.tolist()))))
-    comps.sort(key=lambda t: t[:3])
-    return [c[3] for c in comps]
+    comps = sorted(
+        ((key, frozenset(zip(rows.tolist(), cols.tolist())))
+         for key, rows, cols in _components(*kernels.label_components(mask))),
+        key=lambda c: c[0],
+    )
+    return [c[1] for c in comps]
 
 
 def component_iou(a, b):
@@ -129,20 +139,98 @@ def match_lesions(pred, gt, tau=0.5):
             iou = component_iou(pc, gc)
             if iou >= tau:
                 pairs.append((-iou, pi, gi))
-    pairs.sort()
+    matches = _accept_greedily(pairs)
+    used_pred = {pi for pi, _, _ in matches}
+    used_gt = {gi for _, gi, _ in matches}
+    fps = [pi for pi in range(len(pred)) if pi not in used_pred]
+    fns = [gi for gi in range(len(gt)) if gi not in used_gt]
+    return LesionMatchResult(matches=matches, false_positives=fps,
+                             false_negatives=fns)
+
+
+def _accept_greedily(pairs):
+    """Accept (-iou, pred, gt) candidates in sorted order, each component once.
+
+    Returns the accepted (pred, gt, iou) triples in acceptance order.
+    """
     used_pred = set()
     used_gt = set()
     matches = []
-    for neg_iou, pi, gi in pairs:
+    for neg_iou, pi, gi in sorted(pairs):
         if pi in used_pred or gi in used_gt:
             continue
         used_pred.add(pi)
         used_gt.add(gi)
         matches.append((pi, gi, -neg_iou))
-    fps = [pi for pi in range(len(pred)) if pi not in used_pred]
-    fns = [gi for gi in range(len(gt)) if gi not in used_gt]
-    return LesionMatchResult(matches=matches, false_positives=fps,
-                             false_negatives=fns)
+    return matches
+
+
+def lesion_counts(pred_masks, gt_masks, tau=0.5):
+    """Per-image (matched, false positive, false negative) lesion counts.
+
+    Takes (n, h, w) stacks of predicted and true masks and returns three
+    int arrays: what ``match_lesions`` counts on each image's
+    ``connected_components``. Both stacks are labeled in one call, and
+    one bincount over the (image, pred label, gt label) triple of every
+    pixel gives each image's table of component sizes and overlaps,
+    hence every pair's IoU. When no component lies in two pairs with
+    IoU >= tau, every such pair is a match whatever the order. Otherwise
+    the greedy match runs on that image with the components in
+    ``connected_components``' order (min row, min col, first pixel),
+    since then the order can decide the count. That needs tau < 0.5: a
+    component with IoU >= 0.5 against two disjoint ones would be their
+    union, which would join them into one.
+    """
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0,1], got {tau}")
+    pred_masks = np.asarray(pred_masks, dtype=np.bool_)
+    gt_masks = np.asarray(gt_masks, dtype=np.bool_)
+    _check_same_shape(pred_masks, gt_masks)
+    n = len(pred_masks)
+    labels, counts = kernels.label_components(
+        np.concatenate((pred_masks, gt_masks)))
+    n_pred, n_gt = counts[:n], counts[n:]
+    matched = np.zeros(n, dtype=np.intp)
+    if n_pred.any() and n_gt.any():
+        rows, cols = int(n_pred.max()) + 1, int(n_gt.max()) + 1
+        key = ((np.arange(n)[:, None, None] * rows + labels[:n]) * cols
+               + labels[n:])
+        table = np.bincount(key.ravel(), minlength=n * rows * cols)
+        table = table.reshape(n, rows, cols)
+        k, p, g = np.nonzero(table[:, 1:, 1:])
+        inter = table[:, 1:, 1:][k, p, g]
+        union = (table[:, 1:].sum(axis=2)[k, p]
+                 + table[:, :, 1:].sum(axis=1)[k, g] - inter)
+        iou = inter / union
+        keep = iou >= tau
+        k, p, g, iou = k[keep], p[keep], g[keep], iou[keep]
+        matched = np.bincount(k, minlength=n)
+        pred_uses = np.bincount(k * rows + p)
+        gt_uses = np.bincount(k * cols + g)
+        if k.size and (pred_uses.max() > 1 or gt_uses.max() > 1):
+            shared = (pred_uses[k * rows + p] > 1) | (gt_uses[k * cols + g] > 1)
+            for image in set(k[shared].tolist()):
+                pred_keys = [c[0] for c in _components(labels[image],
+                                                       n_pred[image])]
+                gt_keys = [c[0] for c in _components(labels[n + image],
+                                                     n_gt[image])]
+                pairs = [
+                    (-v, pred_keys[pi], gt_keys[gi])
+                    for ki, pi, gi, v in zip(k.tolist(), p.tolist(),
+                                             g.tolist(), iou.tolist())
+                    if ki == image
+                ]
+                matched[image] = len(_accept_greedily(pairs))
+    return matched, n_pred - matched, n_gt - matched
+
+
+def detection_scores(tp, fp, fn):
+    """Precision, recall and F1 from pooled lesion counts; 0/0 gives 0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return precision, recall, f1
 
 
 def error_term(L, fp, fn, ji, variant="full", weights=(1.0, 1.0, 1.0)):
@@ -165,23 +253,36 @@ def error_term(L, fp, fn, ji, variant="full", weights=(1.0, 1.0, 1.0)):
     return L + w_ji * (1.0 - ji)
 
 
+def evaluate_examples(probs, gt_masks, tau=0.5, variant="full",
+                      threshold=0.5, weights=(1.0, 1.0, 1.0)):
+    """Per-example breakdowns of an (n, h, w) stack of probability maps.
+
+    Returns a list of n ``MetricsBreakdown``s, each equal to what
+    ``evaluate_example`` gives for that map and mask alone.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    gt_masks = np.asarray(gt_masks, dtype=np.bool_)
+    _check_same_shape(probs, gt_masks)
+    pred_masks = binarize(probs, threshold)
+    _, fps, fns = lesion_counts(pred_masks, gt_masks, tau)
+    out = []
+    for prob, gt, fp, fn, ji in zip(probs, gt_masks, fps.tolist(),
+                                    fns.tolist(),
+                                    jaccard_index(pred_masks, gt_masks)):
+        L = mean_cross_entropy(prob, gt)
+        ji = float(ji)
+        out.append(MetricsBreakdown(
+            L=L, fp=fp, fn=fn, ji=ji,
+            E=error_term(L, fp, fn, ji, variant, weights),
+        ))
+    return out
+
+
 def evaluate_example(prob, gt_mask, tau=0.5, variant="full", threshold=0.5,
                      weights=(1.0, 1.0, 1.0)):
     """Full per-example breakdown of a probability map against its mask."""
-    prob = np.asarray(prob, dtype=np.float64)
-    gt_mask = np.asarray(gt_mask, dtype=np.bool_)
-    _check_same_shape(prob, gt_mask)
-    L = mean_cross_entropy(prob, gt_mask)
-    pred_mask = binarize(prob, threshold)
-    result = match_lesions(connected_components(pred_mask),
-                           connected_components(gt_mask), tau)
-    fp = len(result.false_positives)
-    fn = len(result.false_negatives)
-    ji = jaccard_index(pred_mask, gt_mask)
-    return MetricsBreakdown(
-        L=L, fp=fp, fn=fn, ji=ji,
-        E=error_term(L, fp, fn, ji, variant, weights),
-    )
+    return evaluate_examples(np.asarray(prob)[None], np.asarray(gt_mask)[None],
+                             tau, variant, threshold, weights)[0]
 
 
 def evaluate_detection(pred_masks, gt_masks, tau=0.5):
@@ -201,8 +302,4 @@ def evaluate_detection(pred_masks, gt_masks, tau=0.5):
         tp += len(result.matches)
         fp += len(result.false_positives)
         fn += len(result.false_negatives)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    return precision, recall, f1
+    return detection_scores(tp, fp, fn)

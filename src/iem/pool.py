@@ -12,8 +12,11 @@ tab-separated key=value record per line.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import metrics
 from .errors import DataError
+from .kernels import shape_blocks
 from .pgm import ImageCache
 
 POOL_FORMAT = "iem-pool/1"
@@ -94,22 +97,26 @@ def add_chunk(pool, examples, chunk_index):
 def refresh_errors(pool, predict, cfg, cache=None):
     """Recompute E for every non-dropped record from one plain forward pass.
 
-    ``predict`` maps an image array to a probability map. Dropped records
-    keep E = 0. Metric knobs (tau, variant, binarize threshold, error
-    weights) come from the selection config.
+    ``predict`` maps an (n, h, w) image stack to its probability maps; it
+    sees blocks of up to 8 same-shape images in pool order. Dropped
+    records keep E = 0. Metric knobs (tau, variant, binarize threshold,
+    error weights) come from the selection config.
     """
     if cache is None:
         cache = ImageCache()
-    for record in pool.records:
-        if record.dropped:
-            continue
-        img, mask = cache.pair(record.image_ref, record.mask_ref)
-        breakdown = metrics.evaluate_example(
-            predict(img), mask,
+    active = (
+        cache.pair(r.image_ref, r.mask_ref) + (r,)
+        for r in pool.records if not r.dropped
+    )
+    for block in shape_blocks(active):
+        breakdowns = metrics.evaluate_examples(
+            predict(np.stack([img for img, _, _ in block])),
+            np.stack([mask for _, mask, _ in block]),
             tau=cfg.tau, variant=cfg.variant,
             threshold=cfg.binarize_threshold, weights=cfg.error_weights,
         )
-        record.E = breakdown.E
+        for (_, _, record), breakdown in zip(block, breakdowns):
+            record.E = breakdown.E
     return pool
 
 

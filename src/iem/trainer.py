@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DataError, NumericError
-from .kernels import local_mean_std
+from .kernels import local_mean_std, shape_blocks
 from .pgm import ImageCache
 from .pool import add_chunk, record_training_update, refresh_errors
 from .selection import partition_number_for, select_subset
@@ -72,7 +72,10 @@ class TrainConfig:
 
 
 def featurize(img):
-    """Per-pixel feature stack (H, W, 4): raw, 3x3 mean, 3x3 std, constant 1."""
+    """Per-pixel features (..., H, W, 4): raw, 3x3 mean, 3x3 std, constant 1.
+
+    Takes one (H, W) image or an (n, H, W) stack of them.
+    """
     img = np.asarray(img, dtype=np.float64)
     mean, std = local_mean_std(img)
     feats = np.empty(img.shape + (N_FEATURES,))
@@ -88,8 +91,12 @@ def _sigmoid(z):
 
 
 def forward(params, img):
-    """Probability map sigmoid(w . features), strictly inside (0,1)."""
-    return _sigmoid(featurize(img) @ params.weights)
+    """Probability map sigmoid(w . features), strictly inside (0,1).
+
+    Takes one image or an (n, H, W) stack; each map equals that image's
+    own, bit for bit.
+    """
+    return forward_features(params, featurize(img))
 
 
 def forward_features(params, feats):
@@ -101,10 +108,13 @@ def gradient(params, img, mask):
 
     Closed form (1/HW) * sum over pixels of (p - y) * feature.
     """
+    return feature_gradient(params, featurize(img), mask)
+
+
+def feature_gradient(params, feats, mask):
+    """``gradient`` of one image given its (H, W, 4) features."""
     mask = np.asarray(mask, dtype=np.bool_)
-    feats = featurize(img)
-    p = forward_features(params, feats)
-    residual = p - mask
+    residual = forward_features(params, feats) - mask
     return (residual[..., None] * feats).sum(axis=(0, 1)) / residual.size
 
 
@@ -139,46 +149,54 @@ def augment(img, mask, recipe, rng, j):
 def train_on_subset(params, examples, cfg, rng):
     """SGD over (image, mask) pairs, one rng-chosen view per example per epoch.
 
-    Examples are visited in a fresh shuffled order each epoch. Raises
-    NumericError if an update would produce non-finite weights (learning
-    rate too high for the data); params then keep the last finite weights
-    and their version.
+    Examples are visited in a fresh shuffled order each epoch. The views
+    of up to 8 consecutive same-shape steps are drawn in step order and
+    featurized as one stack, then the steps run one by one; SGD draws
+    nothing from the rng, so the draws are those of one view at a time.
+    Raises NumericError if an update would produce non-finite weights
+    (learning rate too high for the data); params then keep the last
+    finite weights and their version.
     """
     if not examples:
         raise ValueError("training subset must be nonempty")
     n_views = cfg.recipe.n_views
     for _ in range(cfg.epochs_per_iteration):
         order = rng.permutation(len(examples))
-        for idx in order:
-            img, mask = examples[idx]
-            j = int(rng.integers(1, n_views + 1))
-            aug_img, aug_mask = augment(img, mask, cfg.recipe, rng, j)
-            weights = params.weights - cfg.learning_rate * gradient(
-                params, aug_img, aug_mask
-            )
-            if not np.all(np.isfinite(weights)):
-                raise NumericError(
-                    "non-finite weights after SGD step "
-                    f"{params.version + 1} (learning rate {cfg.learning_rate} too high)"
+        for block in shape_blocks(examples[i] for i in order):
+            views = [
+                augment(img, mask, cfg.recipe, rng,
+                        int(rng.integers(1, n_views + 1)))
+                for img, mask in block
+            ]
+            feats = featurize(np.stack([img for img, _ in views]))
+            for view_feats, (_, mask) in zip(feats, views):
+                weights = params.weights - cfg.learning_rate * feature_gradient(
+                    params, view_feats, mask
                 )
-            params.weights = weights
-            params.version += 1
+                if not np.all(np.isfinite(weights)):
+                    raise NumericError(
+                        "non-finite weights after SGD step "
+                        f"{params.version + 1} (learning rate "
+                        f"{cfg.learning_rate} too high)"
+                    )
+                params.weights = weights
+                params.version += 1
     return params
 
 
 def augmented_error_terms(params, img, mask, selcfg, recipe, rng):
-    """Error term of each of the t augmented views under the current model."""
-    errors = []
-    for j in range(1, selcfg.t + 1):
-        aug_img, aug_mask = augment(img, mask, recipe, rng, j)
-        breakdown = metrics.evaluate_example(
-            forward(params, aug_img), aug_mask,
-            tau=selcfg.tau, variant=selcfg.variant,
-            threshold=selcfg.binarize_threshold,
-            weights=selcfg.error_weights,
-        )
-        errors.append(breakdown.E)
-    return errors
+    """Error term of each of the t augmented views under the current model.
+
+    The t views are scored as one stack.
+    """
+    views = [augment(img, mask, recipe, rng, j) for j in range(1, selcfg.t + 1)]
+    breakdowns = metrics.evaluate_examples(
+        forward(params, np.stack([v for v, _ in views])),
+        np.stack([m for _, m in views]),
+        tau=selcfg.tau, variant=selcfg.variant,
+        threshold=selcfg.binarize_threshold, weights=selcfg.error_weights,
+    )
+    return [b.E for b in breakdowns]
 
 
 def example_rng(seed, stage, iteration, example_id):

@@ -1,6 +1,7 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,6 +41,7 @@ def trained(tiny_dataset_dir, tmp_path_factory):
                       tiny_dataset_dir, "--out", root / "runs",
                       "--config", config, "--seed", 0)
         assert out.returncode == 0, out.stderr
+        (root / f"{strategy}.stdout").write_text(out.stdout)
     return root
 
 
@@ -149,6 +151,19 @@ def test_train_writes_outputs_and_eval_reads_them(trained, tiny_dataset_dir):
     values = [float(v) for v in lines[1].split(",")]
     assert len(values) == 4
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("strategy, run_name",
+                         [("iem", "iem_incremental"), ("naive", "naive_finetune")])
+def test_train_prints_run_totals(trained, strategy, run_name):
+    report = (trained / "runs" / run_name / "report.csv").read_text()
+    rows = [line.split(",") for line in report.splitlines()
+            if line and not line.startswith(("#", "strategy,"))]
+    printed = (trained / f"{strategy}.stdout").read_text()
+    match = re.search(r"run totals: (\d+) presentations", printed)
+    assert match, printed
+    assert len(rows) > 1
+    assert int(match.group(1)) == sum(int(row[-1]) for row in rows)
 
 
 def test_train_rejects_unknown_strategy(tiny_dataset_dir, tmp_path):

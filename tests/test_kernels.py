@@ -173,3 +173,53 @@ def test_cross_entropy_sum_matches_loop_and_clamps():
     want = oracles.pixelwise_cross_entropy(p, y) * p.size
     assert got == pytest.approx(want, abs=1e-9)
     assert np.isfinite(got)
+
+
+# -- stacks of same-shape images -------------------------------------------
+
+
+def _random_stack(rng, shape):
+    """2-8 masks of one shape at mixed densities, one empty and one full."""
+    n = int(rng.integers(2, 9))
+    stack = rng.random((n,) + shape) < rng.uniform(0.02, 0.9, size=(n, 1, 1))
+    stack[0] = False
+    stack[-1] = True
+    rng.shuffle(stack)
+    return stack
+
+
+def test_label_components_stack_equals_single_images():
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        stack = _random_stack(rng, _random_shape(rng))
+        labels, counts = kernels.label_components(stack)
+        assert labels.dtype == np.int32 and labels.shape == stack.shape
+        assert len(counts) == len(stack)
+        for mask, got_labels, got_n in zip(stack, labels, counts):
+            want_labels, want_n = kernels.label_components(mask)
+            assert got_n == want_n
+            assert np.array_equal(got_labels, want_labels)
+
+
+def test_local_mean_std_stack_equals_single_images():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        shape = _random_shape(rng)
+        imgs = rng.random((int(rng.integers(2, 9)),) + shape)
+        imgs[0] = 0.0
+        imgs[-1] = 1.0
+        mean, std = kernels.local_mean_std(imgs)
+        for img, got_mean, got_std in zip(imgs, mean, std):
+            want_mean, want_std = kernels.local_mean_std(img)
+            assert np.array_equal(got_mean, want_mean)
+            assert np.array_equal(got_std, want_std)
+
+
+def test_shape_blocks_keep_order_and_never_mix_shapes():
+    shapes = [(2, 3)] * 10 + [(3, 2)] + [(2, 3)] * 3 + [(4, 4)] * 8
+    items = [(np.zeros(shape), i) for i, shape in enumerate(shapes)]
+    blocks = list(kernels.shape_blocks(iter(items)))
+    assert [len(block) for block in blocks] == [8, 2, 1, 3, 8]
+    assert [i for block in blocks for _, i in block] == list(range(len(items)))
+    assert all(len({img.shape for img, _ in block}) == 1 for block in blocks)
+    assert list(kernels.shape_blocks([])) == []

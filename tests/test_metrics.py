@@ -201,6 +201,90 @@ def test_match_rejects_bad_tau():
             metrics.match_lesions([], [], bad)
 
 
+# -- lesion counts on label arrays ------------------------------------------
+
+
+def _pixel_set_counts(pred, gt, tau):
+    res = metrics.match_lesions(metrics.connected_components(pred),
+                                metrics.connected_components(gt), tau)
+    return (len(res.matches), len(res.false_positives),
+            len(res.false_negatives))
+
+
+def _art(*rows):
+    return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+def test_lesion_counts_equal_pixel_set_matching_on_random_masks():
+    rng = np.random.default_rng(41)
+    pairs = 0
+    while pairs < 2000:
+        # one stack of up to 8 same-shape pairs per draw, 1xN and Nx1 too
+        h, w = (int(v) for v in rng.integers(1, 15, size=2))
+        n = int(rng.integers(1, 9))
+        preds = rng.random((n, h, w)) < rng.uniform(0.05, 0.7)
+        gts = rng.random((n, h, w)) < rng.uniform(0.05, 0.7)
+        pairs += n
+        for tau in (0.1, 0.25, 0.5, 1.0):
+            got = metrics.lesion_counts(preds, gts, tau)
+            want = [_pixel_set_counts(p, g, tau) for p, g in zip(preds, gts)]
+            assert [tuple(int(c[k]) for c in got) for k in range(n)] == want
+
+
+# The gt component on the right starts at (0, 4), after the left one's
+# (0, 2) in raster order, but its (min row, min col) = (0, 1) puts it first
+# in connected_components' order. The 9-pixel prediction P covers all of the
+# left one (IoU 3/9) and four pixels of the right one (IoU 4/12): a tie. The
+# 2-pixel prediction Q overlaps the right one at IoU 2/7.
+_TIE_PRED = _art(
+    "..###.",
+    "..###.",
+    "..#.#.",
+    "....#.",
+    ".##...",
+)
+_TIE_GT = _art(
+    "..#.#.",
+    "..#.#.",
+    "..#.#.",
+    "....#.",
+    ".###..",
+)
+
+
+@pytest.mark.parametrize("tau, want", [
+    # the tie goes to the right component, which was Q's only candidate:
+    # one match. Taking the left one first would let Q match too (2), and
+    # counting candidate pairs without the greedy match would give 3
+    (0.25, (1, 1, 1)),
+    # Q falls below tau; P still has two candidates but takes one
+    (0.3, (1, 1, 1)),
+    (0.5, (0, 2, 2)),
+])
+def test_lesion_counts_follow_the_greedy_order_on_ties(tau, want):
+    assert _pixel_set_counts(_TIE_PRED, _TIE_GT, tau) == want
+    for pred, gt, counts in ((_TIE_PRED, _TIE_GT, want),
+                             # the same tie on the prediction side
+                             (_TIE_GT, _TIE_PRED,
+                              (want[0], want[2], want[1]))):
+        got = metrics.lesion_counts(pred[None], gt[None], tau)
+        assert tuple(int(c[0]) for c in got) == counts
+        # the answer must not depend on the other images of the stack
+        stack = metrics.lesion_counts(
+            np.stack([gt, pred, pred, np.zeros_like(pred)]),
+            np.stack([gt, gt, pred, gt]), tau)
+        assert tuple(int(c[1]) for c in stack) == counts
+
+
+def test_lesion_counts_reject_bad_tau_and_shapes():
+    masks = np.zeros((1, 3, 3), dtype=bool)
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match="tau"):
+            metrics.lesion_counts(masks, masks, bad)
+    with pytest.raises(ValueError, match="shape"):
+        metrics.lesion_counts(masks, np.zeros((1, 3, 4), dtype=bool), 0.5)
+
+
 # -- error term ------------------------------------------------------------
 
 

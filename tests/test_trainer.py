@@ -76,6 +76,21 @@ def test_forward_stays_strictly_inside_unit_interval():
     assert np.all(p > 0.0)
 
 
+def test_featurize_and_forward_stack_equal_single_images():
+    rng = np.random.default_rng(3)
+    params = ModelParams(weights=rng.normal(0.0, 3.0, 4))
+    for shape in ((24, 24), (16, 20), (1, 7), (7, 1), (1, 1)):
+        imgs = rng.random((5,) + shape)
+        imgs[0] = 0.0
+        imgs[1] = 1.0
+        feats = featurize(imgs)
+        probs = forward(params, imgs)
+        assert feats.shape == imgs.shape + (4,)
+        for img, got_feats, got_prob in zip(imgs, feats, probs):
+            assert np.array_equal(got_feats, featurize(img))
+            assert np.array_equal(got_prob, forward(params, img))
+
+
 # -- gradient --------------------------------------------------------------
 
 
@@ -244,13 +259,69 @@ def test_train_flags_divergence_as_numeric_error():
 def test_numeric_error_keeps_last_finite_weights(monkeypatch):
     img, mask = _blob_pair()
     steps = iter([np.ones(4), np.full(4, 2.0), np.array([np.inf, 0.0, 0.0, 0.0])])
-    monkeypatch.setattr(trainer, "gradient", lambda params, img, mask: next(steps))
+    monkeypatch.setattr(trainer, "feature_gradient",
+                        lambda params, feats, mask: next(steps))
     params = ModelParams(weights=np.zeros(4), version=5)
     with pytest.raises(NumericError, match="step 8"):
         train_on_subset(params, [(img, mask)] * 3, TrainConfig(learning_rate=0.5),
                         np.random.default_rng(0))
     assert np.array_equal(params.weights, np.full(4, -1.5))
     assert params.version == 7
+
+
+def _lesion_examples(rng, shapes):
+    """Mask pixels at about 0.7 on a 0.2 background: a sharp model finds them."""
+    examples = []
+    for h, w in shapes:
+        img = 0.2 + 0.02 * rng.standard_normal((h, w))
+        mask = rng.random((h, w)) < 0.15
+        examples.append((np.clip(img + 0.5 * mask, 0.0, 1.0), mask))
+    return examples
+
+
+def test_train_on_subset_equals_one_step_at_a_time():
+    # blocks split at 8 steps and wherever the shape changes; the
+    # reference takes each step from its own view, drawn in step order
+    rng = np.random.default_rng(6)
+    examples = _lesion_examples(rng, [(6, 6)] * 11 + [(5, 7)] * 4 + [(6, 6)] * 2)
+    cfg = TrainConfig(learning_rate=0.7, epochs_per_iteration=2)
+    params = ModelParams(weights=np.array([0.5, -0.2, 0.1, 0.0]), version=3)
+    train_on_subset(params, examples, cfg, np.random.default_rng(12))
+
+    ref = np.random.default_rng(12)
+    weights = np.array([0.5, -0.2, 0.1, 0.0])
+    for _ in range(cfg.epochs_per_iteration):
+        for idx in ref.permutation(len(examples)):
+            j = int(ref.integers(1, cfg.recipe.n_views + 1))
+            view, mask = augment(*examples[idx], cfg.recipe, ref, j)
+            weights = weights - cfg.learning_rate * gradient(
+                ModelParams(weights=weights), view, mask)
+    assert np.array_equal(params.weights, weights)
+    assert params.version == 3 + 2 * len(examples)
+
+
+@pytest.mark.parametrize("t", [1, 4, 6])
+def test_augmented_error_terms_equal_per_view_scores(t):
+    rng = np.random.default_rng(8)
+    sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
+    selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
+    recipe = AugmentRecipe(jitter=0.2)
+    predicted = 0
+    for i, (img, mask) in enumerate(_lesion_examples(rng, [(9, 9), (1, 8)])):
+        got = augmented_error_terms(sharp, img, mask, selcfg, recipe,
+                                    example_rng(1, 0, 0, f"ex{i}"))
+        views = example_rng(1, 0, 0, f"ex{i}")
+        want = []
+        for j in range(1, t + 1):
+            view, view_mask = augment(img, mask, recipe, views, j)
+            want.append(metrics.evaluate_example(
+                forward(sharp, view), view_mask, tau=selcfg.tau,
+                variant=selcfg.variant, threshold=selcfg.binarize_threshold,
+                weights=selcfg.error_weights,
+            ).E)
+        assert got == want
+        predicted += int((forward(sharp, img) >= 0.5).sum())
+    assert predicted > 0  # the scores cover predicted lesions
 
 
 # -- example rng -----------------------------------------------------------
