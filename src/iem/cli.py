@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import harness, synth
+from . import harness, pgm, synth
 from .errors import DataError, NumericError
 from .pgm import ImageCache
 from .selection import SelectionConfig
@@ -167,7 +167,7 @@ def cmd_eval(args):
         load_settings(args.config, None, args.tau, args.variant)
     )
     precision, recall, f1, jaccard = harness.evaluate_model(
-        params, records, selcfg, ImageCache()
+        params, records, selcfg, pgm
     )
     print("precision,recall,f1,jaccard")
     print(f"{precision:.6f},{recall:.6f},{f1:.6f},{jaccard:.6f}")

@@ -92,15 +92,16 @@ class StrategyReport:
         return self.rows[-1]
 
 
-def evaluate_model(params, test_records, selcfg, cache):
+def evaluate_model(params, test_records, selcfg, reader):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
     Runs over blocks of up to 8 same-shape test images, keeping running
-    lesion counts and the per-image Jaccard values.
+    lesion counts and the per-image Jaccard values. ``reader.pair``
+    decodes each test pair: an ``ImageCache``, or ``pgm`` to keep none.
     """
     tp = fp = fn = 0
     jis = []
-    pairs = (cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records)
+    pairs = (reader.pair(rec.image_ref, rec.mask_ref) for rec in test_records)
     for block in shape_blocks(pairs):
         masks = np.stack([mask for _, mask in block])
         preds = metrics.binarize(

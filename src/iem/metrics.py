@@ -59,7 +59,7 @@ def mean_cross_entropy(p, y):
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.bool_)
     _check_same_shape(p, y)
-    return kernels.cross_entropy_sum(p, y, CLAMP_EPS) / p.size
+    return kernels.cross_entropy_sum(p.ravel(), y.ravel(), CLAMP_EPS) / p.size
 
 
 def jaccard_index(a, b):
@@ -265,12 +265,11 @@ def evaluate_examples(probs, gt_masks, tau=0.5, variant="full",
     _check_same_shape(probs, gt_masks)
     pred_masks = binarize(probs, threshold)
     _, fps, fns = lesion_counts(pred_masks, gt_masks, tau)
+    losses = kernels.cross_entropy_sum(probs, gt_masks, CLAMP_EPS)
     out = []
-    for prob, gt, fp, fn, ji in zip(probs, gt_masks, fps.tolist(),
-                                    fns.tolist(),
-                                    jaccard_index(pred_masks, gt_masks)):
-        L = mean_cross_entropy(prob, gt)
-        ji = float(ji)
+    for loss, fp, fn, ji in zip(losses.tolist(), fps.tolist(), fns.tolist(),
+                                jaccard_index(pred_masks, gt_masks).tolist()):
+        L = loss / probs[0].size  # mean_cross_entropy of this map alone
         out.append(MetricsBreakdown(
             L=L, fp=fp, fn=fn, ji=ji,
             E=error_term(L, fp, fn, ji, variant, weights),

@@ -75,6 +75,11 @@ def read_mask_pgm(path):
     return _read_pgm_bytes(path) >= 128
 
 
+def pair(image_path, mask_path):
+    """``ImageCache.pair`` without the cache: decodes, keeps nothing."""
+    return read_pgm(image_path), read_mask_pgm(mask_path)
+
+
 class ImageCache:
     """Caches decoded image/mask arrays by absolute path for one run."""
 

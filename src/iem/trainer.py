@@ -87,7 +87,9 @@ def featurize(img):
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP)))
+    # np.clip's values, without its Python-level overhead
+    z = np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def forward(params, img):
@@ -115,7 +117,7 @@ def feature_gradient(params, feats, mask):
     """``gradient`` of one image given its (H, W, 4) features."""
     mask = np.asarray(mask, dtype=np.bool_)
     residual = forward_features(params, feats) - mask
-    return (residual[..., None] * feats).sum(axis=(0, 1)) / residual.size
+    return np.einsum("ijk,ij->k", feats, residual) / residual.size
 
 
 def augment(img, mask, recipe, rng, j):

@@ -166,3 +166,53 @@ def spaced_masks(n_shared, n_pred_only, n_gt_only, side):
         r, c = next(it)
         gt[r, c] = True
     return pred, gt
+
+
+# -- earlier kernel bodies, frozen -----------------------------------------
+# The strided arithmetic the package used before its per-pixel kernels
+# moved to flat contiguous passes. The new kernels must equal these bit
+# for bit, so they are kept exactly as they were.
+
+
+def strided_local_mean_std(img):
+    """3x3 mean and std by nine adds over strided windows of a padded copy."""
+    img = np.ascontiguousarray(img, dtype=np.float64)
+    h, w = img.shape[-2:]
+    padded = np.empty(img.shape[:-2] + (h + 2, w + 2))
+    padded[..., 1:-1, 1:-1] = img
+    padded[..., 0, 1:-1] = img[..., 0, :]
+    padded[..., -1, 1:-1] = img[..., -1, :]
+    padded[..., 0] = padded[..., 1]
+    padded[..., -1] = padded[..., -2]
+    squares = padded * padded
+    s1 = np.zeros(img.shape, dtype=np.float64)
+    s2 = np.zeros(img.shape, dtype=np.float64)
+    for dr in range(3):
+        for dc in range(3):
+            s1 += padded[..., dr : dr + h, dc : dc + w]
+            s2 += squares[..., dr : dr + h, dc : dc + w]
+    mean = s1 / 9.0
+    var = np.maximum(s2 / 9.0 - mean * mean, 0.0)
+    return mean, np.sqrt(var)
+
+
+def selected_cross_entropy_sum(p, y, eps):
+    """Cross-entropy sum of one map: y-selected logs, then the others."""
+    q = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+    y = np.asarray(y, dtype=bool)
+    return float(-(np.log(q[y]).sum() + np.log(1.0 - q[~y]).sum()))
+
+
+def clip_sigmoid(z, limit=35.0):
+    """Logistic function of z clipped to [-limit, limit] by np.clip."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -limit, limit)))
+
+
+def broadcast_gradient(weights, feats, mask):
+    """Mean-cross-entropy gradient of one (h, w, 4) feature map.
+
+    The pixel sum is taken over the broadcast product
+    residual[..., None] * feats.
+    """
+    residual = clip_sigmoid(feats @ weights) - np.asarray(mask, dtype=bool)
+    return (residual[..., None] * feats).sum(axis=(0, 1)) / residual.size

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 import iem
+from iem import cli, harness, pgm
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
-from iem.trainer import init_params, save_params
+from iem.trainer import init_params, load_params, save_params
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 
@@ -19,15 +20,18 @@ FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 SRC_DIR = os.path.dirname(os.path.dirname(iem.__file__))
 
 
-def run_cli(*args):
-    """Run ``python -m iem`` against the same source tree as the tests."""
+def run_python(*args):
+    """Run the interpreter with the same source tree as the tests first."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC_DIR + (os.pathsep + path if path else ""))
-    return subprocess.run(
-        [sys.executable, "-m", "iem", *map(str, args)],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """Run ``python -m iem`` against the same source tree as the tests."""
+    return run_python("-m", "iem", *args)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,47 @@ def test_train_writes_outputs_and_eval_reads_them(trained, tiny_dataset_dir):
     values = [float(v) for v in lines[1].split(",")]
     assert len(values) == 4
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.fixture
+def eval_inputs(trained, tiny_dataset_dir):
+    """(checkpoint, test manifest) of a trained run, for ``iem eval``."""
+    return (str(trained / "runs" / "iem_incremental" / "checkpoint.txt"),
+            os.path.join(tiny_dataset_dir, "test", "manifest.tsv"))
+
+
+def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
+    checkpoint, manifest = eval_inputs
+    argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
+    assert cli.main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    want = harness.evaluate_model(
+        load_params(checkpoint), harness.read_nonempty_manifest(manifest),
+        make_configs({})[0], pgm.ImageCache(),
+    )
+    assert line == ",".join(f"{v:.6f}" for v in want)
+
+
+def test_eval_decodes_each_pair_once_and_keeps_none(eval_inputs, monkeypatch,
+                                                   capsys):
+    def no_cache():
+        raise AssertionError("iem eval reads each pair once; keep none")
+
+    decoded = []
+
+    def counting(read):
+        return lambda path: decoded.append(path) or read(path)
+
+    monkeypatch.setattr(cli, "ImageCache", no_cache)
+    monkeypatch.setattr(pgm, "read_pgm", counting(pgm.read_pgm))
+    monkeypatch.setattr(pgm, "read_mask_pgm", counting(pgm.read_mask_pgm))
+    checkpoint, manifest = eval_inputs
+    argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
+    assert cli.main(argv) == 0
+    records = harness.read_nonempty_manifest(manifest)
+    assert sorted(decoded) == sorted(
+        [r.image_ref for r in records] + [r.mask_ref for r in records])
+    assert capsys.readouterr().out.startswith("precision,recall,f1,jaccard\n")
 
 
 @pytest.mark.parametrize("strategy, run_name",
@@ -279,6 +324,16 @@ def test_compare_rejects_seed_mismatch(trained, tiny_dataset_dir, tmp_path):
 
 
 # -- top level -------------------------------------------------------------
+
+
+def test_cli_import_loads_neither_scipy_nor_numba():
+    # importing scipy after iem adds 0.35-0.62 s of start-up and about
+    # 22 MB of peak memory; numba is no longer a backend
+    code = ("import sys, iem.cli; print(sorted({m.split('.')[0] "
+            "for m in sys.modules} & {'scipy', 'numba'}))")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_subcommand_is_usage_error():

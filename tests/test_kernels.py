@@ -215,6 +215,53 @@ def test_local_mean_std_stack_equals_single_images():
             assert np.array_equal(got_std, want_std)
 
 
+# -- flat-offset kernels against the frozen strided bodies ----------------
+
+FROZEN_SHAPES = ((1, 1), (1, 9), (9, 1), (16, 20), (24, 24))
+
+
+def _jittered_stack(rng, n, shape):
+    """n images, each shifted by one global offset and clamped to [0, 1]."""
+    imgs = rng.random((n,) + shape) * rng.uniform(0.2, 1.0)
+    offsets = rng.uniform(-0.3, 0.3, size=(n, 1, 1))
+    return np.clip(imgs + offsets, 0.0, 1.0)
+
+
+def test_local_mean_std_equals_frozen_strided_body():
+    rng = np.random.default_rng(41)
+    for shape in FROZEN_SHAPES:
+        for n in range(1, 9):
+            for _ in range(4):
+                imgs = _jittered_stack(rng, n, shape)
+                for arg in (imgs, imgs[0]):
+                    got = kernels.local_mean_std(arg)
+                    want = oracles.strided_local_mean_std(arg)
+                    for g, wv in zip(got, want):
+                        assert g.shape == wv.shape == arg.shape
+                        assert np.array_equal(g, wv)
+
+
+def test_cross_entropy_sum_stack_equals_per_image_calls():
+    # and each per-image call equals the frozen one-map body
+    rng = np.random.default_rng(43)
+    for shape in FROZEN_SHAPES:
+        for n in range(1, 9):
+            p = rng.random((n,) + shape) ** rng.choice([0.1, 1.0, 10.0])
+            p[rng.random(p.shape) < 0.05] = 0.0  # clamped on both sides
+            p[rng.random(p.shape) < 0.05] = 1.0
+            y = rng.random(p.shape) < rng.uniform(0.0, 1.0)
+            y[0] = True  # all on
+            y[-1] = False  # all off
+            got = kernels.cross_entropy_sum(p, y, 1e-7)
+            assert got.shape == (n,)
+            want = [kernels.cross_entropy_sum(pi, yi, 1e-7)
+                    for pi, yi in zip(p, y)]
+            assert all(type(v) is float for v in want)
+            assert got.tolist() == want
+            assert want == [oracles.selected_cross_entropy_sum(pi, yi, 1e-7)
+                            for pi, yi in zip(p, y)]
+
+
 def test_shape_blocks_keep_order_and_never_mix_shapes():
     shapes = [(2, 3)] * 10 + [(3, 2)] + [(2, 3)] * 3 + [(4, 4)] * 8
     items = [(np.zeros(shape), i) for i, shape in enumerate(shapes)]

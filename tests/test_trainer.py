@@ -120,6 +120,36 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(got - want) / denom < 1e-6
 
 
+def test_sigmoid_and_gradient_equal_frozen_bodies():
+    # forward and the SGD step against the np.clip sigmoid and the
+    # broadcast-product gradient they replaced, bit for bit
+    rng = np.random.default_rng(47)
+    biggest = 0.0
+    for shape in ((1, 1), (1, 9), (9, 1), (16, 20), (24, 24)):
+        for n in range(1, 9):
+            imgs = rng.random((n,) + shape) + rng.uniform(-0.3, 0.3, (n, 1, 1))
+            feats = featurize(np.clip(imgs, 0.0, 1.0))
+            masks = rng.random(imgs.shape) < rng.uniform(0.0, 1.0)
+            for scale in (1.0, 30.0, 300.0):
+                weights = rng.uniform(-1.0, 1.0, 4) * scale
+                params = ModelParams(weights=weights)
+                biggest = max(biggest, np.abs(feats @ weights).max())
+                assert np.array_equal(trainer.forward_features(params, feats),
+                                      oracles.clip_sigmoid(feats @ weights))
+                for f, m in zip(feats, masks):
+                    assert np.array_equal(
+                        trainer.feature_gradient(params, f, m),
+                        oracles.broadcast_gradient(weights, f, m))
+    assert biggest > 500.0  # logits far past the clip at 35
+
+
+def test_sigmoid_equals_clip_on_special_values():
+    z = np.array([np.inf, -np.inf, np.nan, 1e3, -1e3, 35.0, -35.0, 34.5,
+                  0.0, -0.0, 1e-300])
+    assert np.array_equal(trainer._sigmoid(z), oracles.clip_sigmoid(z),
+                          equal_nan=True)
+
+
 # -- augmentation ----------------------------------------------------------
 
 
