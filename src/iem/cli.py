@@ -14,7 +14,6 @@ import sys
 
 from . import harness, pgm, synth
 from .errors import DataError, NumericError
-from .pgm import ImageCache
 from .selection import SelectionConfig
 from .trainer import AugmentRecipe, TrainConfig, load_params
 
@@ -141,12 +140,10 @@ def cmd_train(args):
         load_settings(args.config, args.seed, args.tau, args.variant)
     )
     train_chunks, test_records = harness.load_dataset(args.data)
-    cache = ImageCache()
-    for chunk in train_chunks:
-        synth.verify_labels(chunk, cache)
-    synth.verify_labels(test_records, cache)
+    for records in (*train_chunks, test_records):
+        synth.verify_labels(records)
     report, params, pool, trace = harness.run_strategy(
-        strategy, train_chunks, test_records, selcfg, traincfg, cache
+        strategy, train_chunks, test_records, selcfg, traincfg
     )
     out_dir = os.path.join(args.out, strategy)
     harness.write_strategy_outputs(out_dir, report, params, pool, trace)
@@ -166,8 +163,9 @@ def cmd_eval(args):
     selcfg, _ = make_configs(
         load_settings(args.config, None, args.tau, args.variant)
     )
+    pairs = (pgm.pair(rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
-        params, records, selcfg, pgm
+        params, pairs, selcfg
     )
     print("precision,recall,f1,jaccard")
     print(f"{precision:.6f},{recall:.6f},{f1:.6f},{jaccard:.6f}")

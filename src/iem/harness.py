@@ -25,13 +25,13 @@ report schema.
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from . import metrics
+from . import metrics, pgm
 from .errors import DataError
 from .kernels import shape_blocks
-from .pgm import ImageCache
 from .pool import PoolState, add_chunk, save_state
 from .selection import partition_number_for
 from .synth import MANIFEST_NAME, read_manifest
@@ -92,16 +92,15 @@ class StrategyReport:
         return self.rows[-1]
 
 
-def evaluate_model(params, test_records, selcfg, reader):
+def evaluate_model(params, pairs, selcfg):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
-    Runs over blocks of up to 8 same-shape test images, keeping running
-    lesion counts and the per-image Jaccard values. ``reader.pair``
-    decodes each test pair: an ``ImageCache``, or ``pgm`` to keep none.
+    Runs over blocks of up to 8 same-shape (image, mask) test pairs,
+    keeping running lesion counts and the per-image Jaccard values.
+    ``pairs`` is read once, so a decoding generator keeps no image.
     """
     tp = fp = fn = 0
     jis = []
-    pairs = (reader.pair(rec.image_ref, rec.mask_ref) for rec in test_records)
     for block in shape_blocks(pairs):
         masks = np.stack([mask for _, mask in block])
         preds = metrics.binarize(
@@ -125,70 +124,59 @@ def stage_budgets(train_chunks, selcfg):
     return budgets
 
 
-class _Cycler:
-    """Yields examples in reshuffled passes so batches cover the set evenly."""
-
-    def __init__(self, examples, rng):
-        self.examples = examples
-        self.rng = rng
-        self.order = np.empty(0, dtype=np.int64)
-        self.pos = 0
-
-    def take(self, n):
-        out = []
-        while len(out) < n:
-            if self.pos >= len(self.order):
-                self.order = self.rng.permutation(len(self.examples))
-                self.pos = 0
-            out.append(self.examples[int(self.order[self.pos])])
-            self.pos += 1
-        return out
+def _cycle(examples, rng):
+    """Examples in reshuffled passes, so batches cover the set evenly."""
+    while True:
+        for i in rng.permutation(len(examples)):
+            yield examples[i]
 
 
-def _pairs(records, cache):
-    return [cache.pair(rec.image_ref, rec.mask_ref) for rec in records]
+def _pairs(records, reader):
+    return [reader.pair(rec.image_ref, rec.mask_ref) for rec in records]
 
 
 # Each runner is a generator over (params, pool, trace_round, train_chunks,
-# selcfg, traincfg, cache). It trains params in place and yields
+# selcfg, traincfg, reader). It trains params in place and yields
 # (stage, set_size) once per reported stage. set_size is the size of the
 # fixed set a stage trained on, or None for a mining stage, whose rounds
-# are passed to trace_round as they run. Only pool-based runners fill pool.
+# are passed to trace_round as they run. Only pool-based runners fill pool
+# and train on its pairs; the others decode their fixed sets with reader.
 
 
-def _train_initial(params, chunk, selcfg, traincfg, cache):
+def _train_initial(params, examples, selcfg, traincfg):
     """Shared stage-0 routine: iterations_per_step passes over the chunk."""
     rng = np.random.default_rng([selcfg.seed, 0])
-    examples = _pairs(chunk, cache)
     for _ in range(selcfg.iterations_per_step):
         train_on_subset(params, examples, traincfg, rng)
 
 
-def _run_iem(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
+def _run_iem(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
     add_chunk(pool, train_chunks[0], 0)
-    _train_initial(params, train_chunks[0], selcfg, traincfg, cache)
+    _train_initial(params, [pool.pair(rec.id) for rec in train_chunks[0]],
+                   selcfg, traincfg)
     yield 0, len(train_chunks[0])
     for chunk in train_chunks[1:]:
-        incremental_step(pool, params, selcfg, traincfg, chunk, cache, trace_round)
+        incremental_step(pool, params, selcfg, traincfg, chunk, trace_round)
         yield pool.stage, None
 
 
-def _run_naive(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
-    _train_initial(params, train_chunks[0], selcfg, traincfg, cache)
+def _run_naive(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
+    _train_initial(params, _pairs(train_chunks[0], reader), selcfg, traincfg)
     yield 0, len(train_chunks[0])
     for stage, chunk in enumerate(train_chunks[1:], start=1):
         rng = np.random.default_rng([selcfg.seed, stage])
         batch_size = 4 * partition_number_for(selcfg, chunk)
-        cycler = _Cycler(_pairs(chunk, cache), rng)
+        examples = _cycle(_pairs(chunk, reader), rng)
         for _ in range(selcfg.iterations_per_step):
-            train_on_subset(params, cycler.take(batch_size), traincfg, rng)
+            train_on_subset(params, list(islice(examples, batch_size)),
+                            traincfg, rng)
         yield stage, len(chunk)
 
 
-def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
+def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
     budget = sum(stage_budgets(train_chunks, selcfg))
     rng = np.random.default_rng([selcfg.seed, 0])
-    examples = _pairs([rec for chunk in train_chunks for rec in chunk], cache)
+    examples = _pairs([rec for chunk in train_chunks for rec in chunk], reader)
     epochs, remainder = divmod(budget, len(examples))
     for _ in range(epochs):
         train_on_subset(params, examples, traincfg, rng)
@@ -198,7 +186,7 @@ def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
     yield len(train_chunks) - 1, len(examples)
 
 
-def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
+def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
     """The mining loop run once over the pooled stream, for the whole budget.
 
     K follows the newest chunk's positive count, matching what the
@@ -208,7 +196,7 @@ def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, cache):
         add_chunk(pool, chunk, i)
     K = partition_number_for(selcfg, train_chunks[-1])
     rounds = sum(stage_budgets(train_chunks, selcfg)) // (4 * K)
-    mine(pool, params, K, rounds, selcfg, traincfg, cache, trace_round)
+    mine(pool, params, K, rounds, selcfg, traincfg, trace_round)
     yield pool.stage, None
 
 
@@ -220,19 +208,19 @@ _RUNNERS = {
 }
 
 
-def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, cache=None):
+def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=pgm):
     """Train one strategy end to end; returns (report, params, pool, trace).
 
     ``pool`` is None for strategies that do not keep error bookkeeping.
     Each stage's seconds cover its training but not its evaluation, and
-    its examples_trained is the number of SGD steps it took.
+    its examples_trained is the number of SGD steps it took. ``reader.pair``
+    decodes the test set and the full and naive training sets once per run.
     """
     if strategy not in _RUNNERS:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not train_chunks or not train_chunks[0]:
         raise ValueError("need at least one nonempty training chunk")
-    if cache is None:
-        cache = ImageCache()
+    test_pairs = _pairs(test_records, reader)
     params, pool, trace, rows = init_params(), PoolState([]), [], []
 
     def trace_round(stage, iteration, subset):
@@ -246,7 +234,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, cache=N
         ]))
 
     stages = _RUNNERS[strategy](
-        params, pool, trace_round, train_chunks, selcfg, traincfg, cache
+        params, pool, trace_round, train_chunks, selcfg, traincfg, reader
     )
     steps, t0 = params.version, time.perf_counter()
     for stage, set_size in stages:
@@ -257,7 +245,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, cache=N
                 f"stage={stage}\tset_size={set_size}\tpresentations={presented}"
             )
         rows.append(StageResult(
-            stage, *evaluate_model(params, test_records, selcfg, cache),
+            stage, *evaluate_model(params, test_pairs, selcfg),
             seconds, presented,
         ))
         t0 = time.perf_counter()

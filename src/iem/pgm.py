@@ -5,10 +5,15 @@ two values {0, 255} and map to/from boolean arrays.
 """
 
 import os
+import re
 
 import numpy as np
 
 from .errors import DataError
+
+# header = 4 tokens (magic, width, height, maxval); a '#' that starts a
+# token starts a comment running to the end of its line
+_HEADER_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def write_pgm(path, img):
@@ -34,23 +39,14 @@ def _read_pgm_bytes(path):
     except OSError as exc:
         raise DataError(f"cannot read image file {path}: {exc}") from exc
 
-    # header = 4 tokens (magic, width, height, maxval), '#' starts a comment
     tokens = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise DataError(f"{path}: truncated PGM header")
-        tokens.append(data[i:j])
-        i = j
+    for match in _HEADER_TOKEN.finditer(data):
+        if match[0][:1] != b"#":
+            tokens.append(match[0])
+            if len(tokens) == 4:
+                break
+    else:
+        raise DataError(f"{path}: truncated PGM header")
     if tokens[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     try:
@@ -59,7 +55,8 @@ def _read_pgm_bytes(path):
         raise DataError(f"{path}: bad PGM header") from exc
     if maxval != 255 or w < 1 or h < 1:
         raise DataError(f"{path}: unsupported PGM geometry {w}x{h}/{maxval}")
-    raster = data[i + 1 : i + 1 + w * h]
+    start = match.end() + 1  # one whitespace byte ends the header
+    raster = data[start : start + w * h]
     if len(raster) != w * h:
         raise DataError(f"{path}: raster truncated ({len(raster)} of {w * h} bytes)")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

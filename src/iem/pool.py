@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import metrics, pgm
 from .errors import DataError
 from .kernels import shape_blocks
-from .pgm import ImageCache
 
 POOL_FORMAT = "iem-pool/1"
 
@@ -45,6 +44,8 @@ class ExampleRecord:
 
 @dataclass
 class PoolState:
+    """Records of every ingested chunk; ``pair`` decodes one on first use."""
+
     records: list = field(default_factory=list)
     stage: int = 0
     config_hash: str = ""
@@ -53,6 +54,17 @@ class PoolState:
         self._by_id = {r.id: r for r in self.records}
         if len(self._by_id) != len(self.records):
             raise ValueError("duplicate ids in pool records")
+        self._pairs = {}
+
+    def pair(self, example_id):
+        """A record's decoded (image, mask), kept and read-only."""
+        if example_id not in self._pairs:
+            record = self.record_for(example_id)
+            arrays = pgm.pair(record.image_ref, record.mask_ref)
+            for array in arrays:
+                array.flags.writeable = False  # augment hands out views
+            self._pairs[example_id] = arrays
+        return self._pairs[example_id]
 
     def record_for(self, example_id):
         try:
@@ -94,7 +106,7 @@ def add_chunk(pool, examples, chunk_index):
     return pool
 
 
-def refresh_errors(pool, predict, cfg, cache=None):
+def refresh_errors(pool, predict, cfg):
     """Recompute E for every non-dropped record from one plain forward pass.
 
     ``predict`` maps an (n, h, w) image stack to its probability maps; it
@@ -102,12 +114,7 @@ def refresh_errors(pool, predict, cfg, cache=None):
     records keep E = 0. Metric knobs (tau, variant, binarize threshold,
     error weights) come from the selection config.
     """
-    if cache is None:
-        cache = ImageCache()
-    active = (
-        cache.pair(r.image_ref, r.mask_ref) + (r,)
-        for r in pool.records if not r.dropped
-    )
+    active = (pool.pair(r.id) + (r,) for r in pool.records if not r.dropped)
     for block in shape_blocks(active):
         breakdowns = metrics.evaluate_examples(
             predict(np.stack([img for img, _, _ in block])),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .pgm import write_mask_pgm, write_pgm
+from .pgm import read_mask_pgm, write_mask_pgm, write_pgm
 from .pool import ExampleRecord
 
 MANIFEST_NAME = "manifest.tsv"
@@ -182,14 +182,13 @@ def read_manifest(path):
     return records
 
 
-def verify_labels(records, cache):
+def verify_labels(records):
     """Check each record is labeled positive iff its mask has on-pixels."""
     for rec in records:
-        nonempty = bool(cache.mask(rec.mask_ref).any())
+        nonempty = bool(read_mask_pgm(rec.mask_ref).any())
         if nonempty != (rec.label == "positive"):
-            raise DataError(
-                f"{rec.id}: label {rec.label!r} disagrees with mask content"
-            )
+            raise DataError(f"{rec.mask_ref}: {rec.id}: label {rec.label!r} "
+                            "disagrees with mask content")
 
 
 @dataclass(frozen=True)

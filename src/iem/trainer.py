@@ -12,13 +12,13 @@ per line with 17 significant digits.
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import metrics
 from .errors import DataError, NumericError
 from .kernels import local_mean_std, shape_blocks
-from .pgm import ImageCache
 from .pool import add_chunk, record_training_update, refresh_errors
 from .selection import partition_number_for, select_subset
 
@@ -53,9 +53,16 @@ class AugmentRecipe:
         if self.jitter < 0:
             raise ValueError("jitter amplitude must be >= 0")
 
+    @cached_property
+    def views(self):
+        """Names of the enabled views, in view-index order."""
+        enabled = (True, self.horizontal_flip, self.vertical_flip, self.jitter > 0)
+        names = ("identity", "hflip", "vflip", "jitter")
+        return tuple(name for name, on in zip(names, enabled) if on)
+
     @property
     def n_views(self):
-        return 1 + self.horizontal_flip + self.vertical_flip + (self.jitter > 0)
+        return len(self.views)
 
 
 @dataclass(frozen=True)
@@ -127,25 +134,20 @@ def augment(img, mask, recipe, rng, j):
     restricted to those the recipe enables; j wraps modulo the view
     count. Flips transform image and mask identically; jitter adds one
     rng-drawn global offset to the image only, clamped to [0,1].
+    Identity returns the inputs and flips slice them, so only jitter
+    allocates; callers copy a view before writing to it.
     """
     if j < 1:
         raise ValueError(f"view index must be >= 1, got {j}")
-    views = ["identity"]
-    if recipe.horizontal_flip:
-        views.append("hflip")
-    if recipe.vertical_flip:
-        views.append("vflip")
-    if recipe.jitter > 0:
-        views.append("jitter")
-    view = views[(j - 1) % len(views)]
+    view = recipe.views[(j - 1) % recipe.n_views]
     if view == "hflip":
-        return np.fliplr(img).copy(), np.fliplr(mask).copy()
+        return img[:, ::-1], mask[:, ::-1]
     if view == "vflip":
-        return np.flipud(img).copy(), np.flipud(mask).copy()
+        return img[::-1], mask[::-1]
     if view == "jitter":
         delta = rng.uniform(-recipe.jitter, recipe.jitter)
-        return np.clip(img + delta, 0.0, 1.0), mask.copy()
-    return img.copy(), mask.copy()
+        return np.clip(img + delta, 0.0, 1.0), mask
+    return img, mask
 
 
 def train_on_subset(params, examples, cfg, rng):
@@ -212,7 +214,7 @@ def example_rng(seed, stage, iteration, example_id):
     )
 
 
-def mine(pool, params, K, rounds, selcfg, traincfg, cache, trace=None):
+def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
     """Run ``rounds`` mining rounds over the pool at its current stage.
 
     Refreshes E over the whole pool with the incoming model, then runs
@@ -222,21 +224,15 @@ def mine(pool, params, K, rounds, selcfg, traincfg, cache, trace=None):
     subset) after each round.
     """
     stage = pool.stage
-    refresh_errors(pool, lambda img: forward(params, img), selcfg, cache)
+    refresh_errors(pool, lambda img: forward(params, img), selcfg)
     rng = np.random.default_rng([selcfg.seed, stage])
     for iteration in range(rounds):
         subset = select_subset(pool, K, rng)
         ids = subset.all_ids()
         if ids:
-            examples = [
-                cache.pair(pool.record_for(i).image_ref,
-                           pool.record_for(i).mask_ref)
-                for i in ids
-            ]
-            train_on_subset(params, examples, traincfg, rng)
+            train_on_subset(params, [pool.pair(i) for i in ids], traincfg, rng)
             for example_id in sorted(ids):
-                record = pool.record_for(example_id)
-                img, mask = cache.pair(record.image_ref, record.mask_ref)
+                img, mask = pool.pair(example_id)
                 errors = augmented_error_terms(
                     params, img, mask, selcfg, traincfg.recipe,
                     example_rng(selcfg.seed, stage, iteration, example_id),
@@ -246,20 +242,16 @@ def mine(pool, params, K, rounds, selcfg, traincfg, cache, trace=None):
             trace(stage, iteration, subset)
 
 
-def incremental_step(pool, params, selcfg, traincfg, new_chunk, cache=None,
-                     trace=None):
+def incremental_step(pool, params, selcfg, traincfg, new_chunk, trace=None):
     """Run one full incremental stage for a newly arrived chunk.
 
     Ingests the chunk, sets K to its positive count, then runs
     iterations_per_step mining rounds (see ``mine``).
     """
-    if cache is None:
-        cache = ImageCache()
     stage = 0 if not pool.records else pool.stage + 1
     K = partition_number_for(selcfg, new_chunk)
     add_chunk(pool, new_chunk, stage)
-    mine(pool, params, K, selcfg.iterations_per_step, selcfg, traincfg, cache,
-         trace)
+    mine(pool, params, K, selcfg.iterations_per_step, selcfg, traincfg, trace)
     return pool, params
 
 

@@ -169,9 +169,12 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
     assert cli.main(argv) == 0
     line = capsys.readouterr().out.splitlines()[1]
+    cache = pgm.ImageCache()
     want = harness.evaluate_model(
-        load_params(checkpoint), harness.read_nonempty_manifest(manifest),
-        make_configs({})[0], pgm.ImageCache(),
+        load_params(checkpoint),
+        [cache.pair(r.image_ref, r.mask_ref)
+         for r in harness.read_nonempty_manifest(manifest)],
+        make_configs({})[0],
     )
     assert line == ",".join(f"{v:.6f}" for v in want)
 
@@ -186,7 +189,7 @@ def test_eval_decodes_each_pair_once_and_keeps_none(eval_inputs, monkeypatch,
     def counting(read):
         return lambda path: decoded.append(path) or read(path)
 
-    monkeypatch.setattr(cli, "ImageCache", no_cache)
+    monkeypatch.setattr(pgm, "ImageCache", no_cache)
     monkeypatch.setattr(pgm, "read_pgm", counting(pgm.read_pgm))
     monkeypatch.setattr(pgm, "read_mask_pgm", counting(pgm.read_mask_pgm))
     checkpoint, manifest = eval_inputs

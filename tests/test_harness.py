@@ -22,7 +22,7 @@ from iem.harness import (
     write_strategy_outputs,
     write_timings,
 )
-from iem.pgm import ImageCache, write_mask_pgm, write_pgm
+from iem.pgm import ImageCache, pair, write_mask_pgm, write_pgm
 from iem.pool import ExampleRecord
 from iem.selection import SelectionConfig
 from iem.trainer import ModelParams, TrainConfig, forward
@@ -144,6 +144,19 @@ def _one_of_each_label(tmp_path, name):
     return records
 
 
+def test_hem_run_leaves_pool_pixels_as_decoded(tiny_dataset, tiny_selcfg,
+                                              tiny_traincfg):
+    chunks, test_records = tiny_dataset
+    _, _, pool, _ = run_strategy("baseline_hem", chunks, test_records,
+                                 tiny_selcfg, tiny_traincfg)
+    assert len(pool) == sum(len(chunk) for chunk in chunks)
+    for rec in pool.records:
+        img, mask = pool.pair(rec.id)
+        want_img, want_mask = pair(rec.image_ref, rec.mask_ref)
+        assert np.array_equal(img, want_img)
+        assert np.array_equal(mask, want_mask)
+
+
 def test_hem_traces_empty_rounds_once_the_pool_runs_dry(tmp_path):
     # budget 3 * 2 + 3 * 4 * 1 = 18 gives 18 // 4 = 4 rounds; the first
     # two select all four examples, which drops them all at d=1
@@ -245,30 +258,33 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
     want = (*metrics.evaluate_detection(preds, gts, selcfg.tau),
             float(np.mean(jis)))
     assert want[0] > 0 and want[1] > 0
-    assert evaluate_model(params, test_records, selcfg, cache) == want
+    pairs = [cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records]
+    assert evaluate_model(params, pairs, selcfg) == want
 
 
 def test_evaluate_model_perfect_and_mixed(tmp_path):
     # steep weights turn unit pixels into confident detections
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -25.0]))
     cfg = SelectionConfig(K=1)
-    cache = ImageCache()
+
+    def decoded(records):
+        return [pair(rec.image_ref, rec.mask_ref) for rec in records]
 
     (tmp_path / "same").mkdir()
     same = _fixture_records(tmp_path / "same", [
         ([(2, 2)], [(2, 2)]), ([(5, 5), (9, 3)], [(5, 5), (9, 3)]),
     ])
-    assert evaluate_model(sharp, same, cfg, cache) == (1.0, 1.0, 1.0, 1.0)
+    assert evaluate_model(sharp, decoded(same), cfg) == (1.0, 1.0, 1.0, 1.0)
 
     mixed = _fixture_records(tmp_path, [
         ([(2, 2), (2, 10)], [(2, 2), (8, 2)]),
     ])
-    precision, recall, f1, ji = evaluate_model(sharp, mixed, cfg, cache)
+    precision, recall, f1, ji = evaluate_model(sharp, decoded(mixed), cfg)
     assert (precision, recall, f1) == (0.5, 0.5, 0.5)
     assert ji == pytest.approx(1 / 3)
 
     blind = ModelParams(weights=np.array([0.0, 0.0, 0.0, -50.0]))
-    precision, recall, f1, ji = evaluate_model(blind, mixed, cfg, cache)
+    precision, recall, f1, ji = evaluate_model(blind, decoded(mixed), cfg)
     assert (precision, recall, f1) == (0.0, 0.0, 0.0)
     assert ji == 0.0
 

@@ -1,4 +1,4 @@
-"""PGM round trips, malformed-file rejection, and the read cache."""
+"""PGM round trips, header parsing, malformed-file rejection, and the read cache."""
 
 import numpy as np
 import pytest
@@ -38,6 +38,16 @@ def test_header_comments_are_skipped(tmp_path):
     assert not img.any()
 
 
+def test_header_takes_every_whitespace_separator(tmp_path):
+    # tab, CR, VT and FF separate tokens; the one byte after maxval ends
+    # the header, so the raster may start with a whitespace value
+    path = tmp_path / "ws.pgm"
+    path.write_bytes(b"P5\t3\r\n2\x0b#c\x0c\n255\x0c"
+                     + bytes([9, 10, 11, 12, 13, 32]))
+    assert np.array_equal(read_pgm(path) * 255.0,
+                          [[9.0, 10.0, 11.0], [12.0, 13.0, 32.0]])
+
+
 @pytest.mark.parametrize(
     "payload, complaint",
     [
@@ -46,6 +56,10 @@ def test_header_comments_are_skipped(tmp_path):
         (b"P5\n2 2\n255\n\x00\x00", "truncated"),
         (b"P5\nx 2\n255\n" + bytes(4), "bad PGM header"),
         (b"", "truncated PGM header"),
+        # '#' only starts a comment at the start of a token
+        (b"P5\n3#x 2\n255\n" + bytes(6), "bad PGM header"),
+        (b"P5\n3 2 # comment to the end of the file", "truncated PGM header"),
+        (b"P5 3 2", "truncated PGM header"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, payload, complaint):

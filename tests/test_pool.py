@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from iem import pgm
 from iem.errors import DataError
-from iem.pgm import ImageCache, write_mask_pgm, write_pgm
+from iem.pgm import write_mask_pgm, write_pgm
 from iem.pool import (
     ExampleRecord,
     PoolState,
@@ -16,7 +17,7 @@ from iem.pool import (
     refresh_errors,
     save_state,
 )
-from iem.selection import SelectionConfig
+from iem.selection import SelectionConfig, select_subset
 
 
 def _rec(rid, label="positive", **kw):
@@ -105,7 +106,7 @@ def test_refresh_errors_perfect_prediction(tmp_path):
     mask[1, 1] = True
     rec = _write_pair(tmp_path, "a", mask.astype(float), mask)
     pool = _pool(rec)
-    refresh_errors(pool, lambda img: img, SelectionConfig(K=1), ImageCache())
+    refresh_errors(pool, lambda img: img, SelectionConfig(K=1))
     assert pool.record_for("a").E <= 1e-6
 
 
@@ -115,7 +116,7 @@ def test_refresh_errors_hand_computed(tmp_path):
     mask = np.array([[True, False], [False, False]])
     rec = _write_pair(tmp_path, "a", img, mask)
     pool = _pool(rec)
-    refresh_errors(pool, lambda i: i, SelectionConfig(K=1), ImageCache())
+    refresh_errors(pool, lambda i: i, SelectionConfig(K=1))
     # prediction mask equals gt: fp = fn = 0, ji = 1, so E is just the loss
     p = np.rint(img * 255.0) / 255.0  # 8-bit storage quantization
     want = -(math.log(p[0, 0]) + 3 * math.log(1 - p[0, 1])) / 4
@@ -129,8 +130,37 @@ def test_refresh_errors_skips_dropped(tmp_path):
     rec.dropped = True
     pool = _pool(rec)
     refresh_errors(pool, lambda img: np.full_like(img, 0.5),
-                   SelectionConfig(K=1), ImageCache())
+                   SelectionConfig(K=1))
     assert pool.record_for("a").E == 0.0
+
+
+def test_pool_builds_and_selects_without_decoding(monkeypatch):
+    def no_decode(image_ref, mask_ref):
+        raise AssertionError(f"decoded {image_ref}")
+
+    monkeypatch.setattr(pgm, "pair", no_decode)
+    pool = _pool(*(_rec(f"p{i}", E=float(i)) for i in range(3)),
+                 *(_rec(f"n{i}", "negative", E=float(i)) for i in range(3)))
+    assert len(select_subset(pool, 1, np.random.default_rng(0))) == 4
+
+
+def test_pool_decodes_once_into_read_only_arrays(tmp_path, monkeypatch):
+    img = np.full((3, 4), 0.4)
+    mask = np.eye(3, 4, dtype=bool)
+    pool = _pool(_write_pair(tmp_path, "a", img, mask))
+    calls, decode = [], pgm.pair
+    monkeypatch.setattr(pgm, "pair",
+                        lambda *refs: calls.append(refs) or decode(*refs))
+    got_img, got_mask = pool.pair("a")
+    assert pool.pair("a")[0] is got_img and len(calls) == 1
+    assert np.array_equal(got_img, np.rint(img * 255) / 255)
+    assert np.array_equal(got_mask, mask)
+    with pytest.raises(ValueError, match="read-only"):
+        got_img[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        got_mask[:, ::-1][0, 0] = False
+    with pytest.raises(ValueError, match="unknown example id"):
+        pool.pair("b")
 
 
 # -- record_training_update ------------------------------------------------

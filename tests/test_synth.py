@@ -9,7 +9,7 @@ import pytest
 
 from iem import metrics
 from iem.errors import DataError
-from iem.pgm import ImageCache, read_mask_pgm
+from iem.pgm import read_mask_pgm
 from iem.synth import (
     ChunkSpec,
     Scenario,
@@ -125,7 +125,7 @@ def test_generate_chunk_round_trips_through_manifest(tmp_path):
     assert [(r.id, r.label, r.chunk_index) for r in back] == [
         (r.id, r.label, r.chunk_index) for r in records
     ]
-    verify_labels(back, ImageCache())
+    verify_labels(back)
     # mask files hold the rendered masks
     _, masks, _ = render_chunk(_spec())
     assert np.array_equal(read_mask_pgm(back[0].mask_ref), masks[0])
@@ -153,8 +153,9 @@ def test_verify_labels_catches_mismatch(tmp_path):
         )
         for r in records[:1]
     ]
-    with pytest.raises(DataError, match="disagrees"):
-        verify_labels(flipped, ImageCache())
+    with pytest.raises(DataError, match="disagrees") as exc:
+        verify_labels(flipped)
+    assert str(exc.value).startswith(f"{flipped[0].mask_ref}: ")
 
 
 @pytest.mark.parametrize(

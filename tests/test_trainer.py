@@ -9,7 +9,8 @@ import oracles
 from iem import metrics, trainer
 from iem.errors import DataError, NumericError
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
-from iem.pool import ExampleRecord, PoolState
+from iem.pool import (ExampleRecord, PoolState, load_state, refresh_errors,
+                      save_state)
 from iem.selection import SelectionConfig
 from iem.trainer import (
     AugmentRecipe,
@@ -443,6 +444,19 @@ def test_incremental_step_drops_overused_examples(tmp_path):
     assert seen[3:] == [[], []]
     for record in pool.records:
         assert record.dropped and record.E == 0.0 and record.C == 3
+
+
+def test_restored_pool_refreshes_to_identical_errors(tmp_path):
+    chunk = _make_chunk(tmp_path, "c0", 3, 3)
+    selcfg = SelectionConfig(seed=5, iterations_per_step=2, t=2, d=50)
+    pool, params = incremental_step(PoolState([]), init_params(), selcfg,
+                                    TrainConfig(), chunk)
+    save_state(pool, tmp_path / "pool.tsv")
+    restored = load_state(tmp_path / "pool.tsv")
+    for p in (pool, restored):
+        refresh_errors(p, lambda img: forward(params, img), selcfg)
+    assert [r.E for r in restored.records] == [r.E for r in pool.records]
+    assert any(r.E > 0 for r in pool.records)
 
 
 def test_incremental_step_error_audit(tmp_path):
