@@ -95,7 +95,7 @@ class StrategyReport:
 def evaluate_model(params, pairs, selcfg):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
-    Runs over blocks of up to 8 same-shape (image, mask) test pairs,
+    Runs over blocks of up to 16 same-shape (image, mask) test pairs,
     keeping running lesion counts and the per-image Jaccard values.
     ``pairs`` is read once, so a decoding generator keeps no image.
     """

@@ -2,19 +2,20 @@
 
 All three are vectorized numpy with no per-pixel Python loop and take an
 (n, h, w) stack of same-shape images, which costs about one call's numpy
-overhead instead of n. The stencils read a padded stack as one flat
+overhead instead of n. The 3x3 stencil reads a padded stack as one flat
 array with row stride W = w + 2, so each pass is one contiguous op.
-``shape_blocks`` cuts a sequence of images into such stacks.
+Labeling visits only the on-pixels, since the masks it labels are
+mostly off. ``shape_blocks`` cuts a sequence of images into stacks.
 """
 
 import numpy as np
 
-# images per stack; larger blocks raise peak memory for no further speed
-_BLOCK = 8
+# images per stack; 32 runs faster still but takes about 2 MB more peak memory
+_BLOCK = 16
 
 
 def shape_blocks(items):
-    """Split ``items`` into runs of at most 8 consecutive same-shape items.
+    """Split ``items`` into runs of at most 16 consecutive same-shape items.
 
     Each item is a tuple whose first element is an image array; a run
     ends where the next image's shape differs, so a block never mixes
@@ -39,13 +40,16 @@ def label_components(mask):
     in row-major order. For a stack each image is numbered on its own
     and n is an int array of the per-image counts.
 
-    Each on-pixel starts labelled with its own flat index in the stack
-    padded with the sentinel N (its size). Every round takes the 3x3
-    window minimum (a vertical 3-min at offsets -W, 0, W, then a
-    horizontal one at -1, 0, 1), reads it at the on-pixels and jumps one
-    pointer, label <- label[label[min]]. A label is always the index of a
-    pixel in the same component and never above the pixel's own, so at
-    the fixed point each component carries its first on-pixel: its root.
+    Only the on-pixels take part, listed in raster order. A (9, n_on)
+    table maps each one's 3x3 neighbours, read at flat offsets in the
+    stack padded with off pixels (row stride W = w + 2), to list
+    indices; off and padding pixels map to the sentinel n_on. Each
+    on-pixel starts labelled with its own index. Every round takes the
+    least label in its window and jumps one pointer,
+    label <- label[label[min]]. A label is always the index of an
+    on-pixel in the same component and never above the pixel's own, so
+    at the fixed point each component carries its first on-pixel: its
+    root.
     """
     mask = np.asarray(mask, dtype=np.bool_)
     stack = mask.reshape((-1,) + mask.shape[-2:])
@@ -53,32 +57,31 @@ def label_components(mask):
     W = w + 2
     padded = np.zeros((k, h + 2, W), dtype=np.bool_)
     padded[:, 1:-1, 1:-1] = stack
-    on = np.flatnonzero(stack)
+    flat_on = np.flatnonzero(padded)
+    n_on = flat_on.size
     labels = np.zeros(k * h * w, dtype=np.int32)
     counts = np.zeros(k, dtype=np.intp)
-    if on.size:
-        flat_on = np.flatnonzero(padded)
-        lab = np.full(padded.size + 1, padded.size, dtype=np.intp)
-        lab[flat_on] = flat_on
-        # vert[i] is the 3-min at pixel i + W, win[i] the 3x3 one at i + W + 1
-        at, m = flat_on - (W + 1), padded.size - 2 * W
-        new = flat_on
+    if n_on:
+        ids = np.arange(n_on)
+        index = np.full(padded.size, n_on)
+        index[flat_on] = ids
+        offsets = [dr * W + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+        nb = index[flat_on + np.array(offsets)[:, None]]
+        lab = np.append(ids, n_on)
         while True:
-            vert = np.minimum(np.minimum(lab[:m], lab[W:W + m]), lab[2 * W:-1])
-            win = np.minimum(np.minimum(vert[:-2], vert[1:-1]), vert[2:])
-            old, new = new, lab[lab[win[at]]]
-            if np.array_equal(new, old):
+            new = lab[lab[lab[nb].min(0)]]
+            if np.array_equal(new, lab[:n_on]):
                 break
-            lab[flat_on] = new
+            lab[:n_on] = new
         # roots label themselves; numbering them in raster order, counted
         # from each image's first root, numbers each component by its
         # first on-pixel within its image
-        roots = flat_on[new == flat_on]
-        image = roots // ((h + 2) * W)
+        roots = np.flatnonzero(new == ids)
+        image = flat_on[roots] // ((h + 2) * W)
         counts = np.bincount(image, minlength=k)
         lab[roots] = (np.arange(1, roots.size + 1)
                       - (np.cumsum(counts) - counts)[image])
-        labels[on] = lab[new]
+        labels[stack.reshape(-1)] = lab[new]
     if mask.ndim == 2:
         return labels.reshape(h, w), int(counts[0])
     return labels.reshape(mask.shape), counts

@@ -106,24 +106,36 @@ def add_chunk(pool, examples, chunk_index):
     return pool
 
 
-def refresh_errors(pool, predict, cfg):
-    """Recompute E for every non-dropped record from one plain forward pass.
+def error_terms(items, predict, cfg):
+    """E of each (image, mask, tag) item, scored in same-shape blocks.
 
-    ``predict`` maps an (n, h, w) image stack to its probability maps; it
-    sees blocks of up to 8 same-shape images in pool order. Dropped
-    records keep E = 0. Metric knobs (tau, variant, binarize threshold,
-    error weights) come from the selection config.
+    Yields (tag, E) in item order. ``predict`` maps an (n, h, w) image
+    stack to its probability maps; it sees blocks of up to 16 consecutive
+    same-shape images, and each item's E equals what its image and mask
+    give alone. Metric knobs (tau, variant, binarize threshold, error
+    weights) come from the selection config ``cfg``.
     """
-    active = (pool.pair(r.id) + (r,) for r in pool.records if not r.dropped)
-    for block in shape_blocks(active):
+    for block in shape_blocks(items):
         breakdowns = metrics.evaluate_examples(
             predict(np.stack([img for img, _, _ in block])),
             np.stack([mask for _, mask, _ in block]),
             tau=cfg.tau, variant=cfg.variant,
             threshold=cfg.binarize_threshold, weights=cfg.error_weights,
         )
-        for (_, _, record), breakdown in zip(block, breakdowns):
-            record.E = breakdown.E
+        for (_, _, tag), breakdown in zip(block, breakdowns):
+            yield tag, breakdown.E
+
+
+def refresh_errors(pool, predict, cfg):
+    """Recompute E for every non-dropped record from one plain forward pass.
+
+    ``predict`` maps an (n, h, w) image stack to its probability maps; it
+    sees blocks of up to 16 same-shape images in pool order (see
+    ``error_terms``). Dropped records keep E = 0.
+    """
+    active = (pool.pair(r.id) + (r,) for r in pool.records if not r.dropped)
+    for record, E in error_terms(active, predict, cfg):
+        record.E = E
     return pool
 
 

@@ -9,6 +9,7 @@ positives remainder first, then negatives remainder.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 
@@ -54,6 +55,10 @@ class SelectionConfig:
             raise ValueError("binarize_threshold must lie in (0,1)")
         if len(self.error_weights) != 3:
             raise ValueError("error_weights must have three entries")
+        for name, weight in zip(("fp", "fn", "ji"), self.error_weights):
+            if not math.isfinite(weight) or weight < 0:
+                raise ValueError(f"error_weight_{name} must be a finite "
+                                 f"number >= 0, got {weight}")
 
     def fingerprint(self):
         """Short stable digest of the configuration."""

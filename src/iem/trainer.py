@@ -10,16 +10,17 @@ Checkpoints are text: a header line, the feature count, then one weight
 per line with 17 significant digits.
 """
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import metrics
 from .errors import DataError, NumericError
 from .kernels import local_mean_std, shape_blocks
-from .pool import add_chunk, record_training_update, refresh_errors
+from .pool import (add_chunk, error_terms, record_training_update,
+                   refresh_errors)
 from .selection import partition_number_for, select_subset
 
 MODEL_FORMAT = "iem-model/1"
@@ -50,8 +51,9 @@ class AugmentRecipe:
     jitter: float = 0.1  # max absolute global intensity offset; 0 disables
 
     def __post_init__(self):
-        if self.jitter < 0:
-            raise ValueError("jitter amplitude must be >= 0")
+        if not math.isfinite(self.jitter) or self.jitter < 0:
+            raise ValueError(
+                f"jitter must be a finite number >= 0, got {self.jitter}")
 
     @cached_property
     def views(self):
@@ -72,8 +74,9 @@ class TrainConfig:
     recipe: AugmentRecipe = field(default_factory=AugmentRecipe)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be a finite number >= 0, "
+                             f"got {self.learning_rate}")
         if self.epochs_per_iteration < 1:
             raise ValueError("epochs_per_iteration must be >= 1")
 
@@ -154,7 +157,7 @@ def train_on_subset(params, examples, cfg, rng):
     """SGD over (image, mask) pairs, one rng-chosen view per example per epoch.
 
     Examples are visited in a fresh shuffled order each epoch. The views
-    of up to 8 consecutive same-shape steps are drawn in step order and
+    of up to 16 consecutive same-shape steps are drawn in step order and
     featurized as one stack, then the steps run one by one; SGD draws
     nothing from the rng, so the draws are those of one view at a time.
     Raises NumericError if an update would produce non-finite weights
@@ -188,19 +191,23 @@ def train_on_subset(params, examples, cfg, rng):
     return params
 
 
-def augmented_error_terms(params, img, mask, selcfg, recipe, rng):
-    """Error term of each of the t augmented views under the current model.
+def augmented_error_terms(params, pairs, selcfg, recipe, rngs):
+    """Error terms of each pair's t augmented views under the current model.
 
-    The t views are scored as one stack.
+    ``rngs`` holds one generator per (image, mask) pair, which draws
+    that pair's views in view order. Returns one list of t errors per
+    pair. The views are made one at a time as the scorer reads them and
+    scored in same-shape blocks that may span pairs.
     """
-    views = [augment(img, mask, recipe, rng, j) for j in range(1, selcfg.t + 1)]
-    breakdowns = metrics.evaluate_examples(
-        forward(params, np.stack([v for v, _ in views])),
-        np.stack([m for _, m in views]),
-        tau=selcfg.tau, variant=selcfg.variant,
-        threshold=selcfg.binarize_threshold, weights=selcfg.error_weights,
+    views = (
+        augment(img, mask, recipe, rng, j) + (n,)
+        for n, ((img, mask), rng) in enumerate(zip(pairs, rngs))
+        for j in range(1, selcfg.t + 1)
     )
-    return [b.E for b in breakdowns]
+    errors = [[] for _ in pairs]
+    for n, E in error_terms(views, lambda imgs: forward(params, imgs), selcfg):
+        errors[n].append(E)
+    return errors
 
 
 def example_rng(seed, stage, iteration, example_id):
@@ -231,13 +238,14 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
         ids = subset.all_ids()
         if ids:
             train_on_subset(params, [pool.pair(i) for i in ids], traincfg, rng)
-            for example_id in sorted(ids):
-                img, mask = pool.pair(example_id)
-                errors = augmented_error_terms(
-                    params, img, mask, selcfg, traincfg.recipe,
-                    example_rng(selcfg.seed, stage, iteration, example_id),
-                )
-                record_training_update(pool, example_id, errors, selcfg.d)
+            ids = sorted(ids)
+            errors = augmented_error_terms(
+                params, [pool.pair(i) for i in ids], selcfg, traincfg.recipe,
+                [example_rng(selcfg.seed, stage, iteration, i) for i in ids],
+            )
+            for example_id, example_errors in zip(ids, errors):
+                record_training_update(pool, example_id, example_errors,
+                                       selcfg.d)
         if trace is not None:
             trace(stage, iteration, subset)
 
@@ -263,18 +271,40 @@ def save_params(params, path):
 
 
 def load_params(path):
+    """Read a checkpoint written by save_params.
+
+    Refuses, naming the file and line, a bad header, a weight count other
+    than N_FEATURES, a weight that is not a finite number, a missing
+    weight and any line after the last weight.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(lines) < 2 or lines[0] != MODEL_FORMAT:
-        raise DataError(f"{path}: bad checkpoint header")
+        raise DataError(f"{path}:1: bad checkpoint header")
     try:
         count = int(lines[1])
-        weights = np.array([float(v) for v in lines[2 : 2 + count]])
-    except ValueError as exc:
-        raise DataError(f"{path}: bad checkpoint value") from exc
-    if len(weights) != count:
-        raise DataError(f"{path}: truncated checkpoint")
-    return ModelParams(weights=weights, version=0)
+    except ValueError:
+        raise DataError(f"{path}:2: bad checkpoint value {lines[1]!r}") from None
+    if count != N_FEATURES:
+        raise DataError(f"{path}:2: checkpoint holds {count} weights, "
+                        f"expected {N_FEATURES}")
+    weights = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if len(weights) == N_FEATURES:
+            raise DataError(f"{path}:{lineno}: trailing line after the "
+                            "last weight")
+        try:
+            value = float(line)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad checkpoint value "
+                            f"{line!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite weight {line!r}")
+        weights.append(value)
+    if len(weights) != N_FEATURES:
+        raise DataError(f"{path}:{len(lines) + 1}: truncated checkpoint "
+                        f"({len(weights)} of {N_FEATURES} weights)")
+    return ModelParams(weights=np.array(weights), version=0)

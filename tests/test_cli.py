@@ -6,10 +6,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import iem
-from iem import cli, harness, pgm
+from iem import cli, harness, pgm, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 from iem.trainer import init_params, load_params, save_params
@@ -237,16 +238,36 @@ def test_train_bad_config_key(tiny_dataset_dir, tmp_path):
     assert "unknown config key 'turbo'" in out.stderr
 
 
-def test_train_numeric_abort_exit_code(tiny_dataset_dir, tmp_path):
+def test_train_numeric_abort_exit_code(tiny_dataset_dir, tmp_path,
+                                      monkeypatch, capsys):
+    # a finite rate keeps the clipped-logit trajectory bounded and the
+    # config refuses a non-finite one, so the abort comes from a
+    # gradient that overflows
     config = tmp_path / "diverge.cfg"
-    config.write_text("learning_rate=inf\niterations_per_step=1\nt=1\n")
-    out = run_cli("train", "--strategy", "naive", "--data", tiny_dataset_dir,
-                  "--out", tmp_path)
-    assert out.returncode == 0  # sanity: the data itself trains fine
-    out = run_cli("train", "--strategy", "naive", "--data", tiny_dataset_dir,
+    config.write_text("iterations_per_step=1\nt=1\n")
+    args = ["train", "--strategy", "naive", "--data", tiny_dataset_dir,
+            "--out", str(tmp_path), "--config", str(config)]
+    assert cli.main(args) == 0  # sanity: the data itself trains fine
+    monkeypatch.setattr(trainer, "feature_gradient",
+                        lambda params, feats, mask: np.full(4, np.inf))
+    assert cli.main(args) == 4
+    assert "learning rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "jitter=nan", "jitter=inf", "error_weight_fp=nan", "error_weight_fn=-1",
+    "error_weight_ji=inf", "learning_rate=nan", "learning_rate=inf",
+])
+def test_train_refuses_non_finite_or_negative_config_values(
+        tiny_dataset_dir, tmp_path, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = run_cli("train", "--strategy", "iem", "--data", tiny_dataset_dir,
                   "--out", tmp_path, "--config", config)
-    assert out.returncode == 4
-    assert "learning rate" in out.stderr
+    assert out.returncode == 3
+    key, _, _ = line.partition("=")
+    assert f"bad configuration: {key} must be a finite number" in out.stderr
+    assert not (tmp_path / "iem_incremental").exists()
 
 
 def test_eval_missing_checkpoint(tmp_path, tiny_dataset_dir):
@@ -254,6 +275,18 @@ def test_eval_missing_checkpoint(tmp_path, tiny_dataset_dir):
                   "--test", os.path.join(tiny_dataset_dir, "test", "manifest.tsv"))
     assert out.returncode == 3
     assert "cannot read checkpoint" in out.stderr
+
+
+def test_eval_rejects_malformed_checkpoint(tmp_path, tiny_dataset_dir):
+    checkpoint = tmp_path / "checkpoint.txt"
+    save_params(init_params(), checkpoint)
+    checkpoint.write_text(checkpoint.read_text().replace("\n4\n", "\n3\n")
+                          .replace("0\n", "", 1))
+    out = run_cli("eval", "--checkpoint", checkpoint,
+                  "--test", os.path.join(tiny_dataset_dir, "test", "manifest.tsv"))
+    assert out.returncode == 3
+    assert f"{checkpoint}:2: checkpoint holds 3 weights" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("piece", ["test", "chunk2"])

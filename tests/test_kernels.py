@@ -201,6 +201,44 @@ def test_label_components_stack_equals_single_images():
             assert np.array_equal(got_labels, want_labels)
 
 
+def _assert_stack_exact(stack):
+    """Stacked labels and counts equal the per-image calls and the oracle."""
+    labels, counts = kernels.label_components(stack)
+    assert labels.dtype == np.int32 and labels.shape == stack.shape
+    assert len(counts) == len(stack)
+    for mask, got_labels, got_n in zip(stack, labels, counts):
+        want_labels, want_n = oracles.raster_labels(mask)
+        assert got_n == want_n
+        assert np.array_equal(got_labels, want_labels)
+        one_labels, one_n = kernels.label_components(mask)
+        assert one_n == want_n
+        assert np.array_equal(one_labels, want_labels)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("shape", [(24, 24), (7, 13), (1, 30), (30, 1)])
+def test_label_components_full_stacks_match_raster_oracle(n, shape):
+    # densities from 0.02 up to all-on, mixed within each stack
+    rng = np.random.default_rng(n * 1000 + shape[0] * 40 + shape[1])
+    for _ in range(3):
+        density = rng.uniform(0.02, 1.0, size=(n, 1, 1))
+        stack = rng.random((n,) + shape) < density
+        stack[int(rng.integers(n))] = True
+        _assert_stack_exact(stack)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_label_components_adversarial_stacks_match_raster_oracle(n):
+    rng = np.random.default_rng(59 + n)
+    shapes = [_serpentine(24, 24), _spiral(24), _comb(24, 24),
+              np.ones((24, 24), dtype=bool)]
+    stack = rng.random((n, 24, 24)) < rng.uniform(0.02, 1.0, size=(n, 1, 1))
+    stack[rng.choice(n, size=len(shapes), replace=False)] = shapes
+    _assert_stack_exact(stack)
+    _assert_stack_exact(np.stack([_serpentine(7, 31)] * n))
+    _assert_stack_exact(np.stack([_spiral(13)] * n))
+
+
 def test_local_mean_std_stack_equals_single_images():
     rng = np.random.default_rng(37)
     for _ in range(200):
@@ -263,10 +301,12 @@ def test_cross_entropy_sum_stack_equals_per_image_calls():
 
 
 def test_shape_blocks_keep_order_and_never_mix_shapes():
-    shapes = [(2, 3)] * 10 + [(3, 2)] + [(2, 3)] * 3 + [(4, 4)] * 8
+    size = kernels._BLOCK
+    shapes = ([(2, 3)] * (size + 2) + [(3, 2)] + [(2, 3)] * 3
+              + [(4, 4)] * size)
     items = [(np.zeros(shape), i) for i, shape in enumerate(shapes)]
     blocks = list(kernels.shape_blocks(iter(items)))
-    assert [len(block) for block in blocks] == [8, 2, 1, 3, 8]
+    assert [len(block) for block in blocks] == [size, 2, 1, 3, size]
     assert [i for block in blocks for _, i in block] == list(range(len(items)))
     assert all(len({img.shape for img, _ in block}) == 1 for block in blocks)
     assert list(kernels.shape_blocks([])) == []

@@ -195,6 +195,9 @@ def test_config_defaults_are_valid():
         {"K": -1}, {"d": 0}, {"t": 0}, {"iterations_per_step": 0},
         {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"variant": "other"},
         {"binarize_threshold": 1.0}, {"error_weights": (1.0, 1.0)},
+        {"error_weights": (float("nan"), 1.0, 1.0)},
+        {"error_weights": (1.0, -1.0, 1.0)},
+        {"error_weights": (1.0, 1.0, float("inf"))},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

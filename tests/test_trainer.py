@@ -220,6 +220,9 @@ def test_recipe_validation_and_view_count():
     assert AugmentRecipe(vertical_flip=False).n_views == 3
     with pytest.raises(ValueError, match="jitter"):
         AugmentRecipe(jitter=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="jitter must be a finite"):
+            AugmentRecipe(jitter=value)
 
 
 # -- training --------------------------------------------------------------
@@ -229,6 +232,9 @@ def test_train_config_validation():
     assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be a finite"):
+            TrainConfig(learning_rate=value)
     with pytest.raises(ValueError):
         TrainConfig(epochs_per_iteration=0)
 
@@ -275,11 +281,14 @@ def test_train_rejects_empty_subset():
         train_on_subset(init_params(), [], TrainConfig(), np.random.default_rng(0))
 
 
-def test_train_flags_divergence_as_numeric_error():
-    # clipped logits keep any finite-rate trajectory bounded, so the
-    # non-finite guard is tripped with an unbounded rate
+def test_train_flags_divergence_as_numeric_error(monkeypatch):
+    # clipped logits keep any finite-rate trajectory bounded and the
+    # config refuses a non-finite rate, so an overflowing gradient trips
+    # the non-finite guard
     img, mask = _blob_pair()
-    cfg = TrainConfig(learning_rate=float("inf"))
+    monkeypatch.setattr(trainer, "feature_gradient",
+                        lambda params, feats, mask: np.full(4, np.inf))
+    cfg = TrainConfig()
     params = init_params()
     with pytest.raises(NumericError, match="learning rate"):
         train_on_subset(params, [(img, mask)], cfg, np.random.default_rng(0))
@@ -311,10 +320,10 @@ def _lesion_examples(rng, shapes):
 
 
 def test_train_on_subset_equals_one_step_at_a_time():
-    # blocks split at 8 steps and wherever the shape changes; the
+    # blocks split at 16 steps and wherever the shape changes; the
     # reference takes each step from its own view, drawn in step order
     rng = np.random.default_rng(6)
-    examples = _lesion_examples(rng, [(6, 6)] * 11 + [(5, 7)] * 4 + [(6, 6)] * 2)
+    examples = _lesion_examples(rng, [(6, 6)] * 19 + [(5, 7)] * 4 + [(6, 6)] * 2)
     cfg = TrainConfig(learning_rate=0.7, epochs_per_iteration=2)
     params = ModelParams(weights=np.array([0.5, -0.2, 0.1, 0.0]), version=3)
     train_on_subset(params, examples, cfg, np.random.default_rng(12))
@@ -339,8 +348,8 @@ def test_augmented_error_terms_equal_per_view_scores(t):
     recipe = AugmentRecipe(jitter=0.2)
     predicted = 0
     for i, (img, mask) in enumerate(_lesion_examples(rng, [(9, 9), (1, 8)])):
-        got = augmented_error_terms(sharp, img, mask, selcfg, recipe,
-                                    example_rng(1, 0, 0, f"ex{i}"))
+        [got] = augmented_error_terms(sharp, [(img, mask)], selcfg, recipe,
+                                      [example_rng(1, 0, 0, f"ex{i}")])
         views = example_rng(1, 0, 0, f"ex{i}")
         want = []
         for j in range(1, t + 1):
@@ -353,6 +362,35 @@ def test_augmented_error_terms_equal_per_view_scores(t):
         assert got == want
         predicted += int((forward(sharp, img) >= 0.5).sum())
     assert predicted > 0  # the scores cover predicted lesions
+
+
+@pytest.mark.parametrize("t", [3, 6])
+def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
+    # 18 or 36 views of one shape, then 9 or 18 of another: blocks of 16
+    # views cut examples apart and stop at the shape change; each example
+    # draws its jitter offsets from its own rng
+    rng = np.random.default_rng(14)
+    pairs = _lesion_examples(rng, [(9, 9)] * 6 + [(7, 11)] * 3 + [(9, 9)])
+    sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
+    selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
+    recipe = AugmentRecipe(vertical_flip=False, jitter=0.2)
+    ids = [f"ex{i}" for i in range(len(pairs))]
+    got = augmented_error_terms(sharp, pairs, selcfg, recipe,
+                                [example_rng(2, 1, 0, i) for i in ids])
+    want = []
+    for (img, mask), example_id in zip(pairs, ids):
+        views = example_rng(2, 1, 0, example_id)
+        errors = []
+        for j in range(1, t + 1):
+            view, view_mask = augment(img, mask, recipe, views, j)
+            errors.append(metrics.evaluate_example(
+                forward(sharp, view), view_mask, tau=selcfg.tau,
+                variant=selcfg.variant, threshold=selcfg.binarize_threshold,
+                weights=selcfg.error_weights,
+            ).E)
+        want.append(errors)
+    assert got == want
+    assert augmented_error_terms(sharp, [], selcfg, recipe, []) == []
 
 
 # -- example rng -----------------------------------------------------------
@@ -475,9 +513,9 @@ def test_incremental_step_error_audit(tmp_path):
     for rid in selected:
         record = pool.record_for(rid)
         img, mask = cache.pair(record.image_ref, record.mask_ref)
-        errors = augmented_error_terms(
-            params, img, mask, selcfg, traincfg.recipe,
-            example_rng(selcfg.seed, 0, 0, rid),
+        [errors] = augmented_error_terms(
+            params, [(img, mask)], selcfg, traincfg.recipe,
+            [example_rng(selcfg.seed, 0, 0, rid)],
         )
         assert record.E == pytest.approx(sum(errors) / len(errors), abs=1e-12)
         assert record.C == 1
@@ -502,6 +540,16 @@ def test_params_round_trip(tmp_path):
         (lambda text: text.replace("iem-model/1", "iem-model/9"), "bad checkpoint header"),
         (lambda text: "\n".join(text.splitlines()[:-1]) + "\n", "truncated"),
         (lambda text: text.replace("-2.5", "abc"), "bad checkpoint value"),
+        (lambda text: text.replace("\n4\n", "\n3\n").replace("2\n", ""),
+         "model.txt:2: checkpoint holds 3 weights, expected 4"),
+        (lambda text: text.replace("-2.5", "nan"),
+         "model.txt:4: non-finite weight 'nan'"),
+        (lambda text: text.replace("2\n", "-inf\n"),
+         "model.txt:6: non-finite weight '-inf'"),
+        (lambda text: text + "0.0\n",
+         "model.txt:7: trailing line after the last weight"),
+        (lambda text: text + "\n",
+         "model.txt:7: trailing line"),
     ],
 )
 def test_params_load_rejects_malformed(tmp_path, mangle, complaint):
