@@ -9,11 +9,12 @@ flags override file values.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import harness, pgm, synth
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_lines
 from .selection import SelectionConfig
 from .trainer import AugmentRecipe, TrainConfig, load_params
 
@@ -59,13 +60,8 @@ CONFIG_KEYS = {
 
 def read_config_file(path):
     """Parse a key=value config file into typed settings."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, "config"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -95,31 +91,25 @@ def load_settings(config_path, seed=None, tau=None, variant=None):
     return values
 
 
+def _from_values(cls, values, **fixed):
+    """``cls`` from the settings named after its fields; the rest keep
+    their dataclass defaults."""
+    given = {f.name: values[f.name] for f in dataclasses.fields(cls)
+             if f.name in values}
+    return cls(**given, **fixed)
+
+
 def make_configs(values):
     """Build (SelectionConfig, TrainConfig) from typed settings."""
-    sel_kwargs = {
-        name: values[name]
-        for name in ("K", "d", "t", "iterations_per_step", "tau", "variant",
-                     "binarize_threshold", "seed")
-        if name in values
-    }
-    sel_kwargs["error_weights"] = (
-        values.get("error_weight_fp", 1.0),
-        values.get("error_weight_fn", 1.0),
-        values.get("error_weight_ji", 1.0),
+    weights = tuple(
+        values.get(f"error_weight_{name}", default)
+        for name, default in zip(("fp", "fn", "ji"),
+                                 SelectionConfig.error_weights)
     )
     try:
-        recipe = AugmentRecipe(
-            horizontal_flip=values.get("horizontal_flip", True),
-            vertical_flip=values.get("vertical_flip", True),
-            jitter=values.get("jitter", 0.1),
-        )
-        selcfg = SelectionConfig(**sel_kwargs)
-        traincfg = TrainConfig(
-            learning_rate=values.get("learning_rate", 0.5),
-            epochs_per_iteration=values.get("epochs_per_iteration", 1),
-            recipe=recipe,
-        )
+        recipe = _from_values(AugmentRecipe, values)
+        selcfg = _from_values(SelectionConfig, values, error_weights=weights)
+        traincfg = _from_values(TrainConfig, values, recipe=recipe)
     except ValueError as exc:
         raise DataError(f"bad configuration: {exc}") from exc
     return selcfg, traincfg
@@ -160,9 +150,7 @@ def cmd_train(args):
 def cmd_eval(args):
     params = load_params(args.checkpoint)
     records = harness.read_nonempty_manifest(args.test)
-    selcfg, _ = make_configs(
-        load_settings(args.config, None, args.tau, args.variant)
-    )
+    selcfg, _ = make_configs(load_settings(args.config, None, args.tau))
     pairs = (pgm.pair(rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
         params, pairs, selcfg
@@ -227,7 +215,6 @@ def build_parser():
     p_eval.add_argument("--test", required=True, help="test manifest path")
     p_eval.add_argument("--config", default=None)
     p_eval.add_argument("--tau", type=float, default=None)
-    p_eval.add_argument("--variant", choices=("full", "loss_ji"), default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="merge strategy reports into a table")

@@ -24,13 +24,13 @@ report schema.
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
 from . import metrics, pgm
-from .errors import DataError
+from .errors import DataError, read_lines
 from .kernels import shape_blocks
 from .pool import PoolState, add_chunk, save_state
 from .selection import partition_number_for
@@ -300,27 +300,22 @@ def _check_header(path, got, expected):
 
 def read_report_fragment(path):
     """Parse a fragment written by write_report_fragment; timings come separately."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
     meta = {}
     body = []
-    for line in lines:
+    for lineno, line in enumerate(read_lines(path, "report"), start=1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             meta[key] = value
         elif line:
-            body.append(line)
+            body.append((lineno, line))
     if "seed" not in meta or "config" not in meta:
         raise DataError(f"{path}: report lacks seed/config annotations")
     if not body:
         raise DataError(f"{path}: empty report")
-    _check_header(path, body[0], REPORT_HEADER)
+    _check_header(path, body[0][1], REPORT_HEADER)
     strategy = None
     rows = []
-    for lineno, line in enumerate(body[1:], start=2):
+    for lineno, line in body[1:]:
         fields = line.split(",")
         if len(fields) != 7:
             raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(fields)}")
@@ -347,11 +342,7 @@ def read_report_fragment(path):
 
 
 def read_timings(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read timings {path}: {exc}") from exc
+    lines = read_lines(path, "timings")
     if not lines:
         raise DataError(f"{path}: empty timings file")
     _check_header(path, lines[0], TIMINGS_HEADER)
@@ -370,7 +361,11 @@ def read_timings(path):
 
 
 def merge_reports(reports, timings):
-    """Full-schema rows (list of dicts), one per strategy per stage."""
+    """The reports in STRATEGIES order, with seconds joined from timings.
+
+    A row keeps its own seconds when timings has no (strategy, stage)
+    entry. Reports of different runs, or two of one strategy, are refused.
+    """
     seeds = {r.seed for r in reports}
     configs = {r.config_hash for r in reports}
     if len(seeds) > 1 or len(configs) > 1:
@@ -378,49 +373,43 @@ def merge_reports(reports, timings):
             f"reports disagree on seed/config: seeds={sorted(seeds)} "
             f"configs={sorted(configs)}"
         )
-    order = {name: i for i, name in enumerate(STRATEGIES)}
-    merged = []
-    for report in sorted(reports, key=lambda r: order[r.strategy]):
-        for row in report.rows:
-            merged.append({
-                "strategy": report.strategy, "stage": row.stage,
-                "precision": row.precision, "recall": row.recall,
-                "f1": row.f1, "jaccard": row.jaccard,
-                "seconds": timings.get((report.strategy, row.stage), row.seconds),
-                "examples_trained": row.examples_trained,
-            })
-    return merged
+    strategies = sorted(r.strategy for r in reports)
+    if len(set(strategies)) < len(strategies):
+        raise DataError(f"more than one report of a strategy: {strategies}")
+    return [
+        replace(report, rows=tuple(
+            replace(row, seconds=timings.get((report.strategy, row.stage),
+                                             row.seconds))
+            for row in report.rows
+        ))
+        for report in sorted(reports, key=lambda r: STRATEGIES.index(r.strategy))
+    ]
 
 
-def comparison_csv(merged):
+def comparison_csv(reports):
     lines = [FULL_HEADER]
-    for row in merged:
-        lines.append(",".join([
-            row["strategy"], str(row["stage"]),
-            f"{row['precision']:.6f}", f"{row['recall']:.6f}", f"{row['f1']:.6f}",
-            f"{row['jaccard']:.6f}", f"{row['seconds']:.6f}",
-            str(row["examples_trained"]),
-        ]))
+    for report in reports:
+        for row in report.rows:
+            lines.append(",".join([
+                report.strategy, str(row.stage),
+                f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}",
+                f"{row.jaccard:.6f}", f"{row.seconds:.6f}",
+                str(row.examples_trained),
+            ]))
     return "\n".join(lines) + "\n"
 
 
-def final_stage_table(merged):
-    """Text table of each strategy's last-stage row."""
-    last = {}
-    for row in merged:
-        key = row["strategy"]
-        if key not in last or row["stage"] >= last[key]["stage"]:
-            last[key] = row
-    order = {name: i for i, name in enumerate(STRATEGIES)}
+def final_stage_table(reports):
+    """Text table of each report's last-stage row."""
     header = (f"{'strategy':<16} {'stage':>5} {'precision':>9} {'recall':>9} "
               f"{'f1':>9} {'jaccard':>9} {'seconds':>9} {'examples':>9}")
     lines = [header, "-" * len(header)]
-    for name in sorted(last, key=lambda n: order[n]):
-        row = last[name]
+    for report in reports:
+        row = report.final_row()
         lines.append(
-            f"{row['strategy']:<16} {row['stage']:>5} {row['precision']:>9.4f} "
-            f"{row['recall']:>9.4f} {row['f1']:>9.4f} {row['jaccard']:>9.4f} "
-            f"{row['seconds']:>9.3f} {row['examples_trained']:>9}"
+            f"{report.strategy:<16} {row.stage:>5} {row.precision:>9.4f} "
+            f"{row.recall:>9.4f} {row.f1:>9.4f} {row.jaccard:>9.4f} "
+            f"{row.seconds:>9.3f} {row.examples_trained:>9}"
         )
     return "\n".join(lines)
 
@@ -436,7 +425,8 @@ def read_nonempty_manifest(path):
 def load_dataset(data_dir):
     """Read chunk0..chunkN and test manifests from a generated data tree.
 
-    Every manifest must list at least one example.
+    Every manifest must list at least one example, and no example id may
+    appear in two train manifests.
     """
     manifests = []
     while True:
@@ -449,5 +439,13 @@ def load_dataset(data_dir):
     test_manifest = os.path.join(data_dir, "test", MANIFEST_NAME)
     if not os.path.isfile(test_manifest):
         raise DataError(f"missing test manifest {test_manifest}")
-    return ([read_nonempty_manifest(m) for m in manifests],
-            read_nonempty_manifest(test_manifest))
+    chunks = []
+    first_manifest = {}
+    for manifest in manifests:
+        chunks.append(read_nonempty_manifest(manifest))
+        for rec in chunks[-1]:
+            first = first_manifest.setdefault(rec.id, manifest)
+            if first != manifest:
+                raise DataError(f"{manifest}: example id {rec.id!r} is also "
+                                f"in {first}")
+    return chunks, read_nonempty_manifest(test_manifest)

@@ -84,18 +84,6 @@ def binarize(p, threshold=0.5):
     return np.asarray(p, dtype=np.float64) >= threshold
 
 
-def _components(labels, n):
-    """((min row, min col, first on-pixel), rows, cols) of components 1..n.
-
-    The key is ``connected_components``' order; labels come from
-    ``kernels.label_components`` on one image.
-    """
-    for k in range(1, n + 1):
-        rows, cols = np.nonzero(labels == k)
-        first = int(rows[0] * labels.shape[1] + cols[0])
-        yield (int(rows.min()), int(cols.min()), first), rows, cols
-
-
 def connected_components(mask):
     """8-connected components of a boolean mask as a list of pixel sets.
 
@@ -103,13 +91,14 @@ def connected_components(mask):
     ordered by (min row, min col), ties broken by first on-pixel in
     row-major order.
     """
-    mask = np.asarray(mask, dtype=np.bool_)
-    comps = sorted(
-        ((key, frozenset(zip(rows.tolist(), cols.tolist())))
-         for key, rows, cols in _components(*kernels.label_components(mask))),
-        key=lambda c: c[0],
-    )
-    return [c[1] for c in comps]
+    labels, n = kernels.label_components(np.asarray(mask, dtype=np.bool_))
+    comps = []
+    for k in range(1, n + 1):
+        rows, cols = np.nonzero(labels == k)
+        first = int(rows[0] * labels.shape[1] + cols[0])
+        comps.append(((int(rows.min()), int(cols.min()), first),
+                      frozenset(zip(rows.tolist(), cols.tolist()))))
+    return [pixels for _, pixels in sorted(comps, key=lambda c: c[0])]
 
 
 def component_iou(a, b):
@@ -139,30 +128,18 @@ def match_lesions(pred, gt, tau=0.5):
             iou = component_iou(pc, gc)
             if iou >= tau:
                 pairs.append((-iou, pi, gi))
-    matches = _accept_greedily(pairs)
-    used_pred = {pi for pi, _, _ in matches}
-    used_gt = {gi for _, gi, _ in matches}
-    fps = [pi for pi in range(len(pred)) if pi not in used_pred]
-    fns = [gi for gi in range(len(gt)) if gi not in used_gt]
-    return LesionMatchResult(matches=matches, false_positives=fps,
-                             false_negatives=fns)
-
-
-def _accept_greedily(pairs):
-    """Accept (-iou, pred, gt) candidates in sorted order, each component once.
-
-    Returns the accepted (pred, gt, iou) triples in acceptance order.
-    """
     used_pred = set()
     used_gt = set()
     matches = []
     for neg_iou, pi, gi in sorted(pairs):
-        if pi in used_pred or gi in used_gt:
-            continue
-        used_pred.add(pi)
-        used_gt.add(gi)
-        matches.append((pi, gi, -neg_iou))
-    return matches
+        if pi not in used_pred and gi not in used_gt:
+            used_pred.add(pi)
+            used_gt.add(gi)
+            matches.append((pi, gi, -neg_iou))
+    fps = [pi for pi in range(len(pred)) if pi not in used_pred]
+    fns = [gi for gi in range(len(gt)) if gi not in used_gt]
+    return LesionMatchResult(matches=matches, false_positives=fps,
+                             false_negatives=fns)
 
 
 def lesion_counts(pred_masks, gt_masks, tau=0.5):
@@ -175,9 +152,8 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
     pixel gives each image's table of component sizes and overlaps,
     hence every pair's IoU. When no component lies in two pairs with
     IoU >= tau, every such pair is a match whatever the order. Otherwise
-    the greedy match runs on that image with the components in
-    ``connected_components``' order (min row, min col, first pixel),
-    since then the order can decide the count. That needs tau < 0.5: a
+    ``match_lesions`` runs on that image's ``connected_components``,
+    since then their order can decide the count. That needs tau < 0.5: a
     component with IoU >= 0.5 against two disjoint ones would be their
     union, which would join them into one.
     """
@@ -210,17 +186,9 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
         if k.size and (pred_uses.max() > 1 or gt_uses.max() > 1):
             shared = (pred_uses[k * rows + p] > 1) | (gt_uses[k * cols + g] > 1)
             for image in set(k[shared].tolist()):
-                pred_keys = [c[0] for c in _components(labels[image],
-                                                       n_pred[image])]
-                gt_keys = [c[0] for c in _components(labels[n + image],
-                                                     n_gt[image])]
-                pairs = [
-                    (-v, pred_keys[pi], gt_keys[gi])
-                    for ki, pi, gi, v in zip(k.tolist(), p.tolist(),
-                                             g.tolist(), iou.tolist())
-                    if ki == image
-                ]
-                matched[image] = len(_accept_greedily(pairs))
+                matched[image] = len(match_lesions(
+                    connected_components(pred_masks[image]),
+                    connected_components(gt_masks[image]), tau).matches)
     return matched, n_pred - matched, n_gt - matched
 
 

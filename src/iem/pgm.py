@@ -72,9 +72,17 @@ def read_mask_pgm(path):
     return _read_pgm_bytes(path) >= 128
 
 
+def _same_size(image_path, mask_path, img, mask):
+    if img.shape != mask.shape:
+        raise DataError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]} "
+                        f"but image {image_path} is {img.shape[1]}x{img.shape[0]}")
+    return img, mask
+
+
 def pair(image_path, mask_path):
     """``ImageCache.pair`` without the cache: decodes, keeps nothing."""
-    return read_pgm(image_path), read_mask_pgm(mask_path)
+    return _same_size(image_path, mask_path, read_pgm(image_path),
+                      read_mask_pgm(mask_path))
 
 
 class ImageCache:
@@ -97,4 +105,6 @@ class ImageCache:
         return self._masks[key]
 
     def pair(self, image_path, mask_path):
-        return self.image(image_path), self.mask(mask_path)
+        """Decoded (image, mask); refuses a mask whose size differs."""
+        return _same_size(image_path, mask_path, self.image(image_path),
+                          self.mask(mask_path))

@@ -10,12 +10,13 @@ the format version, config fingerprint, stage and record count, then one
 tab-separated key=value record per line.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics, pgm
-from .errors import DataError
+from .errors import DataError, read_lines
 from .kernels import shape_blocks
 
 POOL_FORMAT = "iem-pool/1"
@@ -191,11 +192,7 @@ def _parse_kv(part, expected_key, path, lineno):
 
 def load_state(path):
     """Read pool state written by save_state; rejects malformed or truncated files."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read pool state {path}: {exc}") from exc
+    lines = read_lines(path, "pool state")
     if not lines:
         raise DataError(f"{path}:1: empty pool state file")
 
@@ -235,6 +232,8 @@ def load_state(path):
             dropped = {"0": False, "1": True}[values[7]]
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}:{lineno}: bad field value") from exc
+        if not math.isfinite(e_value) or c_value < 0:
+            raise DataError(f"{path}:{lineno}: E must be finite and C >= 0")
         if dropped and e_value != 0.0:
             raise DataError(f"{path}:{lineno}: dropped record with E != 0")
         records.append(ExampleRecord(

@@ -10,7 +10,7 @@ positives remainder first, then negatives remainder.
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -62,12 +62,8 @@ class SelectionConfig:
 
     def fingerprint(self):
         """Short stable digest of the configuration."""
-        text = "|".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in ("K", "d", "t", "iterations_per_step", "tau",
-                         "variant", "binarize_threshold", "seed",
-                         "error_weights")
-        )
+        text = "|".join(f"{f.name}={getattr(self, f.name)!r}"
+                        for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

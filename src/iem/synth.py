@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_lines
 from .pgm import read_mask_pgm, write_mask_pgm, write_pgm
 from .pool import ExampleRecord
 
@@ -151,19 +151,24 @@ def write_manifest(records, path):
 
 
 def read_manifest(path):
-    """Parse a manifest back into records; referenced files must exist."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    """Parse a manifest back into records.
+
+    Referenced files must exist and each example id may appear once.
+    """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    for lineno, line in enumerate(lines, start=1):
+    seen = set()
+    for lineno, line in enumerate(read_lines(path, "manifest"), start=1):
         fields = line.split("\t")
         if len(fields) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         example_id, image_ref, mask_ref, label, chunk_field = fields
+        if example_id in seen:
+            # every earlier line made one record
+            first = 1 + [r.id for r in records].index(example_id)
+            raise DataError(f"{path}:{lineno}: example id {example_id!r} "
+                            f"repeats line {first}")
+        seen.add(example_id)
         if label not in _LABELS:
             raise DataError(f"{path}:{lineno}: bad label {label!r}")
         try:

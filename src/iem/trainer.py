@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_lines
 from .kernels import local_mean_std, shape_blocks
 from .pool import (add_chunk, error_terms, record_training_update,
                    refresh_errors)
@@ -277,11 +277,7 @@ def load_params(path):
     than N_FEATURES, a weight that is not a finite number, a missing
     weight and any line after the last weight.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    lines = read_lines(path, "checkpoint")
     if len(lines) < 2 or lines[0] != MODEL_FORMAT:
         raise DataError(f"{path}:1: bad checkpoint header")
     try:

@@ -89,6 +89,13 @@ def test_config_file_rejects(tmp_path, text, complaint):
         read_config_file(str(path))
 
 
+def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"K=3\n# caf\xe9\n")
+    with pytest.raises(DataError, match=r"run\.cfg:2: .*byte 0xe9"):
+        read_config_file(str(path))
+
+
 def test_make_configs_wraps_validation_errors():
     with pytest.raises(DataError, match="bad configuration"):
         make_configs({"tau": 5.0})
@@ -311,6 +318,71 @@ def test_eval_rejects_empty_manifest(tmp_path):
     assert f"{manifest}: empty manifest" in out.stderr
 
 
+def _train_argv(data, tmp_path, strategy="hem", *extra):
+    return ["train", "--strategy", strategy, "--data", str(data),
+            "--out", str(tmp_path / "runs"), *extra]
+
+
+def _non_utf8_config(data, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"t=1\n\xff\n")
+    return _train_argv(data, tmp_path, "iem", "--config", str(path)), path
+
+
+def _non_utf8_manifest(data, tmp_path):
+    path = data / "chunk1" / "manifest.tsv"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    return _train_argv(data, tmp_path), path
+
+
+def _non_utf8_checkpoint(data, tmp_path):
+    path = tmp_path / "checkpoint.txt"
+    save_params(init_params(), path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    return ["eval", "--checkpoint", str(path),
+            "--test", str(data / "test" / "manifest.tsv")], path
+
+
+def _non_utf8_report(data, tmp_path):
+    good = tmp_path / "report.csv"
+    harness.write_report_fragment(harness.StrategyReport(
+        "naive_finetune", 0, "cfg",
+        (harness.StageResult(0, 0.5, 0.5, 0.5, 0.5, 0.0, 1),)), good)
+    bad = tmp_path / "other" / "report.csv"
+    bad.parent.mkdir()
+    bad.write_bytes(good.read_bytes().replace(b"0.500000", b"0.5\xff", 1))
+    return ["compare", str(good), str(bad)], bad
+
+
+def _repeated_id(data, tmp_path):
+    path = data / "chunk1" / "manifest.tsv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[0]]) + "\n")
+    return _train_argv(data, tmp_path), path
+
+
+def _mask_of_another_size(data, tmp_path):
+    record = harness.read_nonempty_manifest(str(data / "chunk0" / "manifest.tsv"))[0]
+    pgm.write_mask_pgm(record.mask_ref,
+                       np.full((16, 20), record.label == "positive"))
+    return _train_argv(data, tmp_path, "full"), record.mask_ref
+
+
+@pytest.mark.parametrize("make_case", [
+    _non_utf8_config, _non_utf8_manifest, _non_utf8_checkpoint,
+    _non_utf8_report, _repeated_id, _mask_of_another_size,
+], ids=lambda f: f.__name__.strip("_"))
+def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
+                                         make_case):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    argv, path = make_case(data, tmp_path)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 # -- compare ---------------------------------------------------------------
 
 
@@ -375,6 +447,14 @@ def test_cli_import_loads_neither_scipy_nor_numba():
 def test_no_subcommand_is_usage_error():
     out = run_cli()
     assert out.returncode == 2
+
+
+def test_eval_has_no_variant_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", "checkpoint.txt",
+                  "--test", "manifest.tsv", "--variant", "full"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

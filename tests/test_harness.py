@@ -327,6 +327,8 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
         (lambda t: t + "naive_finetune,9,0.5,0.5,0.5,0.5,10\n", "mixed strategies"),
         (lambda t: t + "iem_incremental,9,0.5,0.5,0.5,10\n", "expected 7 columns"),
         (lambda t: t.replace("0.500000,10", "zz,10"), "bad value"),
+        (lambda t: t.replace("incremental,1,0.5", "incremental,1,zz"),
+         r"report\.csv:5: bad value"),
         (lambda t: "# seed=3\n# config=cfg\n", "empty report"),
     ],
 )
@@ -358,12 +360,14 @@ def test_merge_orders_strategies_and_joins_timings():
         _report(strategy="baseline_full", stages=(1,)),
     ]
     merged = merge_reports(reports, {("naive_finetune", 1): 9.75})
-    assert [row["strategy"] for row in merged] == [
+    assert [report.strategy for report in merged
+            for _ in report.rows] == [
         "baseline_full", "naive_finetune", "naive_finetune",
     ]
-    by_key = {(r["strategy"], r["stage"]): r for r in merged}
-    assert by_key[("naive_finetune", 1)]["seconds"] == 9.75
-    assert by_key[("naive_finetune", 0)]["seconds"] == 0.25  # fallback
+    by_key = {(report.strategy, row.stage): row
+              for report in merged for row in report.rows}
+    assert by_key[("naive_finetune", 1)].seconds == 9.75
+    assert by_key[("naive_finetune", 0)].seconds == 0.25  # fallback
 
 
 def test_merge_rejects_mismatched_runs():
@@ -373,6 +377,12 @@ def test_merge_rejects_mismatched_runs():
     with pytest.raises(DataError, match="disagree"):
         merge_reports([_report(config="a"), _report(config="b",
                                                     strategy="baseline_full")], {})
+
+
+def test_merge_rejects_two_reports_of_one_strategy():
+    with pytest.raises(DataError, match="more than one report"):
+        merge_reports([_report(), _report(stages=(0,)),
+                       _report(strategy="baseline_full")], {})
 
 
 def test_comparison_csv_and_table():
@@ -431,3 +441,18 @@ def test_load_dataset_rejects_missing_pieces(tmp_path):
     write_manifest([], str(tmp_path / "test" / "manifest.tsv"))
     with pytest.raises(DataError, match="chunk0.*empty manifest"):
         load_dataset(str(tmp_path))
+
+
+def test_load_dataset_rejects_an_id_in_two_train_manifests(tmp_path):
+    from iem.synth import ChunkSpec, generate_chunk
+
+    spec = ChunkSpec(n_images=2, positive_fraction=0.5, seed=4)
+    for piece in ("chunk0", "chunk1", "test"):
+        # chunk_index 0 everywhere, so both train chunks name chunk0-0000
+        generate_chunk(spec, str(tmp_path / piece), chunk_index=0)
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(tmp_path))
+    first = tmp_path / "chunk0" / "manifest.tsv"
+    second = tmp_path / "chunk1" / "manifest.tsv"
+    assert str(exc.value) == (f"{second}: example id 'chunk0-0000' is also "
+                              f"in {first}")

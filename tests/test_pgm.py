@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from iem.errors import DataError
-from iem.pgm import ImageCache, read_mask_pgm, read_pgm, write_mask_pgm, write_pgm
+from iem.pgm import (ImageCache, pair, read_mask_pgm, read_pgm, write_mask_pgm,
+                     write_pgm)
 
 
 def test_image_round_trip_exact_on_8bit_grid(tmp_path):
@@ -84,3 +85,15 @@ def test_cache_returns_same_arrays(tmp_path):
     img, mask = cache.pair(str(img_path), str(mask_path))
     assert img is first
     assert mask.all()
+
+
+@pytest.mark.parametrize("read_pair", [pair, lambda i, m: ImageCache().pair(i, m)],
+                         ids=["pgm.pair", "ImageCache.pair"])
+def test_pair_refuses_a_mask_of_another_size(tmp_path, read_pair):
+    img_path, mask_path = tmp_path / "i.pgm", tmp_path / "m.pgm"
+    write_pgm(img_path, np.full((24, 24), 0.4))
+    write_mask_pgm(mask_path, np.ones((16, 20), dtype=bool))
+    with pytest.raises(DataError) as exc:
+        read_pair(str(img_path), str(mask_path))
+    assert str(exc.value) == (f"{mask_path}: mask is 20x16 but image "
+                              f"{img_path} is 24x24")

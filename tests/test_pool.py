@@ -235,6 +235,12 @@ def test_save_load_is_byte_stable(tmp_path):
         (lambda lines: [lines[0], lines[1].replace("E=", "Z=")], "expected field"),
         (lambda lines: [lines[0], lines[1].replace("C=0", "C=x")], "bad field value"),
         (lambda lines: [lines[0], lines[1] + "\textra=1"], "expected 8 fields"),
+        (lambda lines: [lines[0], lines[1].replace("E=0.5", "E=nan")],
+         "2: E must be finite"),
+        (lambda lines: [lines[0], lines[1].replace("E=0.5", "E=inf")],
+         "2: E must be finite"),
+        (lambda lines: [lines[0], lines[1].replace("C=0", "C=-1")],
+         "2: E must be finite and C >= 0"),
     ],
 )
 def test_load_rejects_malformed(tmp_path, mangle, complaint):

@@ -174,6 +174,17 @@ def test_read_manifest_rejects_malformed(tmp_path, line, complaint):
         read_manifest(str(path))
 
 
+def test_read_manifest_rejects_a_repeated_id(tmp_path):
+    generate_chunk(_spec(n_images=3), str(tmp_path))
+    path = tmp_path / "manifest.tsv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(DataError) as exc:
+        read_manifest(str(path))
+    assert str(exc.value) == (f"{path}:4: example id 'chunk0-0001' "
+                              "repeats line 2")
+
+
 def test_read_manifest_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_manifest(str(tmp_path / "nope.tsv"))
