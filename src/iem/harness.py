@@ -288,14 +288,15 @@ def write_timings(report, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_header(path, got, expected):
+def _check_header(path, lineno, got, expected):
     got_fields = got.split(",")
     expected_fields = expected.split(",")
     for field in expected_fields:
         if field not in got_fields:
-            raise DataError(f"{path}: missing field {field!r} in header")
+            raise DataError(
+                f"{path}:{lineno}: missing field {field!r} in header")
     if got_fields != expected_fields:
-        raise DataError(f"{path}: bad column order {got!r}")
+        raise DataError(f"{path}:{lineno}: bad column order {got!r}")
 
 
 def read_report_fragment(path):
@@ -312,7 +313,7 @@ def read_report_fragment(path):
         raise DataError(f"{path}: report lacks seed/config annotations")
     if not body:
         raise DataError(f"{path}: empty report")
-    _check_header(path, body[0][1], REPORT_HEADER)
+    _check_header(path, *body[0], REPORT_HEADER)
     strategy = None
     rows = []
     for lineno, line in body[1:]:
@@ -345,7 +346,7 @@ def read_timings(path):
     lines = read_lines(path, "timings")
     if not lines:
         raise DataError(f"{path}: empty timings file")
-    _check_header(path, lines[0], TIMINGS_HEADER)
+    _check_header(path, 1, lines[0], TIMINGS_HEADER)
     out = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -360,11 +361,13 @@ def read_timings(path):
     return out
 
 
-def merge_reports(reports, timings):
+def merge_reports(reports, timings, paths=None):
     """The reports in STRATEGIES order, with seconds joined from timings.
 
     A row keeps its own seconds when timings has no (strategy, stage)
     entry. Reports of different runs, or two of one strategy, are refused.
+    ``paths`` are the files the reports were read from, in the same order;
+    two reports of one strategy are named by them, or by position.
     """
     seeds = {r.seed for r in reports}
     configs = {r.config_hash for r in reports}
@@ -373,9 +376,13 @@ def merge_reports(reports, timings):
             f"reports disagree on seed/config: seeds={sorted(seeds)} "
             f"configs={sorted(configs)}"
         )
-    strategies = sorted(r.strategy for r in reports)
-    if len(set(strategies)) < len(strategies):
-        raise DataError(f"more than one report of a strategy: {strategies}")
+    names = paths or [f"report {i}" for i in range(1, len(reports) + 1)]
+    seen = {}
+    for name, report in zip(names, reports):
+        if report.strategy in seen:
+            raise DataError(f"more than one report of {report.strategy}: "
+                            f"{seen[report.strategy]} and {name}")
+        seen[report.strategy] = name
     return [
         replace(report, rows=tuple(
             replace(row, seconds=timings.get((report.strategy, row.stage),

@@ -180,7 +180,7 @@ def train_on_subset(params, examples, cfg, rng):
                 weights = params.weights - cfg.learning_rate * feature_gradient(
                     params, view_feats, mask
                 )
-                if not np.all(np.isfinite(weights)):
+                if not np.isfinite(weights).all():
                     raise NumericError(
                         "non-finite weights after SGD step "
                         f"{params.version + 1} (learning rate "

@@ -1,6 +1,8 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
+import ctypes
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -207,6 +209,61 @@ def test_eval_decodes_each_pair_once_and_keeps_none(eval_inputs, monkeypatch,
     assert sorted(decoded) == sorted(
         [r.image_ref for r in records] + [r.mask_ref for r in records])
     assert capsys.readouterr().out.startswith("precision,recall,f1,jaccard\n")
+
+
+# Evaluates a 64-image set, four 16-image blocks, twice in one process and
+# prints the minor page faults of the second call.
+_EVAL_FAULTS = """
+import contextlib, io, os, resource, sys
+import numpy as np
+from iem import cli, synth, trainer
+out = sys.argv[1]
+records = synth.generate_chunk(
+    synth.ChunkSpec(n_images=64, positive_fraction=0.5, seed=5), out)
+synth.write_manifest(records, os.path.join(out, "manifest.tsv"))
+params = trainer.ModelParams(weights=np.array([13.0, 1.0, 8.7, -10.8]))
+trainer.save_params(params, os.path.join(out, "checkpoint.txt"))
+argv = ["eval", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+        "--test", os.path.join(out, "manifest.tsv")]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting needs glibc's mallopt")
+def test_repeated_eval_keeps_its_pages(tmp_path):
+    # with glibc's default thresholds each block's freed arrays go back to
+    # the kernel, and the second call takes over 400 faults
+    out = run_python("-c", _EVAL_FAULTS, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 64
+
+
+def _raise(exc):
+    def cdll(*args, **kwargs):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [
+    _raise(OSError("no such library")),
+    _raise(TypeError("no default library")),
+    lambda *args, **kwargs: object(),
+], ids=["oserror", "typeerror", "no-mallopt"])
+def test_eval_without_mallopt_prints_the_same(eval_inputs, monkeypatch, capsys,
+                                             cdll):
+    checkpoint, manifest = eval_inputs
+    argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("strategy, run_name",

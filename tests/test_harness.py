@@ -322,8 +322,10 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
     "mangle, complaint",
     [
         (lambda t: t.replace("# seed=3\n", ""), "seed/config"),
-        (lambda t: t.replace(",jaccard", ""), "missing field 'jaccard'"),
-        (lambda t: t.replace("strategy,stage", "stage,strategy"), "column order"),
+        (lambda t: t.replace(",jaccard", ""),
+         r"report\.csv:3: missing field 'jaccard'"),
+        (lambda t: t.replace("strategy,stage", "stage,strategy"),
+         r"report\.csv:3: bad column order"),
         (lambda t: t + "naive_finetune,9,0.5,0.5,0.5,0.5,10\n", "mixed strategies"),
         (lambda t: t + "iem_incremental,9,0.5,0.5,0.5,10\n", "expected 7 columns"),
         (lambda t: t.replace("0.500000,10", "zz,10"), "bad value"),
@@ -347,7 +349,7 @@ def test_timings_round_trip(tmp_path):
     got = read_timings(path)
     assert got == {("iem_incremental", 0): 0.25, ("iem_incremental", 1): 0.25}
     path.write_text("who,knows\n1,2\n")
-    with pytest.raises(DataError, match="missing field"):
+    with pytest.raises(DataError, match=r"timings\.csv:1: missing field"):
         read_timings(path)
 
 
@@ -383,6 +385,11 @@ def test_merge_rejects_two_reports_of_one_strategy():
     with pytest.raises(DataError, match="more than one report"):
         merge_reports([_report(), _report(stages=(0,)),
                        _report(strategy="baseline_full")], {})
+    with pytest.raises(DataError, match=r"report of iem_incremental: "
+                       r"a/report\.csv and c/report\.csv$"):
+        merge_reports([_report(), _report(strategy="baseline_full"),
+                       _report(stages=(0,))], {},
+                      ["a/report.csv", "b/report.csv", "c/report.csv"])
 
 
 def test_comparison_csv_and_table():
