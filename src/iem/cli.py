@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 usage error, 3 data error (missing or malformed
 files, bad config values), 4 numeric abort during training.
 
-Configuration files are UTF-8 ``key=value`` lines; blank lines and lines
-starting with ``#`` are ignored; unknown keys are errors. Command-line
-flags override file values.
+Configuration files are UTF-8 ``key=value`` lines; a leading byte-order
+mark, blank lines and lines starting with ``#`` are ignored; unknown keys
+are errors. Command-line flags override file values.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import sys
 
 from . import harness, pgm, synth
 from .errors import DataError, NumericError, read_lines
-from .selection import SelectionConfig
+from .selection import ERROR_WEIGHT_NAMES, SelectionConfig
 from .trainer import AugmentRecipe, TrainConfig, load_params
 
 _STRATEGY_ALIASES = {
@@ -39,24 +39,15 @@ def _parse_bool(text):
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
+# every int, float, str or bool field of the three configs is a key
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
 CONFIG_KEYS = {
-    "K": int,
-    "d": int,
-    "t": int,
-    "iterations_per_step": int,
-    "seed": int,
-    "tau": float,
-    "binarize_threshold": float,
-    "variant": str,
-    "error_weight_fp": float,
-    "error_weight_fn": float,
-    "error_weight_ji": float,
-    "learning_rate": float,
-    "epochs_per_iteration": int,
-    "jitter": float,
-    "horizontal_flip": _parse_bool,
-    "vertical_flip": _parse_bool,
+    f.name: _PARSERS[f.type]
+    for cls in (SelectionConfig, TrainConfig, AugmentRecipe)
+    for f in dataclasses.fields(cls) if f.type in _PARSERS
 }
+CONFIG_KEYS.update(
+    {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
 
 
 def read_config_file(path):
@@ -104,7 +95,7 @@ def make_configs(values):
     """Build (SelectionConfig, TrainConfig) from typed settings."""
     weights = tuple(
         values.get(f"error_weight_{name}", default)
-        for name, default in zip(("fp", "fn", "ji"),
+        for name, default in zip(ERROR_WEIGHT_NAMES,
                                  SelectionConfig.error_weights)
     )
     try:

@@ -12,6 +12,9 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+# the error_weights entries, in order; config key error_weight_<name>
+ERROR_WEIGHT_NAMES = ("fp", "fn", "ji")
+
 
 @dataclass
 class SelectionConfig:
@@ -53,9 +56,9 @@ class SelectionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ValueError("binarize_threshold must lie in (0,1)")
-        if len(self.error_weights) != 3:
+        if len(self.error_weights) != len(ERROR_WEIGHT_NAMES):
             raise ValueError("error_weights must have three entries")
-        for name, weight in zip(("fp", "fn", "ji"), self.error_weights):
+        for name, weight in zip(ERROR_WEIGHT_NAMES, self.error_weights):
             if not math.isfinite(weight) or weight < 0:
                 raise ValueError(f"error_weight_{name} must be a finite "
                                  f"number >= 0, got {weight}")

@@ -1,12 +1,14 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
 import ctypes
+import dataclasses
 import os
 import platform
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ import iem
 from iem import cli, harness, pgm, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
-from iem.trainer import init_params, load_params, save_params
+from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
+from iem.trainer import (AugmentRecipe, TrainConfig, init_params,
+                         load_params, save_params)
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 
@@ -96,6 +100,51 @@ def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
     path.write_bytes(b"K=3\n# caf\xe9\n")
     with pytest.raises(DataError, match=r"run\.cfg:2: .*byte 0xe9"):
         read_config_file(str(path))
+
+
+def test_config_file_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfK=3\n")
+    assert read_config_file(str(path)) == {"K": 3}
+    # the mark holds no newline, so a bad byte is still named by its line
+    path.write_bytes(b"\xef\xbb\xbfK=3\n# caf\xe9\n")
+    with pytest.raises(DataError, match=r"bom\.cfg:2: .*byte 0xe9"):
+        read_config_file(str(path))
+
+
+def test_config_keys_are_the_config_fields():
+    # the keys are derived from the dataclasses; a field added to one of
+    # them must show up here as a deliberate change
+    assert CONFIG_KEYS == {
+        "K": int, "d": int, "t": int, "iterations_per_step": int,
+        "seed": int, "tau": float, "binarize_threshold": float,
+        "variant": str, "error_weight_fp": float, "error_weight_fn": float,
+        "error_weight_ji": float, "learning_rate": float,
+        "epochs_per_iteration": int, "jitter": float,
+        "horizontal_flip": cli._parse_bool, "vertical_flip": cli._parse_bool,
+    }
+
+
+def test_readme_config_table_lists_every_key_and_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for key, default in re.findall(r"^\| `([^`]+)`\s*\|\s*([^|]*?)\s*\|",
+                                   section, re.MULTILINE):
+        keys = [key]
+        if "/" in key:  # error_weight_fp/fn/ji stands for three keys
+            prefix, _, names = key.rpartition("_")
+            keys = [f"{prefix}_{n}" for n in names.split("/")]
+        documented.update(dict.fromkeys(keys, default.strip("`")))
+    defaults = {f.name: f.default
+                for cls in (SelectionConfig, TrainConfig, AugmentRecipe)
+                for f in dataclasses.fields(cls)}
+    for name, weight in zip(ERROR_WEIGHT_NAMES, SelectionConfig.error_weights):
+        defaults[f"error_weight_{name}"] = weight
+    assert set(documented) == set(CONFIG_KEYS)
+    for key, text in documented.items():
+        assert CONFIG_KEYS[key](text) == defaults[key], key
 
 
 def test_make_configs_wraps_validation_errors():
@@ -496,6 +545,15 @@ def test_cli_import_loads_neither_scipy_nor_numba():
     # 22 MB of peak memory; numba is no longer a backend
     code = ("import sys, iem.cli; print(sorted({m.split('.')[0] "
             "for m in sys.modules} & {'scipy', 'numba'}))")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["iem.pgm", "iem.synth"])
+def test_a_module_import_loads_only_what_it_needs(module):
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            "if m in ('iem.harness', 'iem.trainer', 'iem.cli')))")
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -174,6 +174,13 @@ def test_read_manifest_rejects_malformed(tmp_path, line, complaint):
         read_manifest(str(path))
 
 
+def test_read_manifest_ignores_a_byte_order_mark(tmp_path):
+    records = generate_chunk(_spec(n_images=3), str(tmp_path))
+    path = tmp_path / "manifest.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert [r.id for r in read_manifest(str(path))] == [r.id for r in records]
+
+
 def test_read_manifest_rejects_a_repeated_id(tmp_path):
     generate_chunk(_spec(n_images=3), str(tmp_path))
     path = tmp_path / "manifest.tsv"
