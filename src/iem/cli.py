@@ -39,8 +39,8 @@ def _parse_bool(text):
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-# every int, float, str or bool field of the three configs is a key
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+# every int, float or bool field of the three configs is a key
+_PARSERS = {int: int, float: float, bool: _parse_bool}
 CONFIG_KEYS = {
     f.name: _PARSERS[f.type]
     for cls in (SelectionConfig, TrainConfig, AugmentRecipe)
@@ -48,6 +48,12 @@ CONFIG_KEYS = {
 }
 CONFIG_KEYS.update(
     {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
+
+# the error weights replaced the variant key: what each value is now
+_VARIANT_HINTS = {
+    "full": "; variant=full needs no line, it is the default",
+    "loss_ji": "; variant=loss_ji is error_weight_fp=0 and error_weight_fn=0",
+}
 
 
 def read_config_file(path):
@@ -62,7 +68,8 @@ def read_config_file(path):
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in CONFIG_KEYS:
-            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+            hint = _VARIANT_HINTS.get(value, "") if key == "variant" else ""
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}{hint}")
         if key in values:
             raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
@@ -72,14 +79,12 @@ def read_config_file(path):
     return values
 
 
-def load_settings(config_path, seed=None, tau=None, variant=None):
+def load_settings(config_path, seed=None, tau=None):
     values = read_config_file(config_path) if config_path else {}
     if seed is not None:
         values["seed"] = seed
     if tau is not None:
         values["tau"] = tau
-    if variant is not None:
-        values["variant"] = variant
     return values
 
 
@@ -118,9 +123,8 @@ def cmd_gen(args):
 
 def cmd_train(args):
     strategy = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
-    selcfg, traincfg = make_configs(
-        load_settings(args.config, args.seed, args.tau, args.variant)
-    )
+    settings = load_settings(args.config, args.seed, args.tau)
+    selcfg, traincfg = make_configs(settings)
     train_chunks, test_records = harness.load_dataset(args.data)
     for records in (*train_chunks, test_records):
         synth.verify_labels(records)
@@ -199,7 +203,6 @@ def build_parser():
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--config", default=None, help="key=value config file")
     p_train.add_argument("--tau", type=float, default=None)
-    p_train.add_argument("--variant", choices=("full", "loss_ji"), default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")

@@ -306,6 +306,8 @@ def read_report_fragment(path):
     for lineno, line in enumerate(read_lines(path, "report"), start=1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
+            if key in meta:
+                raise DataError(f"{path}:{lineno}: repeated annotation {key!r}")
             meta[key] = value
         elif line:
             body.append((lineno, line))
@@ -314,15 +316,15 @@ def read_report_fragment(path):
     if not body:
         raise DataError(f"{path}: empty report")
     _check_header(path, *body[0], REPORT_HEADER)
-    strategy = None
+    if len(body) == 1:
+        raise DataError(f"{path}: no rows")
+    strategy = body[1][1].split(",")[0]
     rows = []
     for lineno, line in body[1:]:
         fields = line.split(",")
         if len(fields) != 7:
             raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(fields)}")
-        if strategy is None:
-            strategy = fields[0]
-        elif fields[0] != strategy:
+        if fields[0] != strategy:
             raise DataError(f"{path}:{lineno}: mixed strategies in one fragment")
         try:
             rows.append(StageResult(
@@ -333,6 +335,8 @@ def read_report_fragment(path):
             ))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value ({exc})") from exc
+        if rows[-1].stage in [row.stage for row in rows[:-1]]:
+            raise DataError(f"{path}:{lineno}: repeated stage {fields[1]}")
     try:
         return StrategyReport(
             strategy=strategy, seed=int(meta["seed"]), config_hash=meta["config"],
@@ -355,9 +359,12 @@ def read_timings(path):
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns")
         try:
-            out[(fields[0], int(fields[1]))] = float(fields[2])
+            key, seconds = (fields[0], int(fields[1])), float(fields[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value ({exc})") from exc
+        if key in out:
+            raise DataError(f"{path}:{lineno}: repeated row {key[0]},{key[1]}")
+        out[key] = seconds
     return out
 
 

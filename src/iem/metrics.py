@@ -6,12 +6,12 @@ All functions here are pure and safe to call from any number of workers.
 
 The composite error term of one example combines four measurements:
 
-    E = L + FP + FN + (1 - JI)          ("full" variant)
-    E = L + (1 - JI)                    ("loss_ji" variant)
+    E = L + w_fp * FP + w_fn * FN + w_ji * (1 - JI)
 
 with L the mean pixel cross-entropy, FP/FN the lesion-level false
-positive / false negative counts under IoU matching, and JI the
-pixel-level Jaccard index.
+positive / false negative counts under IoU matching, JI the pixel-level
+Jaccard index, and weights (1, 1, 1) by default; weights (0, 0, 1) score
+loss plus Jaccard only.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,6 @@ import numpy as np
 from . import kernels
 
 CLAMP_EPS = 1e-7
-
-VARIANTS = ("full", "loss_ji")
 
 
 @dataclass(frozen=True)
@@ -201,28 +199,21 @@ def detection_scores(tp, fp, fn):
     return precision, recall, f1
 
 
-def error_term(L, fp, fn, ji, variant="full", weights=(1.0, 1.0, 1.0)):
-    """Composite example error.
-
-    full:    L + w0*fp + w1*fn + w2*(1 - ji)
-    loss_ji: L + w2*(1 - ji)
+def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
+    """Composite example error L + w0*fp + w1*fn + w2*(1 - ji).
 
     ``weights`` defaults to (1, 1, 1), i.e. raw counts enter unscaled.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if L < 0 or fp < 0 or fn < 0 or not 0.0 <= ji <= 1.0:
         raise ValueError(
             f"invalid metric values: L={L}, fp={fp}, fn={fn}, ji={ji}"
         )
     w_fp, w_fn, w_ji = weights
-    if variant == "full":
-        return L + w_fp * fp + w_fn * fn + w_ji * (1.0 - ji)
-    return L + w_ji * (1.0 - ji)
+    return L + w_fp * fp + w_fn * fn + w_ji * (1.0 - ji)
 
 
-def evaluate_examples(probs, gt_masks, tau=0.5, variant="full",
-                      threshold=0.5, weights=(1.0, 1.0, 1.0)):
+def evaluate_examples(probs, gt_masks, tau=0.5, threshold=0.5,
+                      weights=(1.0, 1.0, 1.0)):
     """Per-example breakdowns of an (n, h, w) stack of probability maps.
 
     Returns a list of n ``MetricsBreakdown``s, each equal to what
@@ -240,16 +231,16 @@ def evaluate_examples(probs, gt_masks, tau=0.5, variant="full",
         L = loss / probs[0].size  # mean_cross_entropy of this map alone
         out.append(MetricsBreakdown(
             L=L, fp=fp, fn=fn, ji=ji,
-            E=error_term(L, fp, fn, ji, variant, weights),
+            E=error_term(L, fp, fn, ji, weights),
         ))
     return out
 
 
-def evaluate_example(prob, gt_mask, tau=0.5, variant="full", threshold=0.5,
+def evaluate_example(prob, gt_mask, tau=0.5, threshold=0.5,
                      weights=(1.0, 1.0, 1.0)):
     """Full per-example breakdown of a probability map against its mask."""
     return evaluate_examples(np.asarray(prob)[None], np.asarray(gt_mask)[None],
-                             tau, variant, threshold, weights)[0]
+                             tau, threshold, weights)[0]
 
 
 def evaluate_detection(pred_masks, gt_masks, tau=0.5):

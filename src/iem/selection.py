@@ -27,7 +27,6 @@ class SelectionConfig:
     t       augmented views per example when refreshing its error
     iterations_per_step   selection/training rounds per incremental stage
     tau     IoU threshold for lesion matching
-    variant error-term variant, "full" or "loss_ji"
     binarize_threshold    probability cutoff for prediction masks
     seed    base seed for all derived random streams
     error_weights         (fp, fn, 1-ji) weights in the error term
@@ -38,7 +37,6 @@ class SelectionConfig:
     t: int = 4
     iterations_per_step: int = 10
     tau: float = 0.5
-    variant: str = "full"
     binarize_threshold: float = 0.5
     seed: int = 0
     error_weights: tuple = (1.0, 1.0, 1.0)
@@ -52,8 +50,6 @@ class SelectionConfig:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0,1], got {self.tau}")
-        if self.variant not in ("full", "loss_ji"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.binarize_threshold < 1.0:
             raise ValueError("binarize_threshold must lie in (0,1)")
         if len(self.error_weights) != len(ERROR_WEIGHT_NAMES):
@@ -65,7 +61,9 @@ class SelectionConfig:
 
     def fingerprint(self):
         """Short stable digest of the configuration."""
+        # the deleted field variant='full' stays: old digests and reports hold
         text = "|".join(f"{f.name}={getattr(self, f.name)!r}"
+                        + ("|variant='full'" if f.name == "tau" else "")
                         for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 

@@ -67,13 +67,14 @@ def test_config_file_parsing(tmp_path):
         "K = 3\n"
         "learning_rate=0.25\n"
         "horizontal_flip=no\n"
-        "variant=loss_ji\n"
+        "error_weight_fp=0\n"
+        "error_weight_fn = 0\n"
     )
     values = read_config_file(str(path))
-    assert values == {"K": 3, "learning_rate": 0.25,
-                      "horizontal_flip": False, "variant": "loss_ji"}
+    assert values == {"K": 3, "learning_rate": 0.25, "horizontal_flip": False,
+                      "error_weight_fp": 0.0, "error_weight_fn": 0.0}
     selcfg, traincfg = make_configs(values)
-    assert selcfg.K == 3 and selcfg.variant == "loss_ji"
+    assert selcfg.K == 3 and selcfg.error_weights == (0.0, 0.0, 1.0)
     assert traincfg.learning_rate == 0.25
     assert not traincfg.recipe.horizontal_flip
 
@@ -93,6 +94,21 @@ def test_config_file_rejects(tmp_path, text, complaint):
     path.write_text(text)
     with pytest.raises(DataError, match=complaint):
         read_config_file(str(path))
+
+
+@pytest.mark.parametrize("value, replacement", [
+    ("loss_ji", "variant=loss_ji is error_weight_fp=0 and error_weight_fn=0"),
+    ("full", "variant=full needs no line, it is the default"),
+], ids=["loss_ji", "full"])
+def test_a_variant_line_names_what_replaces_it(tmp_path, capsys, value,
+                                               replacement):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"K=3\nvariant={value}\n")
+    argv = ["train", "--strategy", "iem", "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "out"), "--config", str(path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"run.cfg:2: unknown config key 'variant'; {replacement}" in err
 
 
 def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
@@ -118,7 +134,7 @@ def test_config_keys_are_the_config_fields():
     assert CONFIG_KEYS == {
         "K": int, "d": int, "t": int, "iterations_per_step": int,
         "seed": int, "tau": float, "binarize_threshold": float,
-        "variant": str, "error_weight_fp": float, "error_weight_fn": float,
+        "error_weight_fp": float, "error_weight_fn": float,
         "error_weight_ji": float, "learning_rate": float,
         "epochs_per_iteration": int, "jitter": float,
         "horizontal_flip": cli._parse_bool, "vertical_flip": cli._parse_bool,
@@ -147,6 +163,28 @@ def test_readme_config_table_lists_every_key_and_its_default():
         assert CONFIG_KEYS[key](text) == defaults[key], key
 
 
+def test_readme_lists_the_flags_that_override_the_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.strip().split("\n\n", 1)[0]
+    documented = {
+        command: set(re.findall(r"`(--[\w-]+)`", text))
+        for command, text in re.findall(r"`iem (\w+)` takes (.*?)(?=`iem |$)",
+                                        paragraph, re.DOTALL)
+    }
+    not_overrides = {"-h", "--help", "--data", "--out", "--config",
+                     "--strategy", "--checkpoint", "--test"}
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = {
+        command: {flag for action in commands[command]._actions
+                  for flag in action.option_strings} - not_overrides
+        for command in ("train", "eval")
+    }
+    assert documented == flags == {"train": {"--seed", "--tau"},
+                                   "eval": {"--tau"}}
+
+
 def test_make_configs_wraps_validation_errors():
     with pytest.raises(DataError, match="bad configuration"):
         make_configs({"tau": 5.0})
@@ -155,7 +193,7 @@ def test_make_configs_wraps_validation_errors():
 def test_every_config_key_round_trips(tmp_path):
     sample = {
         "K": "2", "d": "3", "t": "2", "iterations_per_step": "4", "seed": "9",
-        "tau": "0.4", "binarize_threshold": "0.6", "variant": "full",
+        "tau": "0.4", "binarize_threshold": "0.6",
         "error_weight_fp": "0.5", "error_weight_fn": "0.25",
         "error_weight_ji": "2.0", "learning_rate": "0.1",
         "epochs_per_iteration": "2", "jitter": "0.05",
@@ -524,6 +562,19 @@ def test_compare_rejects_schema_drift(trained, tmp_path):
     assert "missing field 'jaccard'" in out.stderr
 
 
+def test_compare_refuses_a_report_with_two_seeds(tmp_path, capsys):
+    first = tmp_path / "r1.csv"
+    second = tmp_path / "r2.csv"
+    row = "0,0.5,0.5,0.5,0.5,10"
+    first.write_text(f"# seed=0\n# seed=1\n# config=cfg\n"
+                     f"{harness.REPORT_HEADER}\nnaive_finetune,{row}\n")
+    second.write_text(f"# seed=1\n# config=cfg\n"
+                      f"{harness.REPORT_HEADER}\nbaseline_full,{row}\n")
+    assert cli.main(["compare", str(first), str(second)]) == 3
+    assert (f"{first}:2: repeated annotation 'seed'"
+            in capsys.readouterr().err)
+
+
 def test_compare_rejects_seed_mismatch(trained, tiny_dataset_dir, tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text(FAST_CONFIG)
@@ -564,10 +615,13 @@ def test_no_subcommand_is_usage_error():
     assert out.returncode == 2
 
 
-def test_eval_has_no_variant_flag(capsys):
+@pytest.mark.parametrize("argv", [
+    ["train", "--strategy", "iem", "--data", "data", "--out", "out"],
+    ["eval", "--checkpoint", "checkpoint.txt", "--test", "manifest.tsv"],
+], ids=["train", "eval"])
+def test_no_command_has_a_variant_flag(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--checkpoint", "checkpoint.txt",
-                  "--test", "manifest.tsv", "--variant", "full"])
+        cli.main([*argv, "--variant", "full"])
     assert exc.value.code == 2
     assert "--variant" in capsys.readouterr().err
 

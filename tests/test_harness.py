@@ -332,6 +332,10 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
         (lambda t: t.replace("incremental,1,0.5", "incremental,1,zz"),
          r"report\.csv:5: bad value"),
         (lambda t: "# seed=3\n# config=cfg\n", "empty report"),
+        (lambda t: "# seed=0\n" + t, r"report\.csv:2: repeated annotation 'seed'"),
+        (lambda t: t + t.splitlines()[-1] + "\n",
+         r"report\.csv:6: repeated stage 1"),
+        (lambda t: "\n".join(t.splitlines()[:3]) + "\n", r"report\.csv: no rows$"),
     ],
 )
 def test_fragment_read_rejects_malformed(tmp_path, mangle, complaint):
@@ -350,6 +354,11 @@ def test_timings_round_trip(tmp_path):
     assert got == {("iem_incremental", 0): 0.25, ("iem_incremental", 1): 0.25}
     path.write_text("who,knows\n1,2\n")
     with pytest.raises(DataError, match=r"timings\.csv:1: missing field"):
+        read_timings(path)
+    path.write_text("strategy,stage,seconds\n"
+                    "naive_finetune,4,1.5\nnaive_finetune,4,9.0\n")
+    with pytest.raises(DataError,
+                       match=r"timings\.csv:3: repeated row naive_finetune,4"):
         read_timings(path)
 
 

@@ -291,7 +291,7 @@ def test_lesion_counts_reject_bad_tau_and_shapes():
 def test_error_term_examples():
     assert metrics.error_term(0.5, 2, 1, 0.6) == pytest.approx(3.9, abs=1e-12)
     assert metrics.error_term(0.0, 0, 0, 1.0) == 0.0
-    assert metrics.error_term(0.5, 2, 1, 0.6, variant="loss_ji") == pytest.approx(0.9)
+    assert metrics.error_term(0.5, 2, 1, 0.6, (0.0, 0.0, 1.0)) == pytest.approx(0.9)
 
 
 def test_error_term_weights_scale_counts():
@@ -306,12 +306,23 @@ def test_error_term_full_dominates_loss_ji():
         fp, fn = rng.integers(0, 5, 2)
         ji = rng.uniform(0, 1)
         assert (metrics.error_term(L, fp, fn, ji)
-                >= metrics.error_term(L, fp, fn, ji, variant="loss_ji"))
+                >= metrics.error_term(L, fp, fn, ji, (0.0, 0.0, 1.0)))
+
+
+def test_error_term_without_count_weights_is_loss_plus_jaccard():
+    # weights (0, 0, w) give the same bits as the two-term sum
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        L = rng.uniform(0, 3)
+        fp, fn = rng.integers(0, 5, 2).tolist()
+        ji, w = rng.uniform(0, 1), rng.uniform(0, 4)
+        assert (metrics.error_term(L, fp, fn, ji, (0.0, 0.0, w))
+                == L + w * (1.0 - ji))
 
 
 def test_error_term_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="variant"):
-        metrics.error_term(0.1, 0, 0, 1.0, variant="bogus")
+    with pytest.raises(ValueError):
+        metrics.error_term(0.1, 0, 0, 1.0, (1.0, 1.0))
     for args in ((-0.1, 0, 0, 1.0), (0.1, -1, 0, 1.0), (0.1, 0, 0, 1.5)):
         with pytest.raises(ValueError):
             metrics.error_term(*args)

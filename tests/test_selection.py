@@ -186,14 +186,14 @@ def test_config_defaults_are_valid():
     cfg = SelectionConfig()
     assert cfg.K == 0 and cfg.d == 10 and cfg.t == 4
     assert cfg.iterations_per_step == 10
-    assert cfg.tau == 0.5 and cfg.variant == "full"
+    assert cfg.tau == 0.5 and cfg.error_weights == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"K": -1}, {"d": 0}, {"t": 0}, {"iterations_per_step": 0},
-        {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"variant": "other"},
+        {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"binarize_threshold": 0.0},
         {"binarize_threshold": 1.0}, {"error_weights": (1.0, 1.0)},
         {"error_weights": (float("nan"), 1.0, 1.0)},
         {"error_weights": (1.0, -1.0, 1.0)},
@@ -210,5 +210,15 @@ def test_fingerprint_is_stable_and_sensitive():
     assert base.fingerprint() == SelectionConfig(seed=3).fingerprint()
     assert len(base.fingerprint()) == 12
     for other in (SelectionConfig(seed=4), SelectionConfig(seed=3, d=11),
-                  SelectionConfig(seed=3, variant="loss_ji")):
+                  SelectionConfig(seed=3, error_weights=(0.0, 0.0, 1.0))):
         assert other.fingerprint() != base.fingerprint()
+
+
+def test_fingerprint_keeps_the_digests_of_earlier_reports():
+    # report.csv's "# config=" line; these digests were written while the
+    # config still had a variant field, and iem compare matches them
+    assert SelectionConfig().fingerprint() == "e47f77e1728a"
+    golden = SelectionConfig(seed=7, iterations_per_step=3, t=3, d=5)
+    assert golden.fingerprint() == "3853d41e42e2"
+    loss_ji = SelectionConfig(seed=3, error_weights=(0.0, 0.0, 1.0))
+    assert loss_ji.fingerprint() == "64d74c5c824e"

@@ -356,7 +356,7 @@ def test_augmented_error_terms_equal_per_view_scores(t):
             view, view_mask = augment(img, mask, recipe, views, j)
             want.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
-                variant=selcfg.variant, threshold=selcfg.binarize_threshold,
+                threshold=selcfg.binarize_threshold,
                 weights=selcfg.error_weights,
             ).E)
         assert got == want
@@ -385,7 +385,7 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
             view, view_mask = augment(img, mask, recipe, views, j)
             errors.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
-                variant=selcfg.variant, threshold=selcfg.binarize_threshold,
+                threshold=selcfg.binarize_threshold,
                 weights=selcfg.error_weights,
             ).E)
         want.append(errors)
