@@ -163,11 +163,15 @@ def cmd_compare(args):
     reports = []
     timings = {}
     for path in args.reports:
-        reports.append(harness.read_report_fragment(path))
+        reports.append(report := harness.read_report_fragment(path))
         sidecar = os.path.join(os.path.dirname(os.path.abspath(path)),
                                harness.TIMINGS_NAME)
+        # a sidecar's rows of another strategy must not replace the
+        # seconds of that strategy's own report
         if os.path.isfile(sidecar):
-            timings.update(harness.read_timings(sidecar))
+            timings.update((key, seconds) for key, seconds
+                           in harness.read_timings(sidecar).items()
+                           if key[0] == report.strategy)
     merged = harness.merge_reports(reports, timings, args.reports)
     print(harness.final_stage_table(merged))
     csv_text = harness.comparison_csv(merged)

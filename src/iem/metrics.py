@@ -147,9 +147,10 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
     int arrays: what ``match_lesions`` counts on each image's
     ``connected_components``. Both stacks are labeled in one call, and
     one bincount over the (image, pred label, gt label) triple of every
-    pixel gives each image's table of component sizes and overlaps,
-    hence every pair's IoU. When no component lies in two pairs with
-    IoU >= tau, every such pair is a match whatever the order. Otherwise
+    pixel on in either mask gives each image's table of component sizes
+    and overlaps, hence every pair's IoU; the (0, 0) background cell,
+    never read, stays 0. When no component lies in two pairs with IoU >=
+    tau, every such pair is a match whatever the order. Otherwise
     ``match_lesions`` runs on that image's ``connected_components``,
     since then their order can decide the count. That needs tau < 0.5: a
     component with IoU >= 0.5 against two disjoint ones would be their
@@ -167,9 +168,10 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
     matched = np.zeros(n, dtype=np.intp)
     if n_pred.any() and n_gt.any():
         rows, cols = int(n_pred.max()) + 1, int(n_gt.max()) + 1
-        key = ((np.arange(n)[:, None, None] * rows + labels[:n]) * cols
-               + labels[n:])
-        table = np.bincount(key.ravel(), minlength=n * rows * cols)
+        on = np.flatnonzero(pred_masks | gt_masks)
+        key = ((on // pred_masks[0].size * rows + labels[:n].ravel()[on])
+               * cols + labels[n:].ravel()[on])
+        table = np.bincount(key, minlength=n * rows * cols)
         table = table.reshape(n, rows, cols)
         k, p, g = np.nonzero(table[:, 1:, 1:])
         inter = table[:, 1:, 1:][k, p, g]

@@ -12,8 +12,11 @@ import numpy as np
 from .errors import DataError
 
 # header = 4 tokens (magic, width, height, maxval); a '#' that starts a
-# token starts a comment running to the end of its line
-_HEADER_TOKEN = re.compile(rb"#[^\n]*|\S+")
+# token starts a comment to the end of its line. Lookaheads hold each
+# comment to its newline and each token to its whitespace, so a failed
+# match cannot backtrack into another parse (3.10 has no possessive
+# quantifiers); one \s per repeat, since \s+ would try every split.
+_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*(?!\S))" * 4)
 
 
 def write_pgm(path, img):
@@ -34,23 +37,18 @@ def write_mask_pgm(path, mask):
 
 def _read_pgm_bytes(path):
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read image file {path}: {exc}") from exc
 
-    tokens = []
-    for match in _HEADER_TOKEN.finditer(data):
-        if match[0][:1] != b"#":
-            tokens.append(match[0])
-            if len(tokens) == 4:
-                break
-    else:
+    match = _HEADER.match(data)
+    if match is None:
         raise DataError(f"{path}: truncated PGM header")
-    if tokens[0] != b"P5":
-        raise DataError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    if match[1] != b"P5":
+        raise DataError(f"{path}: not a binary PGM (magic {match[1]!r})")
     try:
-        w, h, maxval = (int(t) for t in tokens[1:])
+        w, h, maxval = (int(t) for t in match.group(2, 3, 4))
     except ValueError as exc:
         raise DataError(f"{path}: bad PGM header") from exc
     if maxval != 255 or w < 1 or h < 1:

@@ -5,6 +5,7 @@ queues instead of array tricks, so each function can be checked by eye.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -216,3 +217,40 @@ def broadcast_gradient(weights, feats, mask):
     """
     residual = clip_sigmoid(feats @ weights) - np.asarray(mask, dtype=bool)
     return (residual[..., None] * feats).sum(axis=(0, 1)) / residual.size
+
+
+# -- earlier PGM header parser, frozen ---------------------------------------
+# The token loop the decoder used before its single anchored header match.
+# The decoder must give the same raster or the same error text on any file.
+
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
+def decode_pgm(data, path):
+    """(raster, None) for the bytes of a PGM file, or (None, error text).
+
+    Header tokens are taken one at a time by ``finditer``; a match that
+    starts with '#' is a comment and is skipped. ``path`` only names the
+    file in the error text.
+    """
+    tokens = []
+    for match in _PGM_TOKEN.finditer(data):
+        if match[0][:1] != b"#":
+            tokens.append(match[0])
+            if len(tokens) == 4:
+                break
+    else:
+        return None, f"{path}: truncated PGM header"
+    if tokens[0] != b"P5":
+        return None, f"{path}: not a binary PGM (magic {tokens[0]!r})"
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        return None, f"{path}: bad PGM header"
+    if maxval != 255 or w < 1 or h < 1:
+        return None, f"{path}: unsupported PGM geometry {w}x{h}/{maxval}"
+    start = match.end() + 1  # one whitespace byte ends the header
+    raster = data[start : start + w * h]
+    if len(raster) != w * h:
+        return None, f"{path}: raster truncated ({len(raster)} of {w * h} bytes)"
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w), None

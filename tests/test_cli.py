@@ -575,6 +575,25 @@ def test_compare_refuses_a_report_with_two_seeds(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_compare_takes_each_report_its_own_timings(tmp_path, capsys):
+    # a's sidecar also holds a naive_finetune row; b's own 1.0 s must win
+    row = "0,0.5,0.5,0.5,0.5,10"
+    for name, strategy, timings in (
+            ("a", "baseline_full", "baseline_full,0,2.0\nnaive_finetune,0,99.0\n"),
+            ("b", "naive_finetune", "naive_finetune,0,1.0\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.csv").write_text(
+            f"# seed=0\n# config=cfg\n{harness.REPORT_HEADER}\n{strategy},{row}\n")
+        (tmp_path / name / "timings.csv").write_text(
+            f"{harness.TIMINGS_HEADER}\n{timings}")
+    assert cli.main(["compare", str(tmp_path / "b" / "report.csv"),
+                     str(tmp_path / "a" / "report.csv")]) == 0
+    rows = [line.split(",") for line
+            in capsys.readouterr().out.split("\n\n")[1].splitlines()[1:]]
+    assert [(f[0], float(f[6])) for f in rows] == [("baseline_full", 2.0),
+                                                   ("naive_finetune", 1.0)]
+
+
 def test_compare_rejects_seed_mismatch(trained, tiny_dataset_dir, tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text(FAST_CONFIG)
@@ -608,6 +627,25 @@ def test_a_module_import_loads_only_what_it_needs(module):
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_sources_compile_on_the_oldest_supported_python():
+    # pyproject says requires-python >=3.10: no later syntax, and no regex
+    # feature such as a possessive quantifier, may slip into src. compile()
+    # writes no bytecode into the tree.
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run(
+        [exe, "-I", "-c", "import sys; print(sys.version_info[:2])"],
+        capture_output=True, text=True)
+    if not probe or probe.stdout.strip() != "(3, 10)":
+        pytest.skip("no python3.10 on PATH that runs")
+    code = ("import pathlib, re, sys\n"
+            "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.py')):\n"
+            "    compile(path.read_bytes(), str(path), 'exec')\n"
+            f"re.compile({pgm._HEADER.pattern!r})\n")
+    out = subprocess.run([exe, "-I", "-c", code, os.path.join(SRC_DIR, "iem")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_no_subcommand_is_usage_error():

@@ -231,6 +231,40 @@ def test_lesion_counts_equal_pixel_set_matching_on_random_masks():
             assert [tuple(int(c[k]) for c in got) for k in range(n)] == want
 
 
+def _blob_masks(rng, n, most, side=24):
+    """n masks of up to ``most`` filled discs of radius 1 to 3 each."""
+    rows, cols = np.ogrid[:side, :side]
+    masks = np.zeros((n, side, side), dtype=bool)
+    for mask in masks:
+        for _ in range(int(rng.integers(0, most + 1))):
+            r, c = rng.integers(0, side, 2)
+            mask |= (rows - r) ** 2 + (cols - c) ** 2 <= rng.uniform(1, 3) ** 2
+    return masks
+
+
+def test_lesion_counts_at_stream_density_with_empty_images():
+    # 16-image stacks about 4% on, as the stream's masks are; predictions
+    # are the truth shifted by a pixel plus a stray blob. Some images have
+    # both masks empty (no on-pixel at all), a prediction only, or a
+    # truth only.
+    rng = np.random.default_rng(43)
+    on = []
+    for _ in range(40):
+        gts = _blob_masks(rng, 16, most=3)
+        preds = _blob_masks(rng, 16, most=1)
+        for pred, gt in zip(preds, gts):
+            pred |= np.roll(gt, rng.integers(-1, 2, 2), axis=(0, 1))
+        kind = rng.integers(0, 5, 16)
+        preds[(kind == 0) | (kind == 2)] = False
+        gts[(kind == 0) | (kind == 1)] = False
+        on += [m.mean() for m in np.concatenate((preds, gts)) if m.any()]
+        for tau in (0.1, 0.3, 0.5, 1.0):
+            got = metrics.lesion_counts(preds, gts, tau)
+            want = [_pixel_set_counts(p, g, tau) for p, g in zip(preds, gts)]
+            assert [tuple(int(c[k]) for c in got) for k in range(16)] == want
+    assert 0.03 <= np.mean(on) <= 0.05
+
+
 # The gt component on the right starts at (0, 4), after the left one's
 # (0, 2) in raster order, but its (min row, min col) = (0, 1) puts it first
 # in connected_components' order. The 9-pixel prediction P covers all of the

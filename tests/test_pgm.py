@@ -1,8 +1,12 @@
 """PGM round trips, header parsing, malformed-file rejection, and the read cache."""
 
+import collections
+import random
+
 import numpy as np
 import pytest
 
+import oracles
 from iem.errors import DataError
 from iem.pgm import (ImageCache, pair, read_mask_pgm, read_pgm, write_mask_pgm,
                      write_pgm)
@@ -68,6 +72,86 @@ def test_malformed_files_rejected(tmp_path, payload, complaint):
     path.write_bytes(payload)
     with pytest.raises(DataError, match=complaint):
         read_pgm(path)
+
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_ODD_MAGIC = [b"P2", b"p5", b"P", b"P5#", b"P5\xff", b"P55"]
+_ODD_SIZE = [b"0", b"-1", b"+2", b"1_0", b"3#x", b"x", b"\xff", b"2.0", b"02"]
+_ODD_MAXVAL = [b"65535", b"256", b"0255", b"255#", b"25x", b"+255"]
+
+
+def _fuzzed_pgm(rng):
+    """Bytes shaped like a PGM file, with every kind of header damage.
+
+    Header tokens sit between runs of any whitespace and comments; a
+    comment may hold '#' and whitespace and may lack its newline, a gap
+    may be empty (joining two tokens), a token may hold '#', and the
+    raster may be a few bytes short or long.
+    """
+    out = bytearray()
+
+    def gap(least):
+        for _ in range(rng.randint(least, 3)):
+            if rng.random() < 0.2:
+                out.extend(b"#" + bytes(rng.choice(b"ab5 #\t\r\x0b")
+                                        for _ in range(rng.randint(0, 4))))
+                if rng.random() < 0.9:
+                    out.extend(b"\n")
+            else:
+                out.extend(rng.choice(_WHITESPACE) for _ in range(rng.randint(1, 2)))
+
+    tokens = [b"P5" if rng.random() < 0.8 else rng.choice(_ODD_MAGIC)]
+    for _ in range(2):
+        tokens.append(b"%d" % rng.randint(1, 4) if rng.random() < 0.85
+                      else rng.choice(_ODD_SIZE))
+    tokens.append(b"255" if rng.random() < 0.85 else rng.choice(_ODD_MAXVAL))
+    if rng.random() < 0.1:
+        tokens = tokens[:rng.randint(0, 3)] + [b"1"] * rng.randint(0, 1)
+    for i, token in enumerate(tokens):
+        gap(0 if i == 0 or rng.random() < 0.03 else 1)
+        out.extend(token)
+    if rng.random() < 0.95:
+        out.append(rng.choice(_WHITESPACE))  # the byte that ends the header
+    try:
+        size = int(tokens[1]) * int(tokens[2])
+    except (IndexError, ValueError):
+        size = 4
+    length = min(size, 16)
+    if rng.random() < 0.3:  # a raster short or long by a byte or two
+        length = max(0, length + rng.randint(-2, 2))
+    out.extend(rng.choice(b"\x00\x7f\x80\xff#" + _WHITESPACE)
+               for _ in range(length))
+    return bytes(out)
+
+
+def test_header_match_agrees_with_the_token_loop_on_fuzzed_files(tmp_path):
+    rng = random.Random(20)
+    path = tmp_path / "fuzz.pgm"
+    outcomes = collections.Counter()
+    # one file rewritten in place: a close after each truncation can make
+    # the file system flush it, at hundreds of microseconds a case
+    with open(path, "wb", buffering=0) as fh:
+        for _ in range(20000):
+            data = _fuzzed_pgm(rng)
+            fh.seek(0)
+            fh.write(data)
+            fh.truncate()
+            want, complaint = oracles.decode_pgm(data, path)
+            if complaint is None:
+                outcomes["decoded"] += 1
+                img, mask = read_pgm(path), read_mask_pgm(path)
+                assert img.shape == mask.shape == want.shape, data
+                assert (img.tobytes()
+                        == (want.astype(np.float64) / 255.0).tobytes()), data
+                assert mask.tobytes() == (want >= 128).tobytes(), data
+                continue
+            outcomes[complaint[len(str(path)) + 2:][:12]] += 1
+            for read in (read_pgm, read_mask_pgm):
+                with pytest.raises(DataError) as exc:
+                    read(path)
+                assert str(exc.value) == complaint, data
+    # decoded, and each of the five complaints, drawn many times
+    assert len(outcomes) == 6 and min(outcomes.values()) > 300, outcomes
 
 
 def test_missing_file_is_data_error(tmp_path):
