@@ -79,12 +79,10 @@ def read_config_file(path):
     return values
 
 
-def load_settings(config_path, seed=None, tau=None):
+def load_settings(config_path, seed=None):
     values = read_config_file(config_path) if config_path else {}
     if seed is not None:
         values["seed"] = seed
-    if tau is not None:
-        values["tau"] = tau
     return values
 
 
@@ -123,7 +121,7 @@ def cmd_gen(args):
 
 def cmd_train(args):
     strategy = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
-    settings = load_settings(args.config, args.seed, args.tau)
+    settings = load_settings(args.config, args.seed)
     selcfg, traincfg = make_configs(settings)
     train_chunks, test_records = harness.load_dataset(args.data)
     for records in (*train_chunks, test_records):
@@ -145,8 +143,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params = load_params(args.checkpoint)
-    records = harness.read_nonempty_manifest(args.test)
-    selcfg, _ = make_configs(load_settings(args.config, None, args.tau))
+    records = synth.read_manifest(args.test)
+    selcfg, _ = make_configs(load_settings(args.config))
     pairs = (pgm.pair(rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
         params, pairs, selcfg
@@ -160,19 +158,9 @@ def cmd_compare(args):
     if len(args.reports) < 2:
         print("error: compare needs at least two report files", file=sys.stderr)
         return 2
-    reports = []
-    timings = {}
-    for path in args.reports:
-        reports.append(report := harness.read_report_fragment(path))
-        sidecar = os.path.join(os.path.dirname(os.path.abspath(path)),
-                               harness.TIMINGS_NAME)
-        # a sidecar's rows of another strategy must not replace the
-        # seconds of that strategy's own report
-        if os.path.isfile(sidecar):
-            timings.update((key, seconds) for key, seconds
-                           in harness.read_timings(sidecar).items()
-                           if key[0] == report.strategy)
-    merged = harness.merge_reports(reports, timings, args.reports)
+    merged = harness.merge_reports(
+        [harness.read_report_fragment(path) for path in args.reports],
+        args.reports)
     print(harness.final_stage_table(merged))
     csv_text = harness.comparison_csv(merged)
     if args.out:
@@ -206,14 +194,12 @@ def build_parser():
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--config", default=None, help="key=value config file")
-    p_train.add_argument("--tau", type=float, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--test", required=True, help="test manifest path")
     p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--tau", type=float, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="merge strategy reports into a table")

@@ -18,13 +18,15 @@ is never exceeded.
 Per-strategy outputs: a report fragment CSV (no wall-clock column, so
 reruns are byte-identical), a timings sidecar CSV, a trace log of what
 was trained on, a checkpoint, and for pool-based strategies the pool
-state. The comparison step joins fragment and sidecar into the full
-report schema.
+state. Each CSV row follows its header; the report reader joins in the
+seconds of the sidecar beside it.
 """
 
+import math
 import os
+import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -68,10 +70,16 @@ class StageResult:
     examples_trained: int
 
     def __post_init__(self):
-        for name in ("precision", "recall", "f1", "jaccard"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} out of [0,1]: {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and v < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {v}")
+            if f.type is float and f.name != "seconds" and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{f.name} out of [0,1]: {v}")
+
+
+# the type of each report column but the first, which names the strategy
+_COLUMN_TYPES = {f.name: f.type for f in fields(StageResult)}
 
 
 @dataclass(frozen=True)
@@ -268,24 +276,28 @@ def write_strategy_outputs(out_dir, report, params, pool, trace):
         save_state(pool, os.path.join(out_dir, POOL_NAME))
 
 
+def _csv_text(header, reports):
+    """``header``, then a line per row of each report with the header's
+    columns: a float field to 6 decimals, an int field as is."""
+    names = header.split(",")[1:]
+    lines = [header]
+    for report in reports:
+        for row in report.rows:
+            lines.append(",".join([report.strategy, *(
+                f"{getattr(row, name):.6f}" if _COLUMN_TYPES[name] is float
+                else str(getattr(row, name)) for name in names)]))
+    return "\n".join(lines) + "\n"
+
+
 def write_report_fragment(report, path):
-    lines = [f"# seed={report.seed}", f"# config={report.config_hash}", REPORT_HEADER]
-    for row in report.rows:
-        lines.append(",".join([
-            report.strategy, str(row.stage),
-            f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}",
-            f"{row.jaccard:.6f}", str(row.examples_trained),
-        ]))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# seed={report.seed}\n# config={report.config_hash}\n"
+                 + _csv_text(REPORT_HEADER, [report]))
 
 
 def write_timings(report, path):
-    lines = [TIMINGS_HEADER]
-    for row in report.rows:
-        lines.append(f"{report.strategy},{row.stage},{row.seconds:.6f}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text(TIMINGS_HEADER, [report]))
 
 
 def _check_header(path, lineno, got, expected):
@@ -300,7 +312,8 @@ def _check_header(path, lineno, got, expected):
 
 
 def read_report_fragment(path):
-    """Parse a fragment written by write_report_fragment; timings come separately."""
+    """Parse a fragment written by write_report_fragment, with the seconds
+    of its strategy from the timings.csv beside it (0.0 where none)."""
     meta = {}
     body = []
     for lineno, line in enumerate(read_lines(path, "report"), start=1):
@@ -319,24 +332,26 @@ def read_report_fragment(path):
     if len(body) == 1:
         raise DataError(f"{path}: no rows")
     strategy = body[1][1].split(",")[0]
+    sidecar = os.path.join(os.path.dirname(os.path.abspath(path)), TIMINGS_NAME)
+    timings = read_timings(sidecar) if os.path.isfile(sidecar) else {}
+    names = REPORT_HEADER.split(",")
     rows = []
     for lineno, line in body[1:]:
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(fields)}")
-        if fields[0] != strategy:
+        values = line.split(",")
+        if len(values) != len(names):
+            raise DataError(f"{path}:{lineno}: expected {len(names)} columns, "
+                            f"got {len(values)}")
+        if values[0] != strategy:
             raise DataError(f"{path}:{lineno}: mixed strategies in one fragment")
         try:
+            parsed = {name: _COLUMN_TYPES[name](value)
+                      for name, value in zip(names[1:], values[1:])}
             rows.append(StageResult(
-                stage=int(fields[1]), precision=float(fields[2]),
-                recall=float(fields[3]), f1=float(fields[4]),
-                jaccard=float(fields[5]), seconds=0.0,
-                examples_trained=int(fields[6]),
-            ))
+                **parsed, seconds=timings.get((strategy, parsed["stage"]), 0.0)))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value ({exc})") from exc
         if rows[-1].stage in [row.stage for row in rows[:-1]]:
-            raise DataError(f"{path}:{lineno}: repeated stage {fields[1]}")
+            raise DataError(f"{path}:{lineno}: repeated stage {values[1]}")
     try:
         return StrategyReport(
             strategy=strategy, seed=int(meta["seed"]), config_hash=meta["config"],
@@ -355,27 +370,25 @@ def read_timings(path):
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != 3:
+        values = line.split(",")
+        if len(values) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 columns")
         try:
-            key, seconds = (fields[0], int(fields[1])), float(fields[2])
+            key, seconds = (values[0], int(values[1])), float(values[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value ({exc})") from exc
+        if not math.isfinite(seconds) or seconds < 0:
+            raise DataError(f"{path}:{lineno}: seconds must be finite and >= 0")
         if key in out:
             raise DataError(f"{path}:{lineno}: repeated row {key[0]},{key[1]}")
         out[key] = seconds
     return out
 
 
-def merge_reports(reports, timings, paths=None):
-    """The reports in STRATEGIES order, with seconds joined from timings.
-
-    A row keeps its own seconds when timings has no (strategy, stage)
-    entry. Reports of different runs, or two of one strategy, are refused.
-    ``paths`` are the files the reports were read from, in the same order;
-    two reports of one strategy are named by them, or by position.
-    """
+def merge_reports(reports, paths=None):
+    """The reports in STRATEGIES order; reports of different runs, or two
+    of one strategy, are refused. Two of one strategy are named by
+    ``paths``, the files the reports were read from, or by position."""
     seeds = {r.seed for r in reports}
     configs = {r.config_hash for r in reports}
     if len(seeds) > 1 or len(configs) > 1:
@@ -390,27 +403,11 @@ def merge_reports(reports, timings, paths=None):
             raise DataError(f"more than one report of {report.strategy}: "
                             f"{seen[report.strategy]} and {name}")
         seen[report.strategy] = name
-    return [
-        replace(report, rows=tuple(
-            replace(row, seconds=timings.get((report.strategy, row.stage),
-                                             row.seconds))
-            for row in report.rows
-        ))
-        for report in sorted(reports, key=lambda r: STRATEGIES.index(r.strategy))
-    ]
+    return sorted(reports, key=lambda r: STRATEGIES.index(r.strategy))
 
 
 def comparison_csv(reports):
-    lines = [FULL_HEADER]
-    for report in reports:
-        for row in report.rows:
-            lines.append(",".join([
-                report.strategy, str(row.stage),
-                f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}",
-                f"{row.jaccard:.6f}", f"{row.seconds:.6f}",
-                str(row.examples_trained),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(FULL_HEADER, reports)
 
 
 def final_stage_table(reports):
@@ -428,38 +425,35 @@ def final_stage_table(reports):
     return "\n".join(lines)
 
 
-def read_nonempty_manifest(path):
-    """Records of a manifest that must list at least one example."""
-    records = read_manifest(path)
-    if not records:
-        raise DataError(f"{path}: empty manifest")
-    return records
-
-
 def load_dataset(data_dir):
     """Read chunk0..chunkN and test manifests from a generated data tree.
 
-    Every manifest must list at least one example, and no example id may
-    appear in two train manifests.
+    Every manifest must list at least one example, no example id may
+    appear in two train manifests, and no chunk directory may come after
+    the first missing manifest.
     """
     manifests = []
-    while True:
-        manifest = os.path.join(data_dir, f"chunk{len(manifests)}", MANIFEST_NAME)
-        if not os.path.isfile(manifest):
-            break
+    while os.path.isfile(manifest := os.path.join(
+            data_dir, f"chunk{len(manifests)}", MANIFEST_NAME)):
         manifests.append(manifest)
     if not manifests:
         raise DataError(f"no chunk manifests under {data_dir}")
+    later = sorted((int(name[5:]), name) for name in os.listdir(data_dir)
+                   if re.fullmatch(r"chunk\d+", name) and int(name[5:]) > len(manifests)
+                   and os.path.isdir(os.path.join(data_dir, name)))
+    if later:
+        raise DataError(f"{os.path.join(data_dir, later[0][1])}: chunk directory "
+                        f"after the missing {manifest}")
     test_manifest = os.path.join(data_dir, "test", MANIFEST_NAME)
     if not os.path.isfile(test_manifest):
         raise DataError(f"missing test manifest {test_manifest}")
     chunks = []
     first_manifest = {}
     for manifest in manifests:
-        chunks.append(read_nonempty_manifest(manifest))
+        chunks.append(read_manifest(manifest))
         for rec in chunks[-1]:
             first = first_manifest.setdefault(rec.id, manifest)
             if first != manifest:
                 raise DataError(f"{manifest}: example id {rec.id!r} is also "
                                 f"in {first}")
-    return chunks, read_nonempty_manifest(test_manifest)
+    return chunks, read_manifest(test_manifest)

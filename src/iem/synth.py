@@ -153,7 +153,8 @@ def write_manifest(records, path):
 def read_manifest(path):
     """Parse a manifest back into records.
 
-    Referenced files must exist and each example id may appear once.
+    A manifest must list at least one example, referenced files must
+    exist, and each example id may appear once.
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
@@ -184,6 +185,8 @@ def read_manifest(path):
             id=example_id, image_ref=image_path, mask_ref=mask_path,
             label=label, chunk_index=chunk_index,
         ))
+    if not records:
+        raise DataError(f"{path}: empty manifest")
     return records
 
 

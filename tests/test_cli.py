@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import iem
-from iem import cli, harness, pgm, trainer
+from iem import cli, harness, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
@@ -181,8 +181,7 @@ def test_readme_lists_the_flags_that_override_the_config():
                   for flag in action.option_strings} - not_overrides
         for command in ("train", "eval")
     }
-    assert documented == flags == {"train": {"--seed", "--tau"},
-                                   "eval": {"--tau"}}
+    assert documented == flags == {"train": {"--seed"}, "eval": set()}
 
 
 def test_make_configs_wraps_validation_errors():
@@ -270,7 +269,7 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     want = harness.evaluate_model(
         load_params(checkpoint),
         [cache.pair(r.image_ref, r.mask_ref)
-         for r in harness.read_nonempty_manifest(manifest)],
+         for r in synth.read_manifest(manifest)],
         make_configs({})[0],
     )
     assert line == ",".join(f"{v:.6f}" for v in want)
@@ -292,7 +291,7 @@ def test_eval_decodes_each_pair_once_and_keeps_none(eval_inputs, monkeypatch,
     checkpoint, manifest = eval_inputs
     argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
     assert cli.main(argv) == 0
-    records = harness.read_nonempty_manifest(manifest)
+    records = synth.read_manifest(manifest)
     assert sorted(decoded) == sorted(
         [r.image_ref for r in records] + [r.mask_ref for r in records])
     assert capsys.readouterr().out.startswith("precision,recall,f1,jaccard\n")
@@ -498,6 +497,29 @@ def _non_utf8_report(data, tmp_path):
     return ["compare", str(good), str(bad)], bad
 
 
+def _compare_with(tmp_path, examples, seconds):
+    """compare argv of a naive report and, in other/, a full one of
+    ``examples`` beside a timings.csv of ``seconds``; and other/."""
+    other = tmp_path / "other"
+    other.mkdir()
+    for path, row in ((tmp_path / "report.csv", "naive_finetune,0,0.5,0.5,0.5,0.5,1"),
+                      (other / "report.csv", f"baseline_full,0,1,1,1,1,{examples}")):
+        path.write_text(f"# seed=0\n# config=cfg\n{harness.REPORT_HEADER}\n{row}\n")
+    (other / "timings.csv").write_text(
+        f"{harness.TIMINGS_HEADER}\nbaseline_full,0,{seconds}\n")
+    return ["compare", str(tmp_path / "report.csv"), str(other / "report.csv")], other
+
+
+def _nan_seconds(data, tmp_path):
+    argv, other = _compare_with(tmp_path, 1, "nan")
+    return argv, other / "timings.csv"
+
+
+def _negative_examples(data, tmp_path):
+    argv, other = _compare_with(tmp_path, -7, 1.0)
+    return argv, other / "report.csv"
+
+
 def _repeated_id(data, tmp_path):
     path = data / "chunk1" / "manifest.tsv"
     lines = path.read_text().splitlines()
@@ -506,15 +528,31 @@ def _repeated_id(data, tmp_path):
 
 
 def _mask_of_another_size(data, tmp_path):
-    record = harness.read_nonempty_manifest(str(data / "chunk0" / "manifest.tsv"))[0]
+    record = synth.read_manifest(str(data / "chunk0" / "manifest.tsv"))[0]
     pgm.write_mask_pgm(record.mask_ref,
                        np.full((16, 20), record.label == "positive"))
     return _train_argv(data, tmp_path, "full"), record.mask_ref
 
 
+def _flipped_label(data, tmp_path):
+    manifest = data / "chunk1" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    fields = lines[0].split("\t")
+    fields[3] = {"positive": "negative", "negative": "positive"}[fields[3]]
+    manifest.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+    return (_train_argv(data, tmp_path, "naive"),
+            synth.read_manifest(str(manifest))[0].mask_ref)
+
+
+def _chunk_after_a_gap(data, tmp_path):
+    (data / "chunk1").rename(data / "chunk1.old")  # not chunk + digits
+    return _train_argv(data, tmp_path, "naive"), data / "chunk2"
+
+
 @pytest.mark.parametrize("make_case", [
     _non_utf8_config, _non_utf8_manifest, _non_utf8_checkpoint,
-    _non_utf8_report, _repeated_id, _mask_of_another_size,
+    _non_utf8_report, _nan_seconds, _negative_examples, _repeated_id,
+    _mask_of_another_size, _flipped_label, _chunk_after_a_gap,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
                                          make_case):
@@ -525,6 +563,7 @@ def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(path) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()  # nothing written
 
 
 # -- compare ---------------------------------------------------------------

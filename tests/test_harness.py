@@ -44,6 +44,10 @@ def _report(strategy="iem_incremental", stages=(0, 1), seed=3, config="cfg"):
 def test_stage_result_validates_ranges():
     with pytest.raises(ValueError, match="precision"):
         _row(0, value=1.2)
+    with pytest.raises(ValueError, match="stage must be >= 0, got -1"):
+        _row(-1)
+    with pytest.raises(ValueError, match="examples_trained must be >= 0"):
+        _row(0, examples=-7)
 
 
 def test_strategy_report_validates():
@@ -336,6 +340,10 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
         (lambda t: t + t.splitlines()[-1] + "\n",
          r"report\.csv:6: repeated stage 1"),
         (lambda t: "\n".join(t.splitlines()[:3]) + "\n", r"report\.csv: no rows$"),
+        (lambda t: t.replace("0.500000,10\n", "0.500000,-7\n", 1),
+         r"report\.csv:4: bad value \(examples_trained must be >= 0, got -7\)"),
+        (lambda t: t.replace("incremental,0,", "incremental,-1,"),
+         r"report\.csv:4: bad value \(stage must be >= 0, got -1\)"),
     ],
 )
 def test_fragment_read_rejects_malformed(tmp_path, mangle, complaint):
@@ -362,48 +370,94 @@ def test_timings_round_trip(tmp_path):
         read_timings(path)
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf", "-3.5"])
+def test_timings_refuse_non_finite_or_negative_seconds(tmp_path, seconds):
+    path = tmp_path / "timings.csv"
+    path.write_text(f"strategy,stage,seconds\nnaive_finetune,0,1.5\n"
+                    f"naive_finetune,1,{seconds}\n")
+    with pytest.raises(DataError, match=r"timings\.csv:3: seconds must be "
+                                        r"finite and >= 0$"):
+        read_timings(path)
+
+
+def test_report_reader_joins_its_own_strategy_timings(tmp_path):
+    report = _report(strategy="naive_finetune", stages=(0, 1, 2))
+    write_report_fragment(report, tmp_path / "report.csv")
+    assert [row.seconds for row in
+            read_report_fragment(tmp_path / "report.csv").rows] == [0.0] * 3
+    # stage 0 has no row of its own strategy, stage 2 none at all
+    (tmp_path / "timings.csv").write_text(
+        "strategy,stage,seconds\nbaseline_full,0,99.0\nnaive_finetune,1,9.75\n")
+    back = read_report_fragment(tmp_path / "report.csv")
+    assert [row.seconds for row in back.rows] == [0.0, 9.75, 0.0]
+
+
+def test_report_timings_and_comparison_bytes(tmp_path):
+    # a float field prints 6 decimals even for an int value (1, 0), an int
+    # field prints as is; 0.1234565 and 5e-07 sit just below a half step
+    full = StrategyReport("baseline_full", 7, "c0ffee", (
+        StageResult(4, 1, 0, 2 / 3, 0.9999996, 12.5, 1200),))
+    naive = StrategyReport("naive_finetune", 7, "c0ffee", (
+        StageResult(0, 0.5, 0.25, 1 / 3, 1, 0, 0),
+        StageResult(4, 0, 1, 0.1234565, 0.0000005, 0.25, 200)))
+    for report in (full, naive):
+        write_report_fragment(report, tmp_path / f"{report.strategy}.csv")
+        write_timings(report, tmp_path / f"{report.strategy}.timings.csv")
+    assert (tmp_path / "baseline_full.csv").read_bytes() == (
+        b"# seed=7\n# config=c0ffee\n"
+        b"strategy,stage,precision,recall,f1,jaccard,examples_trained\n"
+        b"baseline_full,4,1.000000,0.000000,0.666667,1.000000,1200\n")
+    assert (tmp_path / "naive_finetune.csv").read_bytes() == (
+        b"# seed=7\n# config=c0ffee\n"
+        b"strategy,stage,precision,recall,f1,jaccard,examples_trained\n"
+        b"naive_finetune,0,0.500000,0.250000,0.333333,1.000000,0\n"
+        b"naive_finetune,4,0.000000,1.000000,0.123456,0.000000,200\n")
+    assert (tmp_path / "baseline_full.timings.csv").read_bytes() == (
+        b"strategy,stage,seconds\nbaseline_full,4,12.500000\n")
+    assert (tmp_path / "naive_finetune.timings.csv").read_bytes() == (
+        b"strategy,stage,seconds\n"
+        b"naive_finetune,0,0.000000\nnaive_finetune,4,0.250000\n")
+    assert comparison_csv([full, naive]) == (
+        "strategy,stage,precision,recall,f1,jaccard,seconds,examples_trained\n"
+        "baseline_full,4,1.000000,0.000000,0.666667,1.000000,12.500000,1200\n"
+        "naive_finetune,0,0.500000,0.250000,0.333333,1.000000,0.000000,0\n"
+        "naive_finetune,4,0.000000,1.000000,0.123456,0.000000,0.250000,200\n")
+
+
 # -- merging ---------------------------------------------------------------
 
 
-def test_merge_orders_strategies_and_joins_timings():
+def test_merge_orders_strategies():
     reports = [
         _report(strategy="naive_finetune", stages=(0, 1)),
         _report(strategy="baseline_full", stages=(1,)),
     ]
-    merged = merge_reports(reports, {("naive_finetune", 1): 9.75})
-    assert [report.strategy for report in merged
-            for _ in report.rows] == [
-        "baseline_full", "naive_finetune", "naive_finetune",
-    ]
-    by_key = {(report.strategy, row.stage): row
-              for report in merged for row in report.rows}
-    assert by_key[("naive_finetune", 1)].seconds == 9.75
-    assert by_key[("naive_finetune", 0)].seconds == 0.25  # fallback
+    assert merge_reports(reports) == [reports[1], reports[0]]
 
 
 def test_merge_rejects_mismatched_runs():
     with pytest.raises(DataError, match="disagree"):
         merge_reports([_report(seed=1), _report(seed=2,
-                                                strategy="baseline_full")], {})
+                                                strategy="baseline_full")])
     with pytest.raises(DataError, match="disagree"):
         merge_reports([_report(config="a"), _report(config="b",
-                                                    strategy="baseline_full")], {})
+                                                    strategy="baseline_full")])
 
 
 def test_merge_rejects_two_reports_of_one_strategy():
     with pytest.raises(DataError, match="more than one report"):
         merge_reports([_report(), _report(stages=(0,)),
-                       _report(strategy="baseline_full")], {})
+                       _report(strategy="baseline_full")])
     with pytest.raises(DataError, match=r"report of iem_incremental: "
                        r"a/report\.csv and c/report\.csv$"):
         merge_reports([_report(), _report(strategy="baseline_full"),
-                       _report(stages=(0,))], {},
+                       _report(stages=(0,))],
                       ["a/report.csv", "b/report.csv", "c/report.csv"])
 
 
 def test_comparison_csv_and_table():
     merged = merge_reports(
-        [_report(strategy=s, stages=(0, 1)) for s in STRATEGIES], {}
+        [_report(strategy=s, stages=(0, 1)) for s in STRATEGIES]
     )
     csv_text = comparison_csv(merged)
     lines = csv_text.splitlines()
@@ -451,6 +505,12 @@ def test_load_dataset_rejects_missing_pieces(tmp_path):
         load_dataset(str(tmp_path))
     (tmp_path / "chunk0").mkdir()
     write_manifest([], str(tmp_path / "chunk0" / "manifest.tsv"))
+    (tmp_path / "chunk2").mkdir()
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(tmp_path))
+    assert str(exc.value) == (f"{tmp_path / 'chunk2'}: chunk directory after "
+                              f"the missing {tmp_path / 'chunk1' / 'manifest.tsv'}")
+    (tmp_path / "chunk2").rename(tmp_path / "chunk2.old")  # not chunk + digits
     with pytest.raises(DataError, match="missing test manifest"):
         load_dataset(str(tmp_path))
     (tmp_path / "test").mkdir()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +201,8 @@ def test_read_manifest_missing_file(tmp_path):
 def test_write_manifest_empty_list(tmp_path):
     path = tmp_path / "manifest.tsv"
     write_manifest([], str(path))
-    assert read_manifest(str(path)) == []
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: empty manifest$"):
+        read_manifest(str(path))
 
 
 # -- scenarios -------------------------------------------------------------
