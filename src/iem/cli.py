@@ -17,7 +17,7 @@ import sys
 from . import harness, pgm, synth
 from .errors import DataError, NumericError, read_lines
 from .selection import ERROR_WEIGHT_NAMES, SelectionConfig
-from .trainer import AugmentRecipe, TrainConfig, load_params
+from .trainer import TrainConfig, load_params
 
 _STRATEGY_ALIASES = {
     "full": "baseline_full",
@@ -26,25 +26,11 @@ _STRATEGY_ALIASES = {
     "naive": "naive_finetune",
 }
 
-_BOOL_VALUES = {
-    "1": True, "true": True, "yes": True,
-    "0": False, "false": False, "no": False,
-}
-
-
-def _parse_bool(text):
-    try:
-        return _BOOL_VALUES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
-# every int, float or bool field of the three configs is a key
-_PARSERS = {int: int, float: float, bool: _parse_bool}
+# every int or float field of the two configs is a key
 CONFIG_KEYS = {
-    f.name: _PARSERS[f.type]
-    for cls in (SelectionConfig, TrainConfig, AugmentRecipe)
-    for f in dataclasses.fields(cls) if f.type in _PARSERS
+    f.name: f.type
+    for cls in (SelectionConfig, TrainConfig)
+    for f in dataclasses.fields(cls) if f.type in (int, float)
 }
 CONFIG_KEYS.update(
     {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
@@ -102,9 +88,8 @@ def make_configs(values):
                                  SelectionConfig.error_weights)
     )
     try:
-        recipe = _from_values(AugmentRecipe, values)
         selcfg = _from_values(SelectionConfig, values, error_weights=weights)
-        traincfg = _from_values(TrainConfig, values, recipe=recipe)
+        traincfg = _from_values(TrainConfig, values)
     except ValueError as exc:
         raise DataError(f"bad configuration: {exc}") from exc
     return selcfg, traincfg

@@ -35,7 +35,7 @@ from . import metrics, pgm
 from .errors import DataError, read_lines
 from .kernels import shape_blocks
 from .pool import PoolState, add_chunk, save_state
-from .selection import partition_number_for
+from .selection import compute_partition_number
 from .synth import MANIFEST_NAME, read_manifest
 from .trainer import (
     forward,
@@ -57,6 +57,9 @@ TIMINGS_NAME = "timings.csv"
 TRACE_NAME = "trace.txt"
 CHECKPOINT_NAME = "checkpoint.txt"
 POOL_NAME = "pool.tsv"
+
+# the value each "# key=value" line of a report may hold
+_ANNOTATIONS = {"seed": r"[0-9]+", "config": r"[0-9a-f]{12}"}
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,7 @@ def evaluate_model(params, pairs, selcfg):
     for block in shape_blocks(pairs):
         masks = np.stack([mask for _, mask in block])
         preds = metrics.binarize(
-            forward(params, np.stack([img for img, _ in block])),
-            selcfg.binarize_threshold,
-        )
+            forward(params, np.stack([img for img, _ in block])))
         matched, false_pos, false_neg = metrics.lesion_counts(
             preds, masks, selcfg.tau)
         tp += int(matched.sum())
@@ -128,7 +129,7 @@ def stage_budgets(train_chunks, selcfg):
     """Presentation allowance per stage, before the epoch multiplier."""
     budgets = [selcfg.iterations_per_step * len(train_chunks[0])]
     for chunk in train_chunks[1:]:
-        budgets.append(selcfg.iterations_per_step * 4 * partition_number_for(selcfg, chunk))
+        budgets.append(selcfg.iterations_per_step * 4 * compute_partition_number(chunk))
     return budgets
 
 
@@ -173,7 +174,7 @@ def _run_naive(params, pool, trace_round, train_chunks, selcfg, traincfg, reader
     yield 0, len(train_chunks[0])
     for stage, chunk in enumerate(train_chunks[1:], start=1):
         rng = np.random.default_rng([selcfg.seed, stage])
-        batch_size = 4 * partition_number_for(selcfg, chunk)
+        batch_size = 4 * compute_partition_number(chunk)
         examples = _cycle(_pairs(chunk, reader), rng)
         for _ in range(selcfg.iterations_per_step):
             train_on_subset(params, list(islice(examples, batch_size)),
@@ -202,7 +203,7 @@ def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
     """
     for i, chunk in enumerate(train_chunks):
         add_chunk(pool, chunk, i)
-    K = partition_number_for(selcfg, train_chunks[-1])
+    K = compute_partition_number(train_chunks[-1])
     rounds = sum(stage_budgets(train_chunks, selcfg)) // (4 * K)
     mine(pool, params, K, rounds, selcfg, traincfg, trace_round)
     yield pool.stage, None
@@ -319,8 +320,12 @@ def read_report_fragment(path):
     for lineno, line in enumerate(read_lines(path, "report"), start=1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
+            if key not in _ANNOTATIONS:
+                raise DataError(f"{path}:{lineno}: unknown annotation {key!r}")
             if key in meta:
                 raise DataError(f"{path}:{lineno}: repeated annotation {key!r}")
+            if not re.fullmatch(_ANNOTATIONS[key], value):
+                raise DataError(f"{path}:{lineno}: bad {key} {value!r}")
             meta[key] = value
         elif line:
             body.append((lineno, line))
@@ -429,8 +434,8 @@ def load_dataset(data_dir):
     """Read chunk0..chunkN and test manifests from a generated data tree.
 
     Every manifest must list at least one example, no example id may
-    appear in two train manifests, and no chunk directory may come after
-    the first missing manifest.
+    appear in two train manifests, and no chunk directory may lack its
+    manifest or come after the first missing one.
     """
     manifests = []
     while os.path.isfile(manifest := os.path.join(
@@ -439,11 +444,13 @@ def load_dataset(data_dir):
     if not manifests:
         raise DataError(f"no chunk manifests under {data_dir}")
     later = sorted((int(name[5:]), name) for name in os.listdir(data_dir)
-                   if re.fullmatch(r"chunk\d+", name) and int(name[5:]) > len(manifests)
+                   if re.fullmatch(r"chunk\d+", name) and int(name[5:]) >= len(manifests)
                    and os.path.isdir(os.path.join(data_dir, name)))
     if later:
-        raise DataError(f"{os.path.join(data_dir, later[0][1])}: chunk directory "
-                        f"after the missing {manifest}")
+        index, name = later[0]
+        where = "without its" if index == len(manifests) else "after the missing"
+        raise DataError(f"{os.path.join(data_dir, name)}: chunk directory "
+                        f"{where} {manifest}")
     test_manifest = os.path.join(data_dir, "test", MANIFEST_NAME)
     if not os.path.isfile(test_manifest):
         raise DataError(f"missing test manifest {test_manifest}")

@@ -21,6 +21,7 @@ import numpy as np
 from . import kernels
 
 CLAMP_EPS = 1e-7
+BINARIZE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,9 @@ def jaccard_index(a, b):
     return float(ji) if a.ndim == 2 else ji
 
 
-def binarize(p, threshold=0.5):
-    """Boolean mask with pixels on where p >= threshold (inclusive)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0,1), got {threshold}")
-    return np.asarray(p, dtype=np.float64) >= threshold
+def binarize(p):
+    """Boolean mask with pixels on where p >= 0.5 (inclusive)."""
+    return np.asarray(p, dtype=np.float64) >= BINARIZE_THRESHOLD
 
 
 def connected_components(mask):
@@ -214,8 +213,7 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
     return L + w_fp * fp + w_fn * fn + w_ji * (1.0 - ji)
 
 
-def evaluate_examples(probs, gt_masks, tau=0.5, threshold=0.5,
-                      weights=(1.0, 1.0, 1.0)):
+def evaluate_examples(probs, gt_masks, tau=0.5, weights=(1.0, 1.0, 1.0)):
     """Per-example breakdowns of an (n, h, w) stack of probability maps.
 
     Returns a list of n ``MetricsBreakdown``s, each equal to what
@@ -224,7 +222,7 @@ def evaluate_examples(probs, gt_masks, tau=0.5, threshold=0.5,
     probs = np.asarray(probs, dtype=np.float64)
     gt_masks = np.asarray(gt_masks, dtype=np.bool_)
     _check_same_shape(probs, gt_masks)
-    pred_masks = binarize(probs, threshold)
+    pred_masks = binarize(probs)
     _, fps, fns = lesion_counts(pred_masks, gt_masks, tau)
     losses = kernels.cross_entropy_sum(probs, gt_masks, CLAMP_EPS)
     out = []
@@ -238,11 +236,10 @@ def evaluate_examples(probs, gt_masks, tau=0.5, threshold=0.5,
     return out
 
 
-def evaluate_example(prob, gt_mask, tau=0.5, threshold=0.5,
-                     weights=(1.0, 1.0, 1.0)):
+def evaluate_example(prob, gt_mask, tau=0.5, weights=(1.0, 1.0, 1.0)):
     """Full per-example breakdown of a probability map against its mask."""
     return evaluate_examples(np.asarray(prob)[None], np.asarray(gt_mask)[None],
-                             tau, threshold, weights)[0]
+                             tau, weights)[0]
 
 
 def evaluate_detection(pred_masks, gt_masks, tau=0.5):

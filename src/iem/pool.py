@@ -113,15 +113,14 @@ def error_terms(items, predict, cfg):
     Yields (tag, E) in item order. ``predict`` maps an (n, h, w) image
     stack to its probability maps; it sees blocks of up to 16 consecutive
     same-shape images, and each item's E equals what its image and mask
-    give alone. Metric knobs (tau, binarize threshold, error weights)
-    come from the selection config ``cfg``.
+    give alone. Metric knobs (tau, error weights) come from the selection
+    config ``cfg``.
     """
     for block in shape_blocks(items):
         breakdowns = metrics.evaluate_examples(
             predict(np.stack([img for img, _, _ in block])),
             np.stack([mask for _, mask, _ in block]),
-            tau=cfg.tau, threshold=cfg.binarize_threshold,
-            weights=cfg.error_weights,
+            tau=cfg.tau, weights=cfg.error_weights,
         )
         for (_, _, tag), breakdown in zip(block, breakdowns):
             yield tag, breakdown.E

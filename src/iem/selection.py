@@ -15,43 +15,38 @@ from dataclasses import dataclass, fields
 # the error_weights entries, in order; config key error_weight_<name>
 ERROR_WEIGHT_NAMES = ("fp", "fn", "ji")
 
+# deleted fields at their old values, hashed before the field each one
+# preceded, so the digests of earlier reports hold
+_RETIRED = {"d": "K=0|", "seed": "variant='full'|binarize_threshold=0.5|"}
+
 
 @dataclass
 class SelectionConfig:
     """Hyperparameters of the mining loop.
 
-    K       partition number: size of each of the four subset categories;
-            0 means derive it per stage from the new chunk's positive count
     d       dropping number: selection count beyond which an example is
             marked an outlier and excluded
     t       augmented views per example when refreshing its error
     iterations_per_step   selection/training rounds per incremental stage
     tau     IoU threshold for lesion matching
-    binarize_threshold    probability cutoff for prediction masks
     seed    base seed for all derived random streams
     error_weights         (fp, fn, 1-ji) weights in the error term
     """
 
-    K: int = 0
     d: int = 10
     t: int = 4
     iterations_per_step: int = 10
     tau: float = 0.5
-    binarize_threshold: float = 0.5
     seed: int = 0
     error_weights: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("K must be >= 0 (0 selects the per-chunk rule)")
         if self.d < 1 or self.t < 1 or self.iterations_per_step < 1:
             raise ValueError("d, t and iterations_per_step must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0,1], got {self.tau}")
-        if not 0.0 < self.binarize_threshold < 1.0:
-            raise ValueError("binarize_threshold must lie in (0,1)")
         if len(self.error_weights) != len(ERROR_WEIGHT_NAMES):
             raise ValueError("error_weights must have three entries")
         for name, weight in zip(ERROR_WEIGHT_NAMES, self.error_weights):
@@ -61,9 +56,8 @@ class SelectionConfig:
 
     def fingerprint(self):
         """Short stable digest of the configuration."""
-        # the deleted field variant='full' stays: old digests and reports hold
-        text = "|".join(f"{f.name}={getattr(self, f.name)!r}"
-                        + ("|variant='full'" if f.name == "tau" else "")
+        text = "|".join(_RETIRED.get(f.name, "")
+                        + f"{f.name}={getattr(self, f.name)!r}"
                         for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -93,11 +87,6 @@ def compute_partition_number(chunk):
         raise ValueError("cannot compute partition number of an empty chunk")
     positives = sum(1 for record in chunk if record.label == "positive")
     return max(positives, 1)
-
-
-def partition_number_for(cfg, chunk):
-    """Effective K for a stage: the configured override, or the chunk rule."""
-    return cfg.K if cfg.K > 0 else compute_partition_number(chunk)
 
 
 def _shuffled(items, rng):

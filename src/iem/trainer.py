@@ -12,8 +12,7 @@ per line with 17 significant digits.
 
 import math
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import DataError, NumericError, read_lines
 from .kernels import local_mean_std, shape_blocks
 from .pool import (add_chunk, error_terms, record_training_update,
                    refresh_errors)
-from .selection import partition_number_for, select_subset
+from .selection import compute_partition_number, select_subset
 
 MODEL_FORMAT = "iem-model/1"
 N_FEATURES = 4
@@ -43,35 +42,10 @@ def init_params():
 
 
 @dataclass(frozen=True)
-class AugmentRecipe:
-    """Which views an example can present during training and error refresh."""
-
-    horizontal_flip: bool = True
-    vertical_flip: bool = True
-    jitter: float = 0.1  # max absolute global intensity offset; 0 disables
-
-    def __post_init__(self):
-        if not math.isfinite(self.jitter) or self.jitter < 0:
-            raise ValueError(
-                f"jitter must be a finite number >= 0, got {self.jitter}")
-
-    @cached_property
-    def views(self):
-        """Names of the enabled views, in view-index order."""
-        enabled = (True, self.horizontal_flip, self.vertical_flip, self.jitter > 0)
-        names = ("identity", "hflip", "vflip", "jitter")
-        return tuple(name for name, on in zip(names, enabled) if on)
-
-    @property
-    def n_views(self):
-        return len(self.views)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
     epochs_per_iteration: int = 1
-    recipe: AugmentRecipe = field(default_factory=AugmentRecipe)
+    jitter: float = 0.1  # max absolute global intensity offset; 0 drops the view
 
     def __post_init__(self):
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
@@ -79,6 +53,14 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         if self.epochs_per_iteration < 1:
             raise ValueError("epochs_per_iteration must be >= 1")
+        if not math.isfinite(self.jitter) or self.jitter < 0:
+            raise ValueError(
+                f"jitter must be a finite number >= 0, got {self.jitter}")
+
+    @property
+    def n_views(self):
+        """Identity, h-flip and v-flip, then jitter when it is > 0."""
+        return 4 if self.jitter > 0 else 3
 
 
 def featurize(img):
@@ -130,25 +112,25 @@ def feature_gradient(params, feats, mask):
     return np.einsum("ijk,ij->k", feats, residual) / residual.size
 
 
-def augment(img, mask, recipe, rng, j):
+def augment(img, mask, cfg, rng, j):
     """The j-th augmented view of an image/mask pair, j >= 1.
 
-    Views are ordered identity, horizontal flip, vertical flip, jitter,
-    restricted to those the recipe enables; j wraps modulo the view
-    count. Flips transform image and mask identically; jitter adds one
-    rng-drawn global offset to the image only, clamped to [0,1].
-    Identity returns the inputs and flips slice them, so only jitter
-    allocates; callers copy a view before writing to it.
+    Views are ordered identity, horizontal flip, vertical flip, then
+    jitter when ``cfg.jitter`` > 0; j wraps modulo the view count. Flips
+    transform image and mask identically; jitter adds one rng-drawn
+    global offset to the image only, clamped to [0,1]. Identity returns
+    the inputs and flips slice them, so only jitter allocates; callers
+    copy a view before writing to it.
     """
     if j < 1:
         raise ValueError(f"view index must be >= 1, got {j}")
-    view = recipe.views[(j - 1) % recipe.n_views]
-    if view == "hflip":
+    view = (j - 1) % cfg.n_views
+    if view == 1:
         return img[:, ::-1], mask[:, ::-1]
-    if view == "vflip":
+    if view == 2:
         return img[::-1], mask[::-1]
-    if view == "jitter":
-        delta = rng.uniform(-recipe.jitter, recipe.jitter)
+    if view == 3:
+        delta = rng.uniform(-cfg.jitter, cfg.jitter)
         return np.clip(img + delta, 0.0, 1.0), mask
     return img, mask
 
@@ -166,12 +148,12 @@ def train_on_subset(params, examples, cfg, rng):
     """
     if not examples:
         raise ValueError("training subset must be nonempty")
-    n_views = cfg.recipe.n_views
+    n_views = cfg.n_views
     for _ in range(cfg.epochs_per_iteration):
         order = rng.permutation(len(examples))
         for block in shape_blocks(examples[i] for i in order):
             views = [
-                augment(img, mask, cfg.recipe, rng,
+                augment(img, mask, cfg, rng,
                         int(rng.integers(1, n_views + 1)))
                 for img, mask in block
             ]
@@ -191,7 +173,7 @@ def train_on_subset(params, examples, cfg, rng):
     return params
 
 
-def augmented_error_terms(params, pairs, selcfg, recipe, rngs):
+def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
     """Error terms of each pair's t augmented views under the current model.
 
     ``rngs`` holds one generator per (image, mask) pair, which draws
@@ -200,7 +182,7 @@ def augmented_error_terms(params, pairs, selcfg, recipe, rngs):
     scored in same-shape blocks that may span pairs.
     """
     views = (
-        augment(img, mask, recipe, rng, j) + (n,)
+        augment(img, mask, traincfg, rng, j) + (n,)
         for n, ((img, mask), rng) in enumerate(zip(pairs, rngs))
         for j in range(1, selcfg.t + 1)
     )
@@ -240,7 +222,7 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
             train_on_subset(params, [pool.pair(i) for i in ids], traincfg, rng)
             ids = sorted(ids)
             errors = augmented_error_terms(
-                params, [pool.pair(i) for i in ids], selcfg, traincfg.recipe,
+                params, [pool.pair(i) for i in ids], selcfg, traincfg,
                 [example_rng(selcfg.seed, stage, iteration, i) for i in ids],
             )
             for example_id, example_errors in zip(ids, errors):
@@ -257,7 +239,7 @@ def incremental_step(pool, params, selcfg, traincfg, new_chunk, trace=None):
     iterations_per_step mining rounds (see ``mine``).
     """
     stage = 0 if not pool.records else pool.stage + 1
-    K = partition_number_for(selcfg, new_chunk)
+    K = compute_partition_number(new_chunk)
     add_chunk(pool, new_chunk, stage)
     mine(pool, params, K, selcfg.iterations_per_step, selcfg, traincfg, trace)
     return pool, params

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import glob
 import os
 import platform
 import re
@@ -18,8 +19,7 @@ from iem import cli, harness, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
-from iem.trainer import (AugmentRecipe, TrainConfig, init_params,
-                         load_params, save_params)
+from iem.trainer import TrainConfig, init_params, load_params, save_params
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
 
@@ -64,29 +64,33 @@ def test_config_file_parsing(tmp_path):
     path.write_text(
         "# comment line\n"
         "\n"
-        "K = 3\n"
+        "d = 3\n"
         "learning_rate=0.25\n"
-        "horizontal_flip=no\n"
+        "jitter=0\n"
         "error_weight_fp=0\n"
         "error_weight_fn = 0\n"
     )
     values = read_config_file(str(path))
-    assert values == {"K": 3, "learning_rate": 0.25, "horizontal_flip": False,
+    assert values == {"d": 3, "learning_rate": 0.25, "jitter": 0.0,
                       "error_weight_fp": 0.0, "error_weight_fn": 0.0}
     selcfg, traincfg = make_configs(values)
-    assert selcfg.K == 3 and selcfg.error_weights == (0.0, 0.0, 1.0)
-    assert traincfg.learning_rate == 0.25
-    assert not traincfg.recipe.horizontal_flip
+    assert selcfg.d == 3 and selcfg.error_weights == (0.0, 0.0, 1.0)
+    assert traincfg.learning_rate == 0.25 and traincfg.jitter == 0.0
 
 
 @pytest.mark.parametrize(
     "text, complaint",
     [
         ("mystery=1\n", "unknown config key"),
-        ("K=3\nK=4\n", "duplicate config key"),
+        ("d=3\nd=4\n", "duplicate config key"),
         ("d=many\n", "bad value for d"),
         ("just-a-word\n", "expected key=value"),
-        ("horizontal_flip=maybe\n", "bad value for horizontal_flip"),
+        # settings that are no longer options: K is the new chunk's
+        # positive count, 0.5 binarizes, and both flips are always views
+        ("K=3\n", "unknown config key 'K'"),
+        ("binarize_threshold=0.6\n", "unknown config key 'binarize_threshold'"),
+        ("horizontal_flip=no\n", "unknown config key 'horizontal_flip'"),
+        ("vertical_flip=no\n", "unknown config key 'vertical_flip'"),
     ],
 )
 def test_config_file_rejects(tmp_path, text, complaint):
@@ -103,7 +107,7 @@ def test_config_file_rejects(tmp_path, text, complaint):
 def test_a_variant_line_names_what_replaces_it(tmp_path, capsys, value,
                                                replacement):
     path = tmp_path / "run.cfg"
-    path.write_text(f"K=3\nvariant={value}\n")
+    path.write_text(f"d=3\nvariant={value}\n")
     argv = ["train", "--strategy", "iem", "--data", str(tmp_path / "data"),
             "--out", str(tmp_path / "out"), "--config", str(path)]
     assert cli.main(argv) == 3
@@ -113,17 +117,17 @@ def test_a_variant_line_names_what_replaces_it(tmp_path, capsys, value,
 
 def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_bytes(b"K=3\n# caf\xe9\n")
+    path.write_bytes(b"d=3\n# caf\xe9\n")
     with pytest.raises(DataError, match=r"run\.cfg:2: .*byte 0xe9"):
         read_config_file(str(path))
 
 
 def test_config_file_ignores_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.cfg"
-    path.write_bytes(b"\xef\xbb\xbfK=3\n")
-    assert read_config_file(str(path)) == {"K": 3}
+    path.write_bytes(b"\xef\xbb\xbfd=3\n")
+    assert read_config_file(str(path)) == {"d": 3}
     # the mark holds no newline, so a bad byte is still named by its line
-    path.write_bytes(b"\xef\xbb\xbfK=3\n# caf\xe9\n")
+    path.write_bytes(b"\xef\xbb\xbfd=3\n# caf\xe9\n")
     with pytest.raises(DataError, match=r"bom\.cfg:2: .*byte 0xe9"):
         read_config_file(str(path))
 
@@ -132,12 +136,11 @@ def test_config_keys_are_the_config_fields():
     # the keys are derived from the dataclasses; a field added to one of
     # them must show up here as a deliberate change
     assert CONFIG_KEYS == {
-        "K": int, "d": int, "t": int, "iterations_per_step": int,
-        "seed": int, "tau": float, "binarize_threshold": float,
+        "d": int, "t": int, "iterations_per_step": int,
+        "seed": int, "tau": float,
         "error_weight_fp": float, "error_weight_fn": float,
         "error_weight_ji": float, "learning_rate": float,
         "epochs_per_iteration": int, "jitter": float,
-        "horizontal_flip": cli._parse_bool, "vertical_flip": cli._parse_bool,
     }
 
 
@@ -154,7 +157,7 @@ def test_readme_config_table_lists_every_key_and_its_default():
             keys = [f"{prefix}_{n}" for n in names.split("/")]
         documented.update(dict.fromkeys(keys, default.strip("`")))
     defaults = {f.name: f.default
-                for cls in (SelectionConfig, TrainConfig, AugmentRecipe)
+                for cls in (SelectionConfig, TrainConfig)
                 for f in dataclasses.fields(cls)}
     for name, weight in zip(ERROR_WEIGHT_NAMES, SelectionConfig.error_weights):
         defaults[f"error_weight_{name}"] = weight
@@ -191,21 +194,19 @@ def test_make_configs_wraps_validation_errors():
 
 def test_every_config_key_round_trips(tmp_path):
     sample = {
-        "K": "2", "d": "3", "t": "2", "iterations_per_step": "4", "seed": "9",
-        "tau": "0.4", "binarize_threshold": "0.6",
+        "d": "3", "t": "2", "iterations_per_step": "4", "seed": "9",
+        "tau": "0.4",
         "error_weight_fp": "0.5", "error_weight_fn": "0.25",
         "error_weight_ji": "2.0", "learning_rate": "0.1",
         "epochs_per_iteration": "2", "jitter": "0.05",
-        "horizontal_flip": "true", "vertical_flip": "false",
     }
     assert set(sample) == set(CONFIG_KEYS)
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{k}={v}\n" for k, v in sample.items()))
     selcfg, traincfg = make_configs(read_config_file(str(path)))
-    assert selcfg.K == 2 and selcfg.seed == 9 and selcfg.tau == 0.4
+    assert selcfg.d == 3 and selcfg.seed == 9 and selcfg.tau == 0.4
     assert selcfg.error_weights == (0.5, 0.25, 2.0)
-    assert traincfg.epochs_per_iteration == 2
-    assert traincfg.recipe.jitter == 0.05 and not traincfg.recipe.vertical_flip
+    assert traincfg.epochs_per_iteration == 2 and traincfg.jitter == 0.05
 
 
 # -- gen -------------------------------------------------------------------
@@ -489,7 +490,7 @@ def _non_utf8_checkpoint(data, tmp_path):
 def _non_utf8_report(data, tmp_path):
     good = tmp_path / "report.csv"
     harness.write_report_fragment(harness.StrategyReport(
-        "naive_finetune", 0, "cfg",
+        "naive_finetune", 0, "e47f77e1728a",
         (harness.StageResult(0, 0.5, 0.5, 0.5, 0.5, 0.0, 1),)), good)
     bad = tmp_path / "other" / "report.csv"
     bad.parent.mkdir()
@@ -504,7 +505,8 @@ def _compare_with(tmp_path, examples, seconds):
     other.mkdir()
     for path, row in ((tmp_path / "report.csv", "naive_finetune,0,0.5,0.5,0.5,0.5,1"),
                       (other / "report.csv", f"baseline_full,0,1,1,1,1,{examples}")):
-        path.write_text(f"# seed=0\n# config=cfg\n{harness.REPORT_HEADER}\n{row}\n")
+        path.write_text(
+            f"# seed=0\n# config=e47f77e1728a\n{harness.REPORT_HEADER}\n{row}\n")
     (other / "timings.csv").write_text(
         f"{harness.TIMINGS_HEADER}\nbaseline_full,0,{seconds}\n")
     return ["compare", str(tmp_path / "report.csv"), str(other / "report.csv")], other
@@ -549,10 +551,17 @@ def _chunk_after_a_gap(data, tmp_path):
     return _train_argv(data, tmp_path, "naive"), data / "chunk2"
 
 
+def _last_chunk_without_its_manifest(data, tmp_path):
+    manifest = data / "chunk2" / "manifest.tsv"
+    manifest.unlink()
+    return _train_argv(data, tmp_path, "naive"), manifest
+
+
 @pytest.mark.parametrize("make_case", [
     _non_utf8_config, _non_utf8_manifest, _non_utf8_checkpoint,
     _non_utf8_report, _nan_seconds, _negative_examples, _repeated_id,
     _mask_of_another_size, _flipped_label, _chunk_after_a_gap,
+    _last_chunk_without_its_manifest,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
                                          make_case):
@@ -622,7 +631,8 @@ def test_compare_takes_each_report_its_own_timings(tmp_path, capsys):
             ("b", "naive_finetune", "naive_finetune,0,1.0\n")):
         (tmp_path / name).mkdir()
         (tmp_path / name / "report.csv").write_text(
-            f"# seed=0\n# config=cfg\n{harness.REPORT_HEADER}\n{strategy},{row}\n")
+            f"# seed=0\n# config=e47f77e1728a\n{harness.REPORT_HEADER}\n"
+            f"{strategy},{row}\n")
         (tmp_path / name / "timings.csv").write_text(
             f"{harness.TIMINGS_HEADER}\n{timings}")
     assert cli.main(["compare", str(tmp_path / "b" / "report.csv"),
@@ -668,16 +678,28 @@ def test_a_module_import_loads_only_what_it_needs(module):
     assert out.stdout.strip() == "[]"
 
 
+def _python310():
+    """A python3.10 that runs: the one on PATH, else one that pyenv
+    installed under $PYENV_ROOT (default ~/.pyenv); None if neither runs."""
+    pyenv = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    installed = sorted(glob.glob(
+        os.path.join(pyenv, "versions", "3.10*", "bin", "python3.10")))
+    for exe in [shutil.which("python3.10"), *installed]:
+        probe = exe and subprocess.run(
+            [exe, "-I", "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True, text=True)
+        if probe and probe.stdout.strip() == "(3, 10)":
+            return exe
+    return None
+
+
 def test_sources_compile_on_the_oldest_supported_python():
     # pyproject says requires-python >=3.10: no later syntax, and no regex
     # feature such as a possessive quantifier, may slip into src. compile()
     # writes no bytecode into the tree.
-    exe = shutil.which("python3.10")
-    probe = exe and subprocess.run(
-        [exe, "-I", "-c", "import sys; print(sys.version_info[:2])"],
-        capture_output=True, text=True)
-    if not probe or probe.stdout.strip() != "(3, 10)":
-        pytest.skip("no python3.10 on PATH that runs")
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no python3.10 that runs, on PATH or under pyenv")
     code = ("import pathlib, re, sys\n"
             "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.py')):\n"
             "    compile(path.read_bytes(), str(path), 'exec')\n"

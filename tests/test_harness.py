@@ -33,7 +33,8 @@ def _row(stage, value=0.5, examples=10):
                        jaccard=value, seconds=0.25, examples_trained=examples)
 
 
-def _report(strategy="iem_incremental", stages=(0, 1), seed=3, config="cfg"):
+def _report(strategy="iem_incremental", stages=(0, 1), seed=3,
+            config="e47f77e1728a"):
     return StrategyReport(strategy=strategy, seed=seed, config_hash=config,
                           rows=tuple(_row(s) for s in stages))
 
@@ -67,12 +68,6 @@ def test_stage_budgets_arithmetic(tiny_dataset):
     cfg = SelectionConfig(seed=0, iterations_per_step=3)
     # 3 passes over the 24-image chunk, then 3 batches of 4K = 16
     assert stage_budgets(chunks, cfg) == [72, 48, 48]
-
-
-def test_stage_budgets_k_override(tiny_dataset):
-    chunks, _ = tiny_dataset
-    cfg = SelectionConfig(seed=0, iterations_per_step=2, K=3)
-    assert stage_budgets(chunks, cfg) == [48, 24, 24]
 
 
 # -- strategy runs ---------------------------------------------------------
@@ -255,8 +250,7 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
     preds, gts = [], []
     for rec in test_records:
         img, mask = cache.pair(rec.image_ref, rec.mask_ref)
-        preds.append(metrics.binarize(forward(params, img),
-                                      selcfg.binarize_threshold))
+        preds.append(metrics.binarize(forward(params, img)))
         gts.append(mask)
     jis = [metrics.jaccard_index(p, g) for p, g in zip(preds, gts)]
     want = (*metrics.evaluate_detection(preds, gts, selcfg.tau),
@@ -269,7 +263,7 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
 def test_evaluate_model_perfect_and_mixed(tmp_path):
     # steep weights turn unit pixels into confident detections
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -25.0]))
-    cfg = SelectionConfig(K=1)
+    cfg = SelectionConfig()
 
     def decoded(records):
         return [pair(rec.image_ref, rec.mask_ref) for rec in records]
@@ -298,7 +292,7 @@ def test_evaluate_model_perfect_and_mixed(tmp_path):
 
 def test_fragment_round_trip(tmp_path):
     report = StrategyReport(
-        strategy="naive_finetune", seed=11, config_hash="deadbeef",
+        strategy="naive_finetune", seed=11, config_hash="deadbeef0123",
         rows=(StageResult(0, 0.125, 0.25, 0.5, 0.75, 1.5, 40),
               StageResult(1, 0.5, 0.5, 0.5, 0.984375, 2.5, 80)),
     )
@@ -306,7 +300,7 @@ def test_fragment_round_trip(tmp_path):
     write_report_fragment(report, path)
     back = read_report_fragment(path)
     assert back.strategy == report.strategy
-    assert back.seed == 11 and back.config_hash == "deadbeef"
+    assert back.seed == 11 and back.config_hash == "deadbeef0123"
     for got, want in zip(back.rows, report.rows):
         assert got.stage == want.stage
         assert got.precision == want.precision
@@ -335,7 +329,7 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
         (lambda t: t.replace("0.500000,10", "zz,10"), "bad value"),
         (lambda t: t.replace("incremental,1,0.5", "incremental,1,zz"),
          r"report\.csv:5: bad value"),
-        (lambda t: "# seed=3\n# config=cfg\n", "empty report"),
+        (lambda t: "# seed=3\n# config=e47f77e1728a\n", "empty report"),
         (lambda t: "# seed=0\n" + t, r"report\.csv:2: repeated annotation 'seed'"),
         (lambda t: t + t.splitlines()[-1] + "\n",
          r"report\.csv:6: repeated stage 1"),
@@ -344,6 +338,17 @@ def test_fragment_rerun_is_byte_identical(tmp_path):
          r"report\.csv:4: bad value \(examples_trained must be >= 0, got -7\)"),
         (lambda t: t.replace("incremental,0,", "incremental,-1,"),
          r"report\.csv:4: bad value \(stage must be >= 0, got -1\)"),
+        # annotations no run writes: a negative seed, a config that is not
+        # 12 lowercase hex digits, any key but seed and config
+        (lambda t: t.replace("seed=3", "seed=-3"), r"report\.csv:1: bad seed '-3'"),
+        (lambda t: t.replace("config=e47f77e1728a", "config="),
+         r"report\.csv:2: bad config ''$"),
+        (lambda t: t.replace("config=e47f77e1728a", "config=E47F77E1728A"),
+         r"report\.csv:2: bad config 'E47F77E1728A'"),
+        (lambda t: t.replace("config=e47f77e1728a", "config=e47f77e1728"),
+         r"report\.csv:2: bad config 'e47f77e1728'"),
+        (lambda t: t.replace("\nstrategy,", "\n# extra=zzz\nstrategy,"),
+         r"report\.csv:3: unknown annotation 'extra'"),
     ],
 )
 def test_fragment_read_rejects_malformed(tmp_path, mangle, complaint):
@@ -511,6 +516,12 @@ def test_load_dataset_rejects_missing_pieces(tmp_path):
     assert str(exc.value) == (f"{tmp_path / 'chunk2'}: chunk directory after "
                               f"the missing {tmp_path / 'chunk1' / 'manifest.tsv'}")
     (tmp_path / "chunk2").rename(tmp_path / "chunk2.old")  # not chunk + digits
+    (tmp_path / "chunk1").mkdir()  # now the last chunk directory
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(tmp_path))
+    assert str(exc.value) == (f"{tmp_path / 'chunk1'}: chunk directory without "
+                              f"its {tmp_path / 'chunk1' / 'manifest.tsv'}")
+    (tmp_path / "chunk1").rmdir()
     with pytest.raises(DataError, match="missing test manifest"):
         load_dataset(str(tmp_path))
     (tmp_path / "test").mkdir()

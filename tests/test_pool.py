@@ -106,7 +106,7 @@ def test_refresh_errors_perfect_prediction(tmp_path):
     mask[1, 1] = True
     rec = _write_pair(tmp_path, "a", mask.astype(float), mask)
     pool = _pool(rec)
-    refresh_errors(pool, lambda img: img, SelectionConfig(K=1))
+    refresh_errors(pool, lambda img: img, SelectionConfig())
     assert pool.record_for("a").E <= 1e-6
 
 
@@ -116,7 +116,7 @@ def test_refresh_errors_hand_computed(tmp_path):
     mask = np.array([[True, False], [False, False]])
     rec = _write_pair(tmp_path, "a", img, mask)
     pool = _pool(rec)
-    refresh_errors(pool, lambda i: i, SelectionConfig(K=1))
+    refresh_errors(pool, lambda i: i, SelectionConfig())
     # prediction mask equals gt: fp = fn = 0, ji = 1, so E is just the loss
     p = np.rint(img * 255.0) / 255.0  # 8-bit storage quantization
     want = -(math.log(p[0, 0]) + 3 * math.log(1 - p[0, 1])) / 4
@@ -129,8 +129,7 @@ def test_refresh_errors_skips_dropped(tmp_path):
     rec = _write_pair(tmp_path, "a", np.zeros((4, 4)), mask)
     rec.dropped = True
     pool = _pool(rec)
-    refresh_errors(pool, lambda img: np.full_like(img, 0.5),
-                   SelectionConfig(K=1))
+    refresh_errors(pool, lambda img: np.full_like(img, 0.5), SelectionConfig())
     assert pool.record_for("a").E == 0.0
 
 

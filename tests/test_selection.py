@@ -8,7 +8,6 @@ from iem.pool import ExampleRecord, PoolState
 from iem.selection import (
     SelectionConfig,
     compute_partition_number,
-    partition_number_for,
     select_subset,
 )
 
@@ -172,19 +171,12 @@ def test_partition_number_rejects_empty_chunk():
         compute_partition_number([])
 
 
-def test_partition_number_for_honors_override():
-    chunk = [_rec("p0", "positive"), _rec("p1", "positive"),
-             _rec("n0", "negative")]
-    assert partition_number_for(SelectionConfig(K=7), chunk) == 7
-    assert partition_number_for(SelectionConfig(K=0), chunk) == 2
-
-
 # -- configuration ---------------------------------------------------------
 
 
 def test_config_defaults_are_valid():
     cfg = SelectionConfig()
-    assert cfg.K == 0 and cfg.d == 10 and cfg.t == 4
+    assert cfg.d == 10 and cfg.t == 4
     assert cfg.iterations_per_step == 10
     assert cfg.tau == 0.5 and cfg.error_weights == (1.0, 1.0, 1.0)
 
@@ -192,12 +184,13 @@ def test_config_defaults_are_valid():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"K": -1}, {"d": 0}, {"t": 0}, {"iterations_per_step": 0},
-        {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"binarize_threshold": 0.0},
-        {"binarize_threshold": 1.0}, {"error_weights": (1.0, 1.0)},
+        {"d": 0}, {"t": 0}, {"iterations_per_step": 0},
+        {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"tau": float("nan")},
+        {"error_weights": (1.0, 1.0)}, {"error_weights": (1.0,) * 4},
         {"error_weights": (float("nan"), 1.0, 1.0)},
         {"error_weights": (1.0, -1.0, 1.0)},
         {"error_weights": (1.0, 1.0, float("inf"))},
+        {"error_weights": (float("-inf"), 1.0, 1.0)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -13,7 +13,6 @@ from iem.pool import (ExampleRecord, PoolState, load_state, refresh_errors,
                       save_state)
 from iem.selection import SelectionConfig
 from iem.trainer import (
-    AugmentRecipe,
     ModelParams,
     TrainConfig,
     augment,
@@ -163,26 +162,34 @@ def _blob_pair():
 
 def test_augment_views_cycle_in_order():
     img, mask = _blob_pair()
-    recipe = AugmentRecipe()
+    cfg = TrainConfig()
     rng = np.random.default_rng(0)
-    ident_img, ident_mask = augment(img, mask, recipe, rng, 1)
+    ident_img, ident_mask = augment(img, mask, cfg, rng, 1)
     assert np.array_equal(ident_img, img) and np.array_equal(ident_mask, mask)
-    h_img, h_mask = augment(img, mask, recipe, rng, 2)
+    h_img, h_mask = augment(img, mask, cfg, rng, 2)
     assert np.array_equal(h_img, np.fliplr(img))
     assert np.array_equal(h_mask, np.fliplr(mask))
-    v_img, v_mask = augment(img, mask, recipe, rng, 3)
+    v_img, v_mask = augment(img, mask, cfg, rng, 3)
     assert np.array_equal(v_img, np.flipud(img))
     assert np.array_equal(v_mask, np.flipud(mask))
     # j wraps modulo the view count: view 5 is identity again
-    w_img, _ = augment(img, mask, recipe, rng, 5)
+    w_img, _ = augment(img, mask, cfg, rng, 5)
     assert np.array_equal(w_img, img)
+    # without jitter the three flip views remain, so view 4 is identity
+    cfg = TrainConfig(jitter=0.0)
+    want = [(img, mask), (np.fliplr(img), np.fliplr(mask)),
+            (np.flipud(img), np.flipud(mask)), (img, mask)]
+    for j, (want_img, want_mask) in enumerate(want, start=1):
+        got_img, got_mask = augment(img, mask, cfg, rng, j)
+        assert np.array_equal(got_img, want_img), j
+        assert np.array_equal(got_mask, want_mask), j
 
 
 def test_augment_flip_is_involution():
     img, mask = _blob_pair()
-    recipe = AugmentRecipe(jitter=0.0)
-    once_img, once_mask = augment(img, mask, recipe, np.random.default_rng(0), 2)
-    twice_img, twice_mask = augment(once_img, once_mask, recipe,
+    cfg = TrainConfig(jitter=0.0)
+    once_img, once_mask = augment(img, mask, cfg, np.random.default_rng(0), 2)
+    twice_img, twice_mask = augment(once_img, once_mask, cfg,
                                     np.random.default_rng(0), 2)
     assert np.array_equal(twice_img, img) and np.array_equal(twice_mask, mask)
 
@@ -191,8 +198,8 @@ def test_augment_jitter_shifts_image_only():
     img = np.full((3, 3), 0.5)
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 1] = True
-    recipe = AugmentRecipe(jitter=0.2)
-    j_img, j_mask = augment(img, mask, recipe, np.random.default_rng(3), 4)
+    cfg = TrainConfig(jitter=0.2)
+    j_img, j_mask = augment(img, mask, cfg, np.random.default_rng(3), 4)
     assert np.array_equal(j_mask, mask)
     delta = j_img[0, 0] - 0.5
     assert abs(delta) <= 0.2
@@ -200,29 +207,20 @@ def test_augment_jitter_shifts_image_only():
     assert j_img.min() >= 0.0 and j_img.max() <= 1.0
 
 
-def test_augment_disabled_views_collapse_to_identity():
-    img, mask = _blob_pair()
-    recipe = AugmentRecipe(horizontal_flip=False, vertical_flip=False, jitter=0.0)
-    assert recipe.n_views == 1
-    for j in (1, 2, 3):
-        a_img, a_mask = augment(img, mask, recipe, np.random.default_rng(0), j)
-        assert np.array_equal(a_img, img) and np.array_equal(a_mask, mask)
-
-
 def test_augment_rejects_bad_view_index():
     img, mask = _blob_pair()
     with pytest.raises(ValueError, match=">= 1"):
-        augment(img, mask, AugmentRecipe(), np.random.default_rng(0), 0)
+        augment(img, mask, TrainConfig(), np.random.default_rng(0), 0)
 
 
 def test_recipe_validation_and_view_count():
-    assert AugmentRecipe().n_views == 4
-    assert AugmentRecipe(vertical_flip=False).n_views == 3
+    assert TrainConfig().n_views == 4
+    assert TrainConfig(jitter=0.0).n_views == 3
     with pytest.raises(ValueError, match="jitter"):
-        AugmentRecipe(jitter=-0.1)
+        TrainConfig(jitter=-0.1)
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="jitter must be a finite"):
-            AugmentRecipe(jitter=value)
+            TrainConfig(jitter=value)
 
 
 # -- training --------------------------------------------------------------
@@ -255,8 +253,7 @@ def test_train_reduces_loss_and_counts_steps():
     mask = img > 0.5
     params = init_params()
     before = metrics.mean_cross_entropy(forward(params, img), mask)
-    cfg = TrainConfig(learning_rate=0.5, epochs_per_iteration=5,
-                      recipe=AugmentRecipe(jitter=0.0))
+    cfg = TrainConfig(learning_rate=0.5, epochs_per_iteration=5, jitter=0.0)
     train_on_subset(params, [(img, mask)], cfg, np.random.default_rng(0))
     after = metrics.mean_cross_entropy(forward(params, img), mask)
     assert after < before
@@ -332,8 +329,8 @@ def test_train_on_subset_equals_one_step_at_a_time():
     weights = np.array([0.5, -0.2, 0.1, 0.0])
     for _ in range(cfg.epochs_per_iteration):
         for idx in ref.permutation(len(examples)):
-            j = int(ref.integers(1, cfg.recipe.n_views + 1))
-            view, mask = augment(*examples[idx], cfg.recipe, ref, j)
+            j = int(ref.integers(1, cfg.n_views + 1))
+            view, mask = augment(*examples[idx], cfg, ref, j)
             weights = weights - cfg.learning_rate * gradient(
                 ModelParams(weights=weights), view, mask)
     assert np.array_equal(params.weights, weights)
@@ -345,18 +342,17 @@ def test_augmented_error_terms_equal_per_view_scores(t):
     rng = np.random.default_rng(8)
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
     selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
-    recipe = AugmentRecipe(jitter=0.2)
+    traincfg = TrainConfig(jitter=0.2)
     predicted = 0
     for i, (img, mask) in enumerate(_lesion_examples(rng, [(9, 9), (1, 8)])):
-        [got] = augmented_error_terms(sharp, [(img, mask)], selcfg, recipe,
+        [got] = augmented_error_terms(sharp, [(img, mask)], selcfg, traincfg,
                                       [example_rng(1, 0, 0, f"ex{i}")])
         views = example_rng(1, 0, 0, f"ex{i}")
         want = []
         for j in range(1, t + 1):
-            view, view_mask = augment(img, mask, recipe, views, j)
+            view, view_mask = augment(img, mask, traincfg, views, j)
             want.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
-                threshold=selcfg.binarize_threshold,
                 weights=selcfg.error_weights,
             ).E)
         assert got == want
@@ -373,24 +369,23 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
     pairs = _lesion_examples(rng, [(9, 9)] * 6 + [(7, 11)] * 3 + [(9, 9)])
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
     selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
-    recipe = AugmentRecipe(vertical_flip=False, jitter=0.2)
+    traincfg = TrainConfig(jitter=0.2)
     ids = [f"ex{i}" for i in range(len(pairs))]
-    got = augmented_error_terms(sharp, pairs, selcfg, recipe,
+    got = augmented_error_terms(sharp, pairs, selcfg, traincfg,
                                 [example_rng(2, 1, 0, i) for i in ids])
     want = []
     for (img, mask), example_id in zip(pairs, ids):
         views = example_rng(2, 1, 0, example_id)
         errors = []
         for j in range(1, t + 1):
-            view, view_mask = augment(img, mask, recipe, views, j)
+            view, view_mask = augment(img, mask, traincfg, views, j)
             errors.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
-                threshold=selcfg.binarize_threshold,
                 weights=selcfg.error_weights,
             ).E)
         want.append(errors)
     assert got == want
-    assert augmented_error_terms(sharp, [], selcfg, recipe, []) == []
+    assert augmented_error_terms(sharp, [], selcfg, traincfg, []) == []
 
 
 # -- example rng -----------------------------------------------------------
@@ -514,7 +509,7 @@ def test_incremental_step_error_audit(tmp_path):
         record = pool.record_for(rid)
         img, mask = cache.pair(record.image_ref, record.mask_ref)
         [errors] = augmented_error_terms(
-            params, [(img, mask)], selcfg, traincfg.recipe,
+            params, [(img, mask)], selcfg, traincfg,
             [example_rng(selcfg.seed, 0, 0, rid)],
         )
         assert record.E == pytest.approx(sum(errors) / len(errors), abs=1e-12)
