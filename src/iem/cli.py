@@ -132,7 +132,7 @@ def cmd_eval(args):
     selcfg, _ = make_configs(load_settings(args.config))
     pairs = (pgm.pair(rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
-        params, pairs, selcfg
+        params, pairs, selcfg.tau
     )
     print("precision,recall,f1,jaccard")
     print(f"{precision:.6f},{recall:.6f},{f1:.6f},{jaccard:.6f}")

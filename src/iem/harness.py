@@ -103,7 +103,7 @@ class StrategyReport:
         return self.rows[-1]
 
 
-def evaluate_model(params, pairs, selcfg):
+def evaluate_model(params, pairs, tau):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
     Runs over blocks of up to 16 same-shape (image, mask) test pairs,
@@ -116,8 +116,7 @@ def evaluate_model(params, pairs, selcfg):
         masks = np.stack([mask for _, mask in block])
         preds = metrics.binarize(
             forward(params, np.stack([img for img, _ in block])))
-        matched, false_pos, false_neg = metrics.lesion_counts(
-            preds, masks, selcfg.tau)
+        matched, false_pos, false_neg = metrics.lesion_counts(preds, masks, tau)
         tp += int(matched.sum())
         fp += int(false_pos.sum())
         fn += int(false_neg.sum())
@@ -254,7 +253,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
                 f"stage={stage}\tset_size={set_size}\tpresentations={presented}"
             )
         rows.append(StageResult(
-            stage, *evaluate_model(params, test_pairs, selcfg),
+            stage, *evaluate_model(params, test_pairs, selcfg.tau),
             seconds, presented,
         ))
         t0 = time.perf_counter()

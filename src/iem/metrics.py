@@ -144,12 +144,16 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
 
     Takes (n, h, w) stacks of predicted and true masks and returns three
     int arrays: what ``match_lesions`` counts on each image's
-    ``connected_components``. Both stacks are labeled in one call, and
-    one bincount over the (image, pred label, gt label) triple of every
-    pixel on in either mask gives each image's table of component sizes
-    and overlaps, hence every pair's IoU; the (0, 0) background cell,
-    never read, stays 0. When no component lies in two pairs with IoU >=
-    tau, every such pair is a match whatever the order. Otherwise
+    ``connected_components``. A prediction equal to its mask is settled
+    without labeling it: each component matches itself at IoU 1 and
+    overlaps no other, so matched is the mask's component count and
+    there is no false positive or negative. The differing predictions
+    and every mask are labeled in one call, and one bincount over the
+    (image, pred label, gt label) triple of every pixel on in either
+    mask of a differing image gives its table of component sizes and
+    overlaps, hence every pair's IoU; the (0, 0) background cell, never
+    read, stays 0. When no component lies in two pairs with IoU >= tau,
+    every such pair is a match whatever the order. Otherwise
     ``match_lesions`` runs on that image's ``connected_components``,
     since then their order can decide the count. That needs tau < 0.5: a
     component with IoU >= 0.5 against two disjoint ones would be their
@@ -160,18 +164,21 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
     pred_masks = np.asarray(pred_masks, dtype=np.bool_)
     gt_masks = np.asarray(gt_masks, dtype=np.bool_)
     _check_same_shape(pred_masks, gt_masks)
-    n = len(pred_masks)
-    labels, counts = kernels.label_components(
-        np.concatenate((pred_masks, gt_masks)))
-    n_pred, n_gt = counts[:n], counts[n:]
-    matched = np.zeros(n, dtype=np.intp)
-    if n_pred.any() and n_gt.any():
-        rows, cols = int(n_pred.max()) + 1, int(n_gt.max()) + 1
-        on = np.flatnonzero(pred_masks | gt_masks)
-        key = ((on // pred_masks[0].size * rows + labels[:n].ravel()[on])
-               * cols + labels[n:].ravel()[on])
-        table = np.bincount(key, minlength=n * rows * cols)
-        table = table.reshape(n, rows, cols)
+    differ = np.flatnonzero((pred_masks != gt_masks).any(axis=(-2, -1)))
+    m = differ.size
+    preds, gts = pred_masks[differ], gt_masks[differ]
+    labels, counts = kernels.label_components(np.concatenate((preds, gt_masks)))
+    n_gt = counts[m:]
+    pred_counts, gt_counts = counts[:m], n_gt[differ]
+    n_pred, matched = n_gt.copy(), n_gt.copy()
+    n_pred[differ], matched[differ] = pred_counts, 0
+    if pred_counts.any() and gt_counts.any():
+        rows, cols = int(pred_counts.max()) + 1, int(gt_counts.max()) + 1
+        on = np.flatnonzero(preds | gts)
+        key = ((on // preds[0].size * rows + labels[:m].ravel()[on])
+               * cols + labels[m:][differ].ravel()[on])
+        table = np.bincount(key, minlength=m * rows * cols)
+        table = table.reshape(m, rows, cols)
         k, p, g = np.nonzero(table[:, 1:, 1:])
         inter = table[:, 1:, 1:][k, p, g]
         union = (table[:, 1:].sum(axis=2)[k, p]
@@ -179,15 +186,15 @@ def lesion_counts(pred_masks, gt_masks, tau=0.5):
         iou = inter / union
         keep = iou >= tau
         k, p, g, iou = k[keep], p[keep], g[keep], iou[keep]
-        matched = np.bincount(k, minlength=n)
+        matched[differ] = np.bincount(k, minlength=m)
         pred_uses = np.bincount(k * rows + p)
         gt_uses = np.bincount(k * cols + g)
         if k.size and (pred_uses.max() > 1 or gt_uses.max() > 1):
             shared = (pred_uses[k * rows + p] > 1) | (gt_uses[k * cols + g] > 1)
             for image in set(k[shared].tolist()):
-                matched[image] = len(match_lesions(
-                    connected_components(pred_masks[image]),
-                    connected_components(gt_masks[image]), tau).matches)
+                matched[differ[image]] = len(match_lesions(
+                    connected_components(preds[image]),
+                    connected_components(gts[image]), tau).matches)
     return matched, n_pred - matched, n_gt - matched
 
 

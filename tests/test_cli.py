@@ -271,7 +271,7 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
         load_params(checkpoint),
         [cache.pair(r.image_ref, r.mask_ref)
          for r in synth.read_manifest(manifest)],
-        make_configs({})[0],
+        make_configs({})[0].tau,
     )
     assert line == ",".join(f"{v:.6f}" for v in want)
 
@@ -426,6 +426,19 @@ def test_eval_missing_checkpoint(tmp_path, tiny_dataset_dir):
                   "--test", os.path.join(tiny_dataset_dir, "test", "manifest.tsv"))
     assert out.returncode == 3
     assert "cannot read checkpoint" in out.stderr
+
+
+def test_eval_refuses_a_config_that_train_refuses(eval_inputs, tmp_path,
+                                                  capsys):
+    # evaluation reads only tau, but the whole config file is checked
+    checkpoint, manifest = eval_inputs
+    config = tmp_path / "bad.cfg"
+    config.write_text("d=0\n")
+    argv = ["eval", "--checkpoint", checkpoint, "--test", manifest,
+            "--config", str(config)]
+    assert cli.main(argv) == 3
+    assert "bad configuration: d, t and iterations_per_step must be >= 1" in (
+        capsys.readouterr().err)
 
 
 def test_eval_rejects_malformed_checkpoint(tmp_path, tiny_dataset_dir):

@@ -257,13 +257,13 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
             float(np.mean(jis)))
     assert want[0] > 0 and want[1] > 0
     pairs = [cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records]
-    assert evaluate_model(params, pairs, selcfg) == want
+    assert evaluate_model(params, pairs, selcfg.tau) == want
 
 
 def test_evaluate_model_perfect_and_mixed(tmp_path):
     # steep weights turn unit pixels into confident detections
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -25.0]))
-    cfg = SelectionConfig()
+    tau = SelectionConfig().tau
 
     def decoded(records):
         return [pair(rec.image_ref, rec.mask_ref) for rec in records]
@@ -272,17 +272,17 @@ def test_evaluate_model_perfect_and_mixed(tmp_path):
     same = _fixture_records(tmp_path / "same", [
         ([(2, 2)], [(2, 2)]), ([(5, 5), (9, 3)], [(5, 5), (9, 3)]),
     ])
-    assert evaluate_model(sharp, decoded(same), cfg) == (1.0, 1.0, 1.0, 1.0)
+    assert evaluate_model(sharp, decoded(same), tau) == (1.0, 1.0, 1.0, 1.0)
 
     mixed = _fixture_records(tmp_path, [
         ([(2, 2), (2, 10)], [(2, 2), (8, 2)]),
     ])
-    precision, recall, f1, ji = evaluate_model(sharp, decoded(mixed), cfg)
+    precision, recall, f1, ji = evaluate_model(sharp, decoded(mixed), tau)
     assert (precision, recall, f1) == (0.5, 0.5, 0.5)
     assert ji == pytest.approx(1 / 3)
 
     blind = ModelParams(weights=np.array([0.0, 0.0, 0.0, -50.0]))
-    precision, recall, f1, ji = evaluate_model(blind, decoded(mixed), cfg)
+    precision, recall, f1, ji = evaluate_model(blind, decoded(mixed), tau)
     assert (precision, recall, f1) == (0.0, 0.0, 0.0)
     assert ji == 0.0
 

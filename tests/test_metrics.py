@@ -1,5 +1,6 @@
 """Metric arithmetic against hand values and brute-force oracles."""
 
+import collections
 import math
 
 import numpy as np
@@ -239,24 +240,33 @@ def _blob_masks(rng, n, most, side=24):
 def test_lesion_counts_at_stream_density_with_empty_images():
     # 16-image stacks about 4% on, as the stream's masks are; predictions
     # are the truth shifted by a pixel plus a stray blob. Some images have
-    # both masks empty (no on-pixel at all), a prediction only, or a
-    # truth only.
+    # both masks empty (no on-pixel at all), a prediction only, a truth
+    # only, or a prediction copied from its truth, which lesion_counts
+    # settles without labeling it. Every stack mixes settled images with
+    # differing ones.
     rng = np.random.default_rng(43)
     on = []
+    copied = collections.Counter()
     for _ in range(40):
         gts = _blob_masks(rng, 16, most=3)
         preds = _blob_masks(rng, 16, most=1)
         for pred, gt in zip(preds, gts):
             pred |= np.roll(gt, rng.integers(-1, 2, 2), axis=(0, 1))
-        kind = rng.integers(0, 5, 16)
+        kind = rng.integers(0, 6, 16)
         preds[(kind == 0) | (kind == 2)] = False
         gts[(kind == 0) | (kind == 1)] = False
+        preds[kind == 5] = gts[kind == 5]
+        copied.update(gts[kind == 5].any(axis=(1, 2)).tolist())
+        settled = (preds == gts).all(axis=(1, 2))
+        assert settled.any() and not settled.all()
         on += [m.mean() for m in np.concatenate((preds, gts)) if m.any()]
         for tau in (0.1, 0.3, 0.5, 1.0):
             got = metrics.lesion_counts(preds, gts, tau)
             want = [_pixel_set_counts(p, g, tau) for p, g in zip(preds, gts)]
             assert [tuple(int(c[k]) for c in got) for k in range(16)] == want
     assert 0.03 <= np.mean(on) <= 0.05
+    # copies of non-empty and of empty truths
+    assert min(copied[True], copied[False]) >= 10, copied
 
 
 # The gt component on the right starts at (0, 4), after the left one's

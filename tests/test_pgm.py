@@ -1,6 +1,7 @@
 """PGM round trips, header parsing, malformed-file rejection, and the read cache."""
 
 import collections
+import os
 import random
 
 import numpy as np
@@ -14,10 +15,12 @@ from iem.pgm import (ImageCache, pair, read_mask_pgm, read_pgm, write_mask_pgm,
 
 def test_image_round_trip_exact_on_8bit_grid(tmp_path):
     rng = np.random.default_rng(1)
-    img = rng.integers(0, 256, (7, 5)).astype(np.float64) / 255.0
-    path = tmp_path / "img.pgm"
-    write_pgm(path, img)
-    assert np.array_equal(read_pgm(path), img)
+    # 300x257 is a 77 kB file, read in many 4 KiB pieces
+    for shape in ((7, 5), (300, 257)):
+        img = rng.integers(0, 256, shape).astype(np.float64) / 255.0
+        path = tmp_path / "img.pgm"
+        write_pgm(path, img)
+        assert np.array_equal(read_pgm(path), img)
 
 
 def test_write_clamps_out_of_range(tmp_path):
@@ -157,6 +160,24 @@ def test_header_match_agrees_with_the_token_loop_on_fuzzed_files(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_pgm(tmp_path / "nope.pgm")
+
+
+def test_directory_path_is_data_error(tmp_path):
+    # a directory opens, and its first read fails
+    with pytest.raises(DataError) as exc:
+        read_pgm(tmp_path)
+    assert str(exc.value).startswith(f"cannot read image file {tmp_path}: ")
+
+
+def test_failed_reads_leave_no_file_open(tmp_path):
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip(f"no {fd_dir} to count open files in")
+    before = len(os.listdir(fd_dir))
+    for path in [tmp_path, tmp_path / "nope.pgm"] * 100:
+        with pytest.raises(DataError, match="cannot read"):
+            read_pgm(path)
+    assert len(os.listdir(fd_dir)) == before
 
 
 def test_cache_returns_same_arrays(tmp_path):
