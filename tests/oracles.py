@@ -9,6 +9,10 @@ import re
 
 import numpy as np
 
+from iem.metrics import evaluate_example
+from iem.pool import record_training_update
+from iem.trainer import augment, example_rng, forward, gradient
+
 
 def flood_components(mask):
     """8-connected components by literal BFS flood fill.
@@ -130,6 +134,48 @@ def mining_selection(records, K, rng):
     easy_pos = [rest_pos[i] for i in rng.permutation(len(rest_pos))][:K]
     easy_neg = [rest_neg[i] for i in rng.permutation(len(rest_neg))][:K]
     return hard_pos, hard_neg, easy_pos, easy_neg
+
+
+def mine_reference(pool, params, K, rounds, selcfg, traincfg):
+    """``trainer.mine`` one image at a time: no blocks and no stacks.
+
+    Refreshes E of every active record from its own forward pass, then
+    per round selects with ``mining_selection``, takes one SGD step per
+    drawn view (an order permutation per epoch, then each example's view
+    index and jitter draw), and re-scores each selected id's t views from
+    ``example_rng``, committing in id order. Returns the rounds' subsets.
+    """
+    stage = pool.stage
+
+    def error(img, mask):
+        return evaluate_example(forward(params, img), mask, selcfg.tau,
+                                selcfg.error_weights).E
+
+    for record in pool.records:
+        if not record.dropped:
+            record.E = error(*pool.pair(record.id))
+    rng = np.random.default_rng([selcfg.seed, stage])
+    subsets = []
+    for iteration in range(rounds):
+        subsets.append(mining_selection(pool.records, K, rng))
+        ids = [example_id for group in subsets[-1] for example_id in group]
+        if not ids:
+            continue
+        for _ in range(traincfg.epochs_per_iteration):
+            for i in rng.permutation(len(ids)):
+                img, mask = pool.pair(ids[i])
+                j = int(rng.integers(1, traincfg.n_views + 1))
+                view, view_mask = augment(img, mask, traincfg, rng, j)
+                params.weights = (params.weights - traincfg.learning_rate
+                                  * gradient(params, view, view_mask))
+                params.version += 1
+        for example_id in sorted(ids):
+            img, mask = pool.pair(example_id)
+            views = example_rng(selcfg.seed, stage, iteration, example_id)
+            errors = [error(*augment(img, mask, traincfg, views, j))
+                      for j in range(1, selcfg.t + 1)]
+            record_training_update(pool, example_id, errors, selcfg.d)
+    return subsets
 
 
 def fd_gradient(loss, weights, h=1e-6):

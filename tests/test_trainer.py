@@ -8,10 +8,12 @@ import pytest
 import oracles
 from iem import metrics, trainer
 from iem.errors import DataError, NumericError
+from iem.harness import load_dataset, run_strategy, stage_budgets
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
-from iem.pool import (ExampleRecord, PoolState, load_state, refresh_errors,
-                      save_state)
-from iem.selection import SelectionConfig
+from iem.pool import (ExampleRecord, PoolState, add_chunk, load_state,
+                      refresh_errors, save_state)
+from iem.selection import SelectionConfig, compute_partition_number
+from test_golden import mixed_dataset_dir  # noqa: F401 (a fixture)
 from iem.trainer import (
     ModelParams,
     TrainConfig,
@@ -514,6 +516,66 @@ def test_incremental_step_error_audit(tmp_path):
         )
         assert record.E == pytest.approx(sum(errors) / len(errors), abs=1e-12)
         assert record.C == 1
+
+
+# -- the whole mining loop against its one-image-at-a-time reference -------
+
+# the (epochs_per_iteration, jitter) pairs span one and several epochs and
+# three or four views; d=3 drops some records but never all of them
+_REFERENCE_CONFIGS = [
+    (SelectionConfig(seed=0, iterations_per_step=3, t=2, d=3),
+     TrainConfig(learning_rate=2.0, epochs_per_iteration=3, jitter=0.1)),
+    (SelectionConfig(seed=1, iterations_per_step=3, t=2, d=3),
+     TrainConfig(epochs_per_iteration=1, jitter=0.0)),
+    (SelectionConfig(seed=2, iterations_per_step=3, t=3, d=3),
+     TrainConfig(epochs_per_iteration=2, jitter=0.3)),
+]
+
+
+def _bits(pool, params):
+    return ([(r.id, r.E.hex(), r.C, r.dropped) for r in pool.records],
+            [w.hex() for w in params.weights.tolist()], params.version)
+
+
+def _groups(subset):
+    return (list(subset.hard_positives), list(subset.hard_negatives),
+            list(subset.easy_positives), list(subset.easy_negatives))
+
+
+@pytest.mark.parametrize("data", ["tiny_dataset_dir", "mixed_dataset_dir"])
+@pytest.mark.parametrize("selcfg, traincfg", _REFERENCE_CONFIGS)
+def test_mining_loop_equals_its_one_image_reference(data, selcfg, traincfg,
+                                                    request):
+    # the mixed-size stream changes shape between chunks, which splits
+    # the blocks that mine stacks
+    chunks, test_records = load_dataset(request.getfixturevalue(data))
+    pool, params, rounds = PoolState(), init_params(), []
+    ref_pool, ref_params, ref_rounds = PoolState(), init_params(), []
+    for stage, chunk in enumerate(chunks):
+        incremental_step(pool, params, selcfg, traincfg, chunk,
+                         lambda s, i, subset: rounds.append((s, i, _groups(subset))))
+        add_chunk(ref_pool, chunk, stage)
+        subsets = oracles.mine_reference(
+            ref_pool, ref_params, compute_partition_number(chunk),
+            selcfg.iterations_per_step, selcfg, traincfg)
+        ref_rounds += [(stage, i, subset) for i, subset in enumerate(subsets)]
+    assert rounds == ref_rounds
+    assert _bits(pool, params) == _bits(ref_pool, ref_params)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+
+    # baseline_hem: one mining stage over the pooled stream, K from the
+    # newest chunk, for the rounds the summed stage budgets buy
+    _, params, pool, _ = run_strategy("baseline_hem", chunks, test_records,
+                                      selcfg, traincfg)
+    ref_pool, ref_params = PoolState(), init_params()
+    for stage, chunk in enumerate(chunks):
+        add_chunk(ref_pool, chunk, stage)
+    K = compute_partition_number(chunks[-1])
+    oracles.mine_reference(ref_pool, ref_params, K,
+                           sum(stage_budgets(chunks, selcfg)) // (4 * K),
+                           selcfg, traincfg)
+    assert _bits(pool, params) == _bits(ref_pool, ref_params)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
 
 
 # -- checkpoints -----------------------------------------------------------
