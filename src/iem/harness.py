@@ -1,12 +1,11 @@
 """Strategy runners and report plumbing for the four-way comparison.
 
-Strategies:
-
-* ``baseline_full``: trains on all chunks pooled, plain shuffled epochs.
-* ``baseline_hem``: trains on all chunks pooled, but every iteration's
-  batch is a 4K hard/easy selection refreshed as training proceeds.
-* ``iem_incremental``: the incremental mining loop, one stage per chunk.
-* ``naive_finetune``: trains on only the newest chunk each stage.
+The four strategies are the 2x2 of two decisions. ``baseline_full`` and
+``baseline_hem`` train on the whole stream at once, in one
+``train_pooled`` stage; ``naive_finetune`` and ``iem_incremental`` train
+stage by stage, one ``train_stage`` per arriving chunk. ``baseline_hem``
+and ``iem_incremental`` keep an error-scored pool and mine it; the other
+two train on fixed sets.
 
 All strategies share one presentation budget. The initial chunk is worth
 iterations_per_step passes over it; each later chunk is worth
@@ -17,7 +16,7 @@ is never exceeded.
 
 Per-strategy outputs: a report fragment CSV (no wall-clock column, so
 reruns are byte-identical), a timings sidecar CSV, a trace log of what
-was trained on, a checkpoint, and for pool-based strategies the pool
+was trained on, a checkpoint, and for the mining strategies the pool
 state. Each CSV row follows its header; the report reader joins in the
 seconds of the sidecar beside it.
 """
@@ -27,6 +26,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -143,46 +143,51 @@ def _pairs(records, reader):
     return [reader.pair(rec.image_ref, rec.mask_ref) for rec in records]
 
 
-# Each runner is a generator over (params, pool, trace_round, train_chunks,
-# selcfg, traincfg, reader). It trains params in place and yields
-# (stage, set_size) once per reported stage. set_size is the size of the
-# fixed set a stage trained on, or None for a mining stage, whose rounds
-# are passed to trace_round as they run. Only pool-based runners fill pool
-# and train on its pairs; the others decode their fixed sets with reader.
+def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
+                reader=pgm):
+    """One stage of a staged strategy: train params in place on ``chunk``.
 
-
-def _train_initial(params, examples, selcfg, traincfg):
-    """Shared stage-0 routine: iterations_per_step passes over the chunk."""
-    rng = np.random.default_rng([selcfg.seed, 0])
-    for _ in range(selcfg.iterations_per_step):
-        train_on_subset(params, examples, traincfg, rng)
-
-
-def _run_iem(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
-    add_chunk(pool, train_chunks[0], 0)
-    _train_initial(params, [pool.pair(rec.id) for rec in train_chunks[0]],
-                   selcfg, traincfg)
-    yield 0, len(train_chunks[0])
-    for chunk in train_chunks[1:]:
-        incremental_step(pool, params, selcfg, traincfg, chunk, trace_round)
-        yield pool.stage, None
-
-
-def _run_naive(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
-    _train_initial(params, _pairs(train_chunks[0], reader), selcfg, traincfg)
-    yield 0, len(train_chunks[0])
-    for stage, chunk in enumerate(train_chunks[1:], start=1):
-        rng = np.random.default_rng([selcfg.seed, stage])
+    Stage 0 is iterations_per_step passes over the chunk. With a pool
+    (iem), the chunk joins the pool, and a later stage is
+    ``incremental_step``, whose rounds go to ``trace``. Without one
+    (naive), a later stage is iterations_per_step batches of 4K examples
+    of the chunk. ``reader.pair`` decodes what no pool holds. Returns
+    the size of the fixed set trained on, or None for a mining stage.
+    """
+    if pool is not None and stage != (pool.stage + 1 if pool.records else 0):
+        raise ValueError(f"stage {stage} is out of sequence for the pool")
+    if pool is not None and stage:
+        incremental_step(pool, params, selcfg, traincfg, chunk, trace)
+        return None
+    examples = (_pairs(chunk, reader) if pool is None
+                else [pool.pair(rec.id) for rec in add_chunk(pool, chunk, 0).records])
+    rng = np.random.default_rng([selcfg.seed, stage])
+    if stage:
         batch_size = 4 * compute_partition_number(chunk)
-        examples = _cycle(_pairs(chunk, reader), rng)
-        for _ in range(selcfg.iterations_per_step):
-            train_on_subset(params, list(islice(examples, batch_size)),
-                            traincfg, rng)
-        yield stage, len(chunk)
+        cycle = _cycle(examples, rng)
+    for _ in range(selcfg.iterations_per_step):
+        train_on_subset(params, list(islice(cycle, batch_size)) if stage
+                        else examples, traincfg, rng)
+    return len(chunk)
 
 
-def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
+def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None,
+                 reader=pgm):
+    """The one stage of a pooled strategy: train params on the whole stream.
+
+    It spends the summed stage budgets. With a pool (hem), every chunk
+    joins it and ``mine`` runs budget // 4K rounds, K from the newest
+    chunk; its rounds go to ``trace``. Without one (full), it runs
+    shuffled epochs over every example, then a random remainder. Returns
+    what ``train_stage`` does.
+    """
     budget = sum(stage_budgets(train_chunks, selcfg))
+    if pool is not None:
+        for i, chunk in enumerate(train_chunks):
+            add_chunk(pool, chunk, i)
+        K = compute_partition_number(train_chunks[-1])
+        mine(pool, params, K, budget // (4 * K), selcfg, traincfg, trace)
+        return None
     rng = np.random.default_rng([selcfg.seed, 0])
     examples = _pairs([rec for chunk in train_chunks for rec in chunk], reader)
     epochs, remainder = divmod(budget, len(examples))
@@ -191,45 +196,26 @@ def _run_full(params, pool, trace_round, train_chunks, selcfg, traincfg, reader)
     if remainder:
         idx = rng.permutation(len(examples))[:remainder]
         train_on_subset(params, [examples[int(i)] for i in idx], traincfg, rng)
-    yield len(train_chunks) - 1, len(examples)
-
-
-def _run_hem(params, pool, trace_round, train_chunks, selcfg, traincfg, reader):
-    """The mining loop run once over the pooled stream, for the whole budget.
-
-    K follows the newest chunk's positive count, matching what the
-    incremental loop would use at its final stage.
-    """
-    for i, chunk in enumerate(train_chunks):
-        add_chunk(pool, chunk, i)
-    K = compute_partition_number(train_chunks[-1])
-    rounds = sum(stage_budgets(train_chunks, selcfg)) // (4 * K)
-    mine(pool, params, K, rounds, selcfg, traincfg, trace_round)
-    yield pool.stage, None
-
-
-_RUNNERS = {
-    "baseline_full": _run_full,
-    "baseline_hem": _run_hem,
-    "iem_incremental": _run_iem,
-    "naive_finetune": _run_naive,
-}
+    return len(examples)
 
 
 def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=pgm):
     """Train one strategy end to end; returns (report, params, pool, trace).
 
-    ``pool`` is None for strategies that do not keep error bookkeeping.
-    Each stage's seconds cover its training but not its evaluation, and
-    its examples_trained is the number of SGD steps it took. ``reader.pair``
-    decodes the test set and the full and naive training sets once per run.
+    ``pool`` is None for the strategies that do not mine. Each stage's
+    seconds cover its training but not its evaluation, and its
+    examples_trained is the number of SGD steps it took. ``reader.pair``
+    decodes the test set and the full and naive training sets once per
+    run. An empty chunk anywhere is refused before any training.
     """
-    if strategy not in _RUNNERS:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not train_chunks or not train_chunks[0]:
-        raise ValueError("need at least one nonempty training chunk")
+    empty = [i for i, chunk in enumerate(train_chunks) if not chunk]
+    if not train_chunks or empty:
+        raise ValueError(f"need nonempty training chunks; empty: {empty}")
     test_pairs = _pairs(test_records, reader)
-    params, pool, trace, rows = init_params(), PoolState([]), [], []
+    params, trace, rows = init_params(), [], []
+    pool = PoolState() if strategy in ("baseline_hem", "iem_incremental") else None
 
     def trace_round(stage, iteration, subset):
         trace.append("\t".join([
@@ -241,13 +227,17 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
             "easy_neg=" + ",".join(subset.easy_negatives),
         ]))
 
-    stages = _RUNNERS[strategy](
-        params, pool, trace_round, train_chunks, selcfg, traincfg, reader
-    )
-    steps, t0 = params.version, time.perf_counter()
-    for stage, set_size in stages:
+    if strategy in ("baseline_full", "baseline_hem"):  # the whole stream at once
+        stages = [(len(train_chunks) - 1,
+                   partial(train_pooled, params, pool, train_chunks))]
+    else:  # stage by stage
+        stages = [(stage, partial(train_stage, params, pool, chunk, stage))
+                  for stage, chunk in enumerate(train_chunks)]
+    for stage, train in stages:
+        steps, t0 = params.version, time.perf_counter()
+        set_size = train(selcfg, traincfg, trace_round, reader)
         seconds = time.perf_counter() - t0
-        presented, steps = params.version - steps, params.version
+        presented = params.version - steps
         if set_size is not None:
             trace.append(
                 f"stage={stage}\tset_size={set_size}\tpresentations={presented}"
@@ -256,12 +246,11 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
             stage, *evaluate_model(params, test_pairs, selcfg.tau),
             seconds, presented,
         ))
-        t0 = time.perf_counter()
     report = StrategyReport(
         strategy=strategy, seed=selcfg.seed, config_hash=selcfg.fingerprint(),
         rows=tuple(rows),
     )
-    return report, params, pool if pool.records else None, trace
+    return report, params, pool, trace
 
 
 def write_strategy_outputs(out_dir, report, params, pool, trace):

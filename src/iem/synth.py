@@ -1,9 +1,9 @@
-"""Reproducible synthetic lesion chunks with controllable distribution shift.
+"""Reproducible synthetic lesion chunks with a controllable intensity shift.
 
 Images are flat backgrounds with Gaussian noise; positive images add
 elliptical bright blobs whose support is the ground-truth mask. A
-per-chunk contrast/offset shift is applied after the blobs, so lesions
-drift with the background the way an acquisition-protocol change would.
+per-chunk intensity offset is added after the blobs, so lesions drift
+with the background the way an acquisition-protocol change would.
 Everything is a pure function of the chunk seed: re-running produces
 byte-identical files.
 """
@@ -19,6 +19,8 @@ from .pool import ExampleRecord
 
 MANIFEST_NAME = "manifest.tsv"
 _BACKGROUND_BASE = 0.2
+_BACKGROUND_NOISE_SIGMA = 0.02
+_BLOB_INTENSITY_DELTA = 0.5
 _LABELS = ("positive", "negative")
 
 
@@ -31,10 +33,7 @@ class ChunkSpec:
     image_size: tuple = (24, 24)
     blob_count_range: tuple = (3, 5)
     blob_radius_range: tuple = (1, 2)
-    blob_intensity_delta: float = 0.5
-    background_noise_sigma: float = 0.02
     shift_offset: float = 0.0
-    shift_contrast: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -53,12 +52,6 @@ class ChunkSpec:
             raise ValueError("blob_radius_range must be a nonempty range >= 1")
         if 2 * rhi >= min(h, w):
             raise ValueError("blob_radius_range too large for image_size")
-        if self.background_noise_sigma < 0:
-            raise ValueError("background_noise_sigma must be >= 0")
-        if self.shift_contrast <= 0:
-            raise ValueError("shift_contrast must be > 0")
-        if self.blob_intensity_delta <= 0:
-            raise ValueError("blob_intensity_delta must be > 0")
 
 
 def positive_count(spec):
@@ -68,9 +61,10 @@ def positive_count(spec):
 def render_chunk(spec):
     """In-memory render: (images, masks, labels), images pre-clamp.
 
-    The shift step is out = (img - 0.5) * contrast + 0.5 + offset, so a
-    pure offset moves the mean intensity by exactly that amount before
-    the [0,1] clamp that file output applies.
+    The shift step is out = (img - 0.5) + 0.5 + offset, which moves the
+    mean intensity by the offset before the [0,1] clamp that file output
+    applies. It is written so on purpose: ``img + offset`` can round
+    differently and would change the generated files.
     """
     h, w = spec.image_size
     rng = np.random.default_rng(spec.seed)
@@ -80,7 +74,7 @@ def render_chunk(spec):
     rows, cols = np.mgrid[0:h, 0:w]
     images, masks, labels = [], [], []
     for i in range(spec.n_images):
-        img = _BACKGROUND_BASE + spec.background_noise_sigma * rng.standard_normal((h, w))
+        img = _BACKGROUND_BASE + _BACKGROUND_NOISE_SIGMA * rng.standard_normal((h, w))
         mask = np.zeros((h, w), dtype=bool)
         if positive[i]:
             clo, chi = spec.blob_count_range
@@ -91,8 +85,8 @@ def render_chunk(spec):
                 row = int(rng.integers(r_row, h - r_row))
                 col = int(rng.integers(r_col, w - r_col))
                 mask |= ((rows - row) / r_row) ** 2 + ((cols - col) / r_col) ** 2 <= 1.0
-            img = img + spec.blob_intensity_delta * mask
-        img = (img - 0.5) * spec.shift_contrast + 0.5 + spec.shift_offset
+            img = img + _BLOB_INTENSITY_DELTA * mask
+        img = (img - 0.5) + 0.5 + spec.shift_offset
         images.append(img)
         masks.append(mask)
         labels.append("positive" if positive[i] else "negative")
@@ -205,9 +199,6 @@ class Scenario:
 
     train: tuple
     test: tuple
-
-    def chunk_sizes(self):
-        return [spec.n_images for spec in self.train]
 
 
 # Scenario shape: one initial chunk plus four shifted increments, each a

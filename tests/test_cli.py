@@ -187,6 +187,18 @@ def test_readme_lists_the_flags_that_override_the_config():
     assert documented == flags == {"train": {"--seed"}, "eval": set()}
 
 
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert [row.stage for row in names["report"].rows] == [0, 1, 2, 3, 4]
+    assert len(names["staged_pool"]) == len(names["pool"]) == 400
+
+
 def test_make_configs_wraps_validation_errors():
     with pytest.raises(DataError, match="bad configuration"):
         make_configs({"tau": 5.0})

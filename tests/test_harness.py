@@ -18,14 +18,16 @@ from iem.harness import (
     read_timings,
     run_strategy,
     stage_budgets,
+    train_stage,
     write_report_fragment,
     write_strategy_outputs,
     write_timings,
 )
 from iem.pgm import ImageCache, pair, write_mask_pgm, write_pgm
-from iem.pool import ExampleRecord
+from iem.pool import ExampleRecord, PoolState, load_state, save_state
 from iem.selection import SelectionConfig
-from iem.trainer import ModelParams, TrainConfig, forward
+from iem.trainer import (ModelParams, TrainConfig, forward, init_params,
+                         load_params, save_params)
 
 
 def _row(stage, value=0.5, examples=10):
@@ -81,6 +83,20 @@ def test_run_strategy_validates_inputs(tiny_dataset, tiny_selcfg, tiny_traincfg)
         run_strategy("baseline_full", [], test_records, tiny_selcfg, tiny_traincfg)
 
 
+class _NoReads:
+    def pair(self, image_ref, mask_ref):
+        raise AssertionError(f"decoded {image_ref}")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_strategy_refuses_an_empty_chunk_before_training(
+        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg):
+    chunks, test_records = tiny_dataset
+    with pytest.raises(ValueError, match=r"nonempty training chunks; empty: \[1\]$"):
+        run_strategy(strategy, [chunks[0], [], chunks[1]], test_records,
+                     tiny_selcfg, tiny_traincfg, _NoReads())
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_strategy_runs_and_reports(strategy, tiny_dataset, tiny_selcfg,
                                         tiny_traincfg):
@@ -124,6 +140,54 @@ def test_budget_compliance(tiny_dataset, tiny_selcfg, tiny_traincfg):
     report, _, _, _ = run_strategy("baseline_hem", chunks, test_records,
                                    tiny_selcfg, tiny_traincfg)
     assert 0 < report.rows[0].examples_trained <= sum(budgets) * epochs
+
+
+@pytest.mark.parametrize("strategy", ["iem_incremental", "naive_finetune"])
+def test_a_stream_resumed_after_any_stage_ends_byte_identical(
+        strategy, tiny_dataset, tmp_path):
+    # the golden config, whose d=5 drops records from the iem pool
+    chunks, test_records = tiny_dataset
+    selcfg = SelectionConfig(seed=7, iterations_per_step=3, t=3, d=5)
+    traincfg = TrainConfig(learning_rate=2.0, epochs_per_iteration=2)
+    whole = tmp_path / "whole"
+    write_strategy_outputs(str(whole), *run_strategy(
+        strategy, chunks, test_records, selcfg, traincfg))
+    mining = strategy == "iem_incremental"
+    names = [harness.CHECKPOINT_NAME] + [harness.POOL_NAME] * mining
+    for k in range(len(chunks) - 1):
+        run = tmp_path / f"stopped_after_{k}"
+        run.mkdir()
+
+        def save(params, pool):
+            save_params(params, run / harness.CHECKPOINT_NAME)
+            if mining:
+                save_state(pool, run / harness.POOL_NAME)
+
+        params, pool = init_params(), PoolState() if mining else None
+        for stage in range(k + 1):
+            train_stage(params, pool, chunks[stage], stage, selcfg, traincfg)
+        save(params, pool)
+        params = load_params(run / harness.CHECKPOINT_NAME)
+        pool = load_state(run / harness.POOL_NAME) if mining else None
+        for stage in range(k + 1, len(chunks)):
+            train_stage(params, pool, chunks[stage], stage, selcfg, traincfg)
+        save(params, pool)
+        for name in names:
+            assert (run / name).read_bytes() == (whole / name).read_bytes(), (k, name)
+    if mining:
+        assert any(r.dropped for r in load_state(whole / harness.POOL_NAME).records)
+
+
+def test_train_stage_refuses_a_stage_out_of_sequence(tiny_dataset, tiny_selcfg,
+                                                     tiny_traincfg):
+    chunks, _ = tiny_dataset
+    params, pool = init_params(), PoolState()
+    with pytest.raises(ValueError, match="stage 1 is out of sequence"):
+        train_stage(params, pool, chunks[1], 1, tiny_selcfg, tiny_traincfg)
+    train_stage(params, pool, chunks[0], 0, tiny_selcfg, tiny_traincfg)
+    with pytest.raises(ValueError, match="stage 2 is out of sequence"):
+        train_stage(params, pool, chunks[2], 2, tiny_selcfg, tiny_traincfg)
+    assert pool.stage == 0 and len(pool) == len(chunks[0])
 
 
 def _one_of_each_label(tmp_path, name):

@@ -82,13 +82,17 @@ def test_shift_offset_moves_mean_exactly():
         assert np.allclose(b - a, 0.2, atol=1e-12)
 
 
-def test_shift_contrast_pivots_around_half():
-    base = _spec()
-    doubled = dataclasses.replace(base, shift_contrast=2.0)
-    plain, _, _ = render_chunk(base)
-    scaled, _, _ = render_chunk(doubled)
-    for a, b in zip(plain, scaled):
-        assert np.allclose(b, (a - 0.5) * 2.0 + 0.5, atol=1e-12)
+def test_shift_is_added_around_half():
+    # a negative image is the background draw, shifted in the form
+    # (img - 0.5) + 0.5 + offset that the generated files were made with;
+    # img + offset gives other floats
+    spec = _spec(n_images=1, positive_fraction=0.0, shift_offset=0.15)
+    [img], _, _ = render_chunk(spec)
+    rng = np.random.default_rng(spec.seed)
+    rng.permutation(1)
+    background = 0.2 + 0.02 * rng.standard_normal(spec.image_size)
+    assert np.array_equal(img, (background - 0.5) + 0.5 + 0.15)
+    assert not np.array_equal(img, background + 0.15)
 
 
 def test_render_is_deterministic():
@@ -105,8 +109,8 @@ def test_render_is_deterministic():
         {"n_images": 0}, {"positive_fraction": 1.5},
         {"image_size": (0, 8)}, {"blob_count_range": (3, 2)},
         {"blob_radius_range": (0, 1)}, {"blob_radius_range": (1, 20)},
-        {"background_noise_sigma": -0.1}, {"shift_contrast": 0.0},
-        {"blob_intensity_delta": 0.0},
+        {"positive_fraction": -0.1}, {"blob_count_range": (0, 2)},
+        {"image_size": (8, 0)},
     ],
 )
 def test_spec_validation(kwargs):
@@ -210,7 +214,7 @@ def test_write_manifest_empty_list(tmp_path):
 
 def test_default_scenario_shape():
     scenario = default_scenario(0)
-    assert scenario.chunk_sizes() == [200, 50, 50, 50, 50]
+    assert [spec.n_images for spec in scenario.train] == [200, 50, 50, 50, 50]
     assert len(scenario.test) == 5
     offsets = [spec.shift_offset for spec in scenario.train]
     assert offsets == sorted(offsets)
