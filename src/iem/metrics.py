@@ -139,44 +139,57 @@ def match_lesions(pred, gt, tau=0.5):
                              false_negatives=fns)
 
 
-def lesion_counts(pred_masks, gt_masks, tau=0.5):
+def lesion_counts(pred_masks, gt, tau=0.5):
     """Per-image (matched, false positive, false negative) lesion counts.
 
-    Takes (n, h, w) stacks of predicted and true masks and returns three
-    int arrays: what ``match_lesions`` counts on each image's
-    ``connected_components``. A prediction equal to its mask is settled
-    without labeling it: each component matches itself at IoU 1 and
-    overlaps no other, so matched is the mask's component count and
-    there is no false positive or negative. The differing predictions
-    and every mask are labeled in one call, and one bincount over the
-    (image, pred label, gt label) triple of every pixel on in either
-    mask of a differing image gives its table of component sizes and
-    overlaps, hence every pair's IoU; the (0, 0) background cell, never
-    read, stays 0. When no component lies in two pairs with IoU >= tau,
-    every such pair is a match whatever the order. Otherwise
-    ``match_lesions`` runs on that image's ``connected_components``,
-    since then their order can decide the count. That needs tau < 0.5: a
-    component with IoU >= 0.5 against two disjoint ones would be their
-    union, which would join them into one.
+    Takes an (n, h, w) stack of predicted masks and one of true masks, or
+    of their component labels: an integer stack is read as the labels
+    ``kernels.label_components`` gives the masks, in any numbering (a
+    flipped view's labels are the flipped labels), so its component
+    count is its largest label. Returns three int arrays: what
+    ``match_lesions`` counts on each image's ``connected_components``.
+    A prediction equal to its mask is settled without labeling it: each
+    component matches itself at IoU 1 and overlaps no other, so matched
+    is the mask's component count and there is no false positive or
+    negative. Only the differing predictions are labeled, in one call
+    together with every boolean mask (labels given are not labeled
+    again), and one bincount over the (image, pred label, gt label)
+    triple of every pixel on in either mask of a differing image gives
+    its table of component sizes and overlaps, hence every pair's IoU;
+    the (0, 0) background cell, never read, stays 0. When no component
+    lies in two pairs with IoU >= tau, every such pair is a match
+    whatever the order. Otherwise ``match_lesions`` runs on that image's
+    ``connected_components``, since then their order can decide the
+    count. That needs tau < 0.5: a component with IoU >= 0.5 against two
+    disjoint ones would be their union, which would join them into one.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0,1], got {tau}")
     pred_masks = np.asarray(pred_masks, dtype=np.bool_)
-    gt_masks = np.asarray(gt_masks, dtype=np.bool_)
+    gt = np.asarray(gt)
+    gt_labeled = np.issubdtype(gt.dtype, np.integer)
+    gt_masks = gt != 0 if gt_labeled else gt.astype(np.bool_, copy=False)
     _check_same_shape(pred_masks, gt_masks)
     differ = np.flatnonzero((pred_masks != gt_masks).any(axis=(-2, -1)))
     m = differ.size
     preds, gts = pred_masks[differ], gt_masks[differ]
-    labels, counts = kernels.label_components(np.concatenate((preds, gt_masks)))
-    n_gt = counts[m:]
-    pred_counts, gt_counts = counts[:m], n_gt[differ]
+    if gt_labeled:
+        pred_labels, pred_counts = kernels.label_components(preds)
+        gt_labels = gt[differ]
+        n_gt = gt.max(axis=(-2, -1), initial=0).astype(np.intp)
+    else:
+        labels, counts = kernels.label_components(
+            np.concatenate((preds, gt_masks)))
+        pred_labels, gt_labels = labels[:m], labels[m:][differ]
+        pred_counts, n_gt = counts[:m], counts[m:]
+    gt_counts = n_gt[differ]
     n_pred, matched = n_gt.copy(), n_gt.copy()
     n_pred[differ], matched[differ] = pred_counts, 0
     if pred_counts.any() and gt_counts.any():
         rows, cols = int(pred_counts.max()) + 1, int(gt_counts.max()) + 1
         on = np.flatnonzero(preds | gts)
-        key = ((on // preds[0].size * rows + labels[:m].ravel()[on])
-               * cols + labels[m:][differ].ravel()[on])
+        key = ((on // preds[0].size * rows + pred_labels.ravel()[on])
+               * cols + gt_labels.ravel()[on])
         table = np.bincount(key, minlength=m * rows * cols)
         table = table.reshape(m, rows, cols)
         k, p, g = np.nonzero(table[:, 1:, 1:])
@@ -211,13 +224,34 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
     """Composite example error L + w0*fp + w1*fn + w2*(1 - ji).
 
     ``weights`` defaults to (1, 1, 1), i.e. raw counts enter unscaled.
+    Works element-wise on arrays of the four values, with the same
+    bits per element as on scalars.
     """
-    if L < 0 or fp < 0 or fn < 0 or not 0.0 <= ji <= 1.0:
+    if np.any(np.less(L, 0) | np.less(fp, 0) | np.less(fn, 0)
+              | ~(np.greater_equal(ji, 0.0) & np.less_equal(ji, 1.0))):
         raise ValueError(
             f"invalid metric values: L={L}, fp={fp}, fn={fn}, ji={ji}"
         )
     w_fp, w_fn, w_ji = weights
     return L + w_fp * fp + w_fn * fn + w_ji * (1.0 - ji)
+
+
+def breakdown_arrays(probs, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
+    """The ``MetricsBreakdown`` fields of an (n, h, w) stack, as n-arrays.
+
+    Returns (L, fp, fn, ji, E). ``gt`` holds the boolean masks or their
+    component labels (see ``lesion_counts``).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    gt = np.asarray(gt)
+    _check_same_shape(probs, gt)
+    gt_masks = gt.astype(np.bool_, copy=False)
+    pred_masks = binarize(probs)
+    _, fp, fn = lesion_counts(pred_masks, gt, tau)
+    # mean_cross_entropy of each map alone
+    L = kernels.cross_entropy_sum(probs, gt_masks, CLAMP_EPS) / probs[0].size
+    ji = jaccard_index(pred_masks, gt_masks)
+    return L, fp, fn, ji, error_term(L, fp, fn, ji, weights)
 
 
 def evaluate_examples(probs, gt_masks, tau=0.5, weights=(1.0, 1.0, 1.0)):
@@ -226,21 +260,10 @@ def evaluate_examples(probs, gt_masks, tau=0.5, weights=(1.0, 1.0, 1.0)):
     Returns a list of n ``MetricsBreakdown``s, each equal to what
     ``evaluate_example`` gives for that map and mask alone.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    gt_masks = np.asarray(gt_masks, dtype=np.bool_)
-    _check_same_shape(probs, gt_masks)
-    pred_masks = binarize(probs)
-    _, fps, fns = lesion_counts(pred_masks, gt_masks, tau)
-    losses = kernels.cross_entropy_sum(probs, gt_masks, CLAMP_EPS)
-    out = []
-    for loss, fp, fn, ji in zip(losses.tolist(), fps.tolist(), fns.tolist(),
-                                jaccard_index(pred_masks, gt_masks).tolist()):
-        L = loss / probs[0].size  # mean_cross_entropy of this map alone
-        out.append(MetricsBreakdown(
-            L=L, fp=fp, fn=fn, ji=ji,
-            E=error_term(L, fp, fn, ji, weights),
-        ))
-    return out
+    arrays = breakdown_arrays(probs, np.asarray(gt_masks, dtype=np.bool_),
+                              tau, weights)
+    return [MetricsBreakdown(*fields)
+            for fields in zip(*(a.tolist() for a in arrays))]
 
 
 def evaluate_example(prob, gt_mask, tau=0.5, weights=(1.0, 1.0, 1.0)):

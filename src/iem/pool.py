@@ -5,6 +5,9 @@ dropped flag. Once a record's C exceeds the dropping number it is marked an
 outlier: its E is zeroed and it is excluded from every later selection and
 refresh (exclusion is permanent).
 
+The pool keeps each record's decoded image and mask, and for scoring the
+mask's component labels: a mask never changes, so it is labeled once.
+
 Pool state persists as a line-delimited text file: a header line carrying
 the format version, config fingerprint, stage and record count, then one
 tab-separated key=value record per line.
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import shape_blocks
+from .kernels import label_components, shape_blocks
 
 POOL_FORMAT = "iem-pool/1"
 
@@ -42,6 +45,10 @@ class ExampleRecord:
         if self.label not in ("positive", "negative"):
             raise ValueError(f"record {self.id}: bad label {self.label!r}")
 
+    def drops_on_update(self, d):
+        """Whether one more training update takes C past dropping number d."""
+        return self.C >= d
+
 
 @dataclass
 class PoolState:
@@ -56,6 +63,7 @@ class PoolState:
         if len(self._by_id) != len(self.records):
             raise ValueError("duplicate ids in pool records")
         self._pairs = {}
+        self._labels = {}
 
     def pair(self, example_id):
         """A record's decoded (image, mask), kept and read-only."""
@@ -66,6 +74,23 @@ class PoolState:
                 array.flags.writeable = False  # augment hands out views
             self._pairs[example_id] = arrays
         return self._pairs[example_id]
+
+    def labeled(self, example_ids):
+        """Each record's (image, labels of its mask's components), kept.
+
+        The labels are what ``kernels.label_components`` gives the mask,
+        uint8 when the counts fit, and read-only. The masks not labeled
+        yet are labeled on this first use, in same-shape stacks.
+        """
+        new = [(self.pair(i)[1], i) for i in example_ids
+               if i not in self._labels]
+        for block in shape_blocks(new):
+            labels, counts = label_components(np.stack([m for m, _ in block]))
+            if counts.max() <= np.iinfo(np.uint8).max:
+                labels = labels.astype(np.uint8)
+            labels.flags.writeable = False
+            self._labels.update(zip((i for _, i in block), labels))
+        return [(self.pair(i)[0], self._labels[i]) for i in example_ids]
 
     def record_for(self, example_id):
         try:
@@ -108,22 +133,24 @@ def add_chunk(pool, examples, chunk_index):
 
 
 def error_terms(items, predict, cfg):
-    """E of each (image, mask, tag) item, scored in same-shape blocks.
+    """E of each (image, mask or its labels, tag) item, in same-shape blocks.
 
     Yields (tag, E) in item order. ``predict`` maps an (n, h, w) image
     stack to its probability maps; it sees blocks of up to 16 consecutive
     same-shape images, and each item's E equals what its image and mask
-    give alone. Metric knobs (tau, error weights) come from the selection
-    config ``cfg``.
+    give alone. A block's E come from one array of
+    ``metrics.breakdown_arrays``, which reads boolean masks or their
+    component labels alike. Metric knobs (tau, error weights) come from
+    the selection config ``cfg``.
     """
     for block in shape_blocks(items):
-        breakdowns = metrics.evaluate_examples(
+        *_, errors = metrics.breakdown_arrays(
             predict(np.stack([img for img, _, _ in block])),
-            np.stack([mask for _, mask, _ in block]),
+            np.stack([gt for _, gt, _ in block]),
             tau=cfg.tau, weights=cfg.error_weights,
         )
-        for (_, _, tag), breakdown in zip(block, breakdowns):
-            yield tag, breakdown.E
+        for (_, _, tag), E in zip(block, errors.tolist()):
+            yield tag, E
 
 
 def refresh_errors(pool, predict, cfg):
@@ -131,10 +158,14 @@ def refresh_errors(pool, predict, cfg):
 
     ``predict`` maps an (n, h, w) image stack to its probability maps; it
     sees blocks of up to 16 same-shape images in pool order (see
-    ``error_terms``). Dropped records keep E = 0.
+    ``error_terms``). Each record is scored from its kept labels
+    (``PoolState.labeled``), so a mask is labeled at most once per pool.
+    Dropped records keep E = 0.
     """
-    active = (pool.pair(r.id) + (r,) for r in pool.records if not r.dropped)
-    for record, E in error_terms(active, predict, cfg):
+    active = [r for r in pool.records if not r.dropped]
+    items = (pair + (r,)
+             for pair, r in zip(pool.labeled([r.id for r in active]), active))
+    for record, E in error_terms(items, predict, cfg):
         record.E = E
     return pool
 
@@ -144,18 +175,20 @@ def record_training_update(pool, example_id, per_augmentation_errors, d):
 
     E becomes the mean of the per-augmentation errors and C increments;
     if C then exceeds the dropping number d, the record is marked dropped
-    and its E zeroed.
+    and its E zeroed. That update reads no errors, so they may be empty.
     """
     record = pool.record_for(example_id)
     if record.dropped:
         raise ValueError(f"example {example_id!r} is dropped")
-    if not per_augmentation_errors:
+    drops = record.drops_on_update(d)
+    if not per_augmentation_errors and not drops:
         raise ValueError("per_augmentation_errors must be nonempty")
-    record.E = sum(per_augmentation_errors) / len(per_augmentation_errors)
     record.C += 1
-    if record.C > d:
+    if drops:
         record.dropped = True
         record.E = 0.0
+    else:
+        record.E = sum(per_augmentation_errors) / len(per_augmentation_errors)
     return pool
 
 

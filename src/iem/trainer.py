@@ -120,7 +120,8 @@ def augment(img, mask, cfg, rng, j):
     transform image and mask identically; jitter adds one rng-drawn
     global offset to the image only, clamped to [0,1]. Identity returns
     the inputs and flips slice them, so only jitter allocates; callers
-    copy a view before writing to it.
+    copy a view before writing to it. ``mask`` may be the mask's
+    component labels, whose views are then the view's labels.
     """
     if j < 1:
         raise ValueError(f"view index must be >= 1, got {j}")
@@ -144,7 +145,10 @@ def train_on_subset(params, examples, cfg, rng):
     nothing from the rng, so the draws are those of one view at a time.
     Raises NumericError if an update would produce non-finite weights
     (learning rate too high for the data); params then keep the last
-    finite weights and their version.
+    finite weights and their version. A non-finite weight stays
+    non-finite under later steps, so finiteness is checked once per
+    block, on its last weights, and the block's kept steps name the
+    first bad one.
     """
     if not examples:
         raise ValueError("training subset must be nonempty")
@@ -158,18 +162,27 @@ def train_on_subset(params, examples, cfg, rng):
                 for img, mask in block
             ]
             feats = featurize(np.stack([img for img, _ in views]))
-            for view_feats, (_, mask) in zip(feats, views):
-                weights = params.weights - cfg.learning_rate * feature_gradient(
-                    params, view_feats, mask
+            steps = [params.weights]
+            # From finite weights a step makes no NaN without an overflow
+            # first, which still warns; only steps after the block turned
+            # non-finite, whose weights are discarded, raise "invalid".
+            with np.errstate(invalid="ignore"):
+                for view_feats, (_, mask) in zip(feats, views):
+                    params.weights = (params.weights - cfg.learning_rate
+                                      * feature_gradient(params, view_feats,
+                                                         mask))
+                    steps.append(params.weights)
+            if not np.isfinite(params.weights).all():
+                bad = next(n for n, weights in enumerate(steps)
+                           if not np.isfinite(weights).all())
+                params.weights = steps[bad - 1]
+                params.version += bad - 1
+                raise NumericError(
+                    "non-finite weights after SGD step "
+                    f"{params.version + 1} (learning rate "
+                    f"{cfg.learning_rate} too high)"
                 )
-                if not np.isfinite(weights).all():
-                    raise NumericError(
-                        "non-finite weights after SGD step "
-                        f"{params.version + 1} (learning rate "
-                        f"{cfg.learning_rate} too high)"
-                    )
-                params.weights = weights
-                params.version += 1
+            params.version += len(steps) - 1
     return params
 
 
@@ -177,9 +190,10 @@ def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
     """Error terms of each pair's t augmented views under the current model.
 
     ``rngs`` holds one generator per (image, mask) pair, which draws
-    that pair's views in view order. Returns one list of t errors per
-    pair. The views are made one at a time as the scorer reads them and
-    scored in same-shape blocks that may span pairs.
+    that pair's views in view order; the mask may be given as its
+    component labels (``PoolState.labeled``). Returns one list of t
+    errors per pair. The views are made one at a time as the scorer
+    reads them and scored in same-shape blocks that may span pairs.
     """
     views = (
         augment(img, mask, traincfg, rng, j) + (n,)
@@ -208,9 +222,12 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
 
     Refreshes E over the whole pool with the incoming model, then runs
     rounds of select / train / per-example error update. Per-example
-    updates commit in id order. A round whose selection is empty trains
-    nothing. ``trace``, when given, is called with (stage, iteration,
-    subset) after each round.
+    updates commit in id order. An update that drops its record zeroes
+    E, so that record's t views are not scored; each example draws its
+    views from its own ``example_rng``, so no other E moves. Views are
+    scored from the pool's kept mask labels (``PoolState.labeled``). A
+    round whose selection is empty trains nothing. ``trace``, when
+    given, is called with (stage, iteration, subset) after each round.
     """
     stage = pool.stage
     refresh_errors(pool, lambda img: forward(params, img), selcfg)
@@ -221,13 +238,15 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
         if ids:
             train_on_subset(params, [pool.pair(i) for i in ids], traincfg, rng)
             ids = sorted(ids)
-            errors = augmented_error_terms(
-                params, [pool.pair(i) for i in ids], selcfg, traincfg,
-                [example_rng(selcfg.seed, stage, iteration, i) for i in ids],
-            )
-            for example_id, example_errors in zip(ids, errors):
-                record_training_update(pool, example_id, example_errors,
-                                       selcfg.d)
+            scored = [i for i in ids
+                      if not pool.record_for(i).drops_on_update(selcfg.d)]
+            rngs = [example_rng(selcfg.seed, stage, iteration, i)
+                    for i in scored]
+            errors = dict(zip(scored, augmented_error_terms(
+                params, pool.labeled(scored), selcfg, traincfg, rngs)))
+            for example_id in ids:
+                record_training_update(pool, example_id,
+                                       errors.get(example_id, []), selcfg.d)
         if trace is not None:
             trace(stage, iteration, subset)
 

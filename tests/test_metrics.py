@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from iem import metrics
+from iem import kernels, metrics
 
 
 # -- mean cross-entropy ----------------------------------------------------
@@ -314,6 +314,47 @@ def test_lesion_counts_follow_the_greedy_order_on_ties(tau, want):
         assert tuple(int(c[1]) for c in stack) == counts
 
 
+@pytest.mark.parametrize("shape", [(24, 24), (7, 13), (1, 30), (30, 1)])
+def test_lesion_counts_given_labels_equal_given_masks(shape, monkeypatch):
+    # a mask's labels, flipped as augment flips them, stand in for the
+    # mask: the same counts, as int32 or uint8; tau=0.3 takes the
+    # shared-component branch
+    real = metrics.match_lesions
+    shared = []
+    monkeypatch.setattr(metrics, "match_lesions",
+                        lambda *args: shared.append(args) or real(*args))
+    rng = np.random.default_rng(47)
+    flips = (lambda a: a, lambda a: a[:, :, ::-1], lambda a: a[:, ::-1])
+    for density in (0.02, 0.05, 0.2, 0.5, 1.0):
+        for _ in range(6):
+            n = int(rng.integers(1, 17))
+            gts = rng.random((n,) + shape) < density
+            gts[rng.random(n) < 0.2] = False
+            # each prediction is the truth with a few pixels toggled, an
+            # independent draw, or the truth itself (settled)
+            kind = rng.integers(0, 3, n)
+            preds = rng.random(gts.shape) < density
+            preds[kind == 0] = gts[kind == 0] ^ (
+                rng.random(gts[kind == 0].shape) < 0.03)
+            preds[kind == 2] = gts[kind == 2]
+            labels, counts = kernels.label_components(gts)
+            for flip in flips:
+                pred, gt = flip(preds), flip(gts)
+                for tau in (0.3, 0.5, 1.0):
+                    want = metrics.lesion_counts(pred, gt, tau)
+                    for dtype in (np.int32, np.uint8):
+                        got = metrics.lesion_counts(
+                            pred, flip(labels.astype(dtype)), tau)
+                        assert all(np.array_equal(a, b)
+                                   for a, b in zip(got, want))
+                    # a block where every prediction is settled
+                    matched, fp, fn = metrics.lesion_counts(
+                        gt, flip(labels), tau)
+                    assert np.array_equal(matched, counts)
+                    assert not fp.any() and not fn.any()
+    assert shared
+
+
 def test_lesion_counts_reject_bad_tau_and_shapes():
     masks = np.zeros((1, 3, 3), dtype=bool)
     for bad in (0.0, 1.5):
@@ -361,9 +402,25 @@ def test_error_term_without_count_weights_is_loss_plus_jaccard():
 def test_error_term_rejects_bad_inputs():
     with pytest.raises(ValueError):
         metrics.error_term(0.1, 0, 0, 1.0, (1.0, 1.0))
-    for args in ((-0.1, 0, 0, 1.0), (0.1, -1, 0, 1.0), (0.1, 0, 0, 1.5)):
+    for args in ((-0.1, 0, 0, 1.0), (0.1, -1, 0, 1.0), (0.1, 0, 0, 1.5),
+                 (0.1, 0, 0, math.nan)):
         with pytest.raises(ValueError):
             metrics.error_term(*args)
+        # one bad element spoils an array of good ones
+        with pytest.raises(ValueError):
+            metrics.error_term(*(np.array([0.5, v, 0.5]) for v in args))
+
+
+def test_error_term_on_arrays_has_the_bits_of_each_element():
+    rng = np.random.default_rng(53)
+    L = rng.uniform(0, 3, 200)
+    fp, fn = rng.integers(0, 6, (2, 200))
+    ji = rng.uniform(0, 1, 200)
+    weights = (0.7, 1.3, 2.9)
+    got = metrics.error_term(L, fp, fn, ji, weights)
+    assert [e.hex() for e in got.tolist()] == [
+        metrics.error_term(*values, weights).hex()
+        for values in zip(L.tolist(), fp.tolist(), fn.tolist(), ji.tolist())]
 
 
 # -- per-example breakdown -------------------------------------------------

@@ -1,11 +1,13 @@
 """Pool bookkeeping: chunk ingestion, error refresh, dropping, persistence."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from iem import pgm
+from iem import harness, kernels, pgm
+from iem import pool as pool_module
 from iem.errors import DataError
 from iem.pgm import write_mask_pgm, write_pgm
 from iem.pool import (
@@ -18,6 +20,7 @@ from iem.pool import (
     save_state,
 )
 from iem.selection import SelectionConfig, select_subset
+from iem.trainer import TrainConfig
 
 
 def _rec(rid, label="positive", **kw):
@@ -184,12 +187,52 @@ def test_update_drops_when_count_exceeds_d():
         record_training_update(pool, "a", [1.0], d=10)
 
 
+def test_update_drops_only_past_d_and_then_reads_no_errors():
+    pool = _pool(_rec("a", E=5.0, C=9))
+    assert not pool.record_for("a").drops_on_update(10)
+    with pytest.raises(ValueError, match="nonempty"):
+        record_training_update(pool, "a", [], d=10)
+    record_training_update(pool, "a", [4.0, 5.0], d=10)  # C = d: kept
+    got = pool.record_for("a")
+    assert not got.dropped and got.C == 10 and got.E == 4.5
+    assert got.drops_on_update(10)
+    record_training_update(pool, "a", [], d=10)
+    assert got.dropped and got.E == 0.0 and got.C == 11
+
+
 def test_update_rejects_unknown_or_empty():
     pool = _pool(_rec("a"))
     with pytest.raises(ValueError, match="unknown"):
         record_training_update(pool, "zz", [1.0], d=10)
     with pytest.raises(ValueError, match="nonempty"):
         record_training_update(pool, "a", [], d=10)
+
+
+def test_a_hem_run_labels_each_pool_mask_once(tiny_dataset, tiny_selcfg,
+                                              monkeypatch):
+    # every labeling call goes through one counter: the kept labels of
+    # PoolState.labeled, and the predictions and test masks that
+    # lesion_counts labels
+    chunks, test_records = tiny_dataset
+    real = kernels.label_components
+    labeled = collections.Counter()
+    calls = []
+
+    def counting(masks):
+        calls.append(masks.size)
+        images = masks.reshape((-1,) + masks.shape[-2:])
+        labeled.update(image.tobytes() for image in images)
+        return real(masks)
+
+    monkeypatch.setattr(kernels, "label_components", counting)
+    monkeypatch.setattr(pool_module, "label_components", counting)
+    _, _, pool, _ = harness.run_strategy(
+        "baseline_hem", chunks, test_records, tiny_selcfg,
+        TrainConfig(epochs_per_iteration=2))
+    masks = [pool.pair(r.id)[1] for r in pool.records]
+    assert [labeled[m.tobytes()] for m in masks if m.any()] == [
+        1 for m in masks if m.any()]
+    assert len(calls) < sum(calls) / masks[0].size  # stacks, not images
 
 
 # -- persistence -----------------------------------------------------------

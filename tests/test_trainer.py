@@ -8,7 +8,7 @@ import pytest
 import oracles
 from iem import metrics, trainer
 from iem.errors import DataError, NumericError
-from iem.harness import load_dataset, run_strategy, stage_budgets
+from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
 from iem.pool import (ExampleRecord, PoolState, add_chunk, load_state,
                       refresh_errors, save_state)
@@ -308,6 +308,31 @@ def test_numeric_error_keeps_last_finite_weights(monkeypatch):
     assert params.version == 7
 
 
+def test_non_finite_mid_block_raises_no_warning_of_later_steps(monkeypatch):
+    # step 2 of a 4-step block turns the weights to (+inf, -inf, ...);
+    # steps 3 and 4 then run on them (their matmul meets inf - inf), but
+    # the error names step 2 and no RuntimeWarning escapes (pytest turns
+    # one into an error)
+    img, mask = _blob_pair()
+    real = trainer.feature_gradient
+    seen = []
+
+    def gradient(params, feats, mask):
+        seen.append(params.weights)
+        if len(seen) == 2:
+            return np.array([-np.inf, np.inf, 0.0, 0.0])
+        return real(params, feats, mask)
+
+    monkeypatch.setattr(trainer, "feature_gradient", gradient)
+    params = ModelParams(weights=np.zeros(4), version=3)
+    with pytest.raises(NumericError, match="step 5"):
+        train_on_subset(params, [(img, mask)] * 4, TrainConfig(),
+                        np.random.default_rng(0))
+    assert len(seen) == 4
+    assert np.array_equal(params.weights, seen[1]) and params.version == 4
+    assert np.isfinite(params.weights).all()
+
+
 def _lesion_examples(rng, shapes):
     """Mask pixels at about 0.7 on a 0.2 background: a sharp model finds them."""
     examples = []
@@ -388,6 +413,38 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
         want.append(errors)
     assert got == want
     assert augmented_error_terms(sharp, [], selcfg, traincfg, []) == []
+
+
+def test_views_scored_from_kept_labels_equal_evaluate_example(tiny_dataset):
+    # pool records scored from their kept labels (flip views slice them)
+    # against each view's own map and mask, E compared as float hex
+    chunks, _ = tiny_dataset
+    pool = PoolState()
+    for i, chunk in enumerate(chunks):
+        add_chunk(pool, chunk, i)
+    ids = [r.id for r in pool.records]
+    sharp = ModelParams(weights=np.array([30.0, 0.0, 0.0, -12.0]))
+    selcfg = SelectionConfig(t=5, tau=0.3, error_weights=(1.0, 2.0, 0.5))
+    traincfg = TrainConfig(jitter=0.05)
+    got = augmented_error_terms(sharp, pool.labeled(ids), selcfg, traincfg,
+                                [example_rng(4, 0, 0, i) for i in ids])
+    want, differ = [], 0
+    for example_id in ids:
+        img, mask = pool.pair(example_id)
+        views = example_rng(4, 0, 0, example_id)
+        errors = []
+        for j in range(1, selcfg.t + 1):
+            view, view_mask = augment(img, mask, traincfg, views, j)
+            prob = forward(sharp, view)
+            differ += int(((prob >= 0.5) != view_mask).any())
+            errors.append(metrics.evaluate_example(
+                prob, view_mask, tau=selcfg.tau,
+                weights=selcfg.error_weights).E.hex())
+        want.append(errors)
+    assert [[E.hex() for E in errors] for errors in got] == want
+    # both settled and differing views, and lesions in the labels
+    assert 0 < differ < selcfg.t * len(ids)
+    assert any(labels.max() > 1 for _, labels in pool.labeled(ids))
 
 
 # -- example rng -----------------------------------------------------------
@@ -575,6 +632,38 @@ def test_mining_loop_equals_its_one_image_reference(data, selcfg, traincfg,
                            sum(stage_budgets(chunks, selcfg)) // (4 * K),
                            selcfg, traincfg)
     assert _bits(pool, params) == _bits(ref_pool, ref_params)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+
+
+def test_mine_scores_no_views_of_an_update_that_drops(tiny_dataset,
+                                                     monkeypatch):
+    # hem at d=2 drops records; an update that takes C past d gets no
+    # errors, every other one gets t of them, and the run still equals
+    # the one-image reference, which scores every update
+    chunks, _ = tiny_dataset
+    selcfg = SelectionConfig(seed=3, iterations_per_step=2, t=3, d=2)
+    traincfg = TrainConfig(epochs_per_iteration=2)
+    updates = []
+    real = trainer.record_training_update
+
+    def update(pool, example_id, errors, d):
+        updates.append((pool.record_for(example_id).C, len(errors)))
+        return real(pool, example_id, errors, d)
+
+    monkeypatch.setattr(trainer, "record_training_update", update)
+    pool, params = PoolState(), init_params()
+    train_pooled(params, pool, chunks, selcfg, traincfg)
+    ref_pool, ref_params = PoolState(), init_params()
+    for stage, chunk in enumerate(chunks):
+        add_chunk(ref_pool, chunk, stage)
+    oracles.mine_reference(ref_pool, ref_params,
+                           compute_partition_number(chunks[-1]),
+                           sum(stage_budgets(chunks, selcfg))
+                           // (4 * compute_partition_number(chunks[-1])),
+                           selcfg, traincfg)
+    assert _bits(pool, params) == _bits(ref_pool, ref_params)
+    assert {(C < selcfg.d, n) for C, n in updates} == {(True, selcfg.t),
+                                                       (False, 0)}
     assert 0 < sum(r.dropped for r in pool.records) < len(pool)
 
 
