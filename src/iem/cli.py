@@ -109,8 +109,6 @@ def cmd_train(args):
     settings = load_settings(args.config, args.seed)
     selcfg, traincfg = make_configs(settings)
     train_chunks, test_records = harness.load_dataset(args.data)
-    for records in (*train_chunks, test_records):
-        synth.verify_labels(records)
     report, params, pool, trace = harness.run_strategy(
         strategy, train_chunks, test_records, selcfg, traincfg
     )

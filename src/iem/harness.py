@@ -139,10 +139,6 @@ def _cycle(examples, rng):
             yield examples[i]
 
 
-def _pairs(records, reader):
-    return [reader.pair(rec.image_ref, rec.mask_ref) for rec in records]
-
-
 def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
                 reader=pgm):
     """One stage of a staged strategy: train params in place on ``chunk``.
@@ -151,15 +147,15 @@ def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
     (iem), the chunk joins the pool, and a later stage is
     ``incremental_step``, whose rounds go to ``trace``. Without one
     (naive), a later stage is iterations_per_step batches of 4K examples
-    of the chunk. ``reader.pair`` decodes what no pool holds. Returns
+    of the chunk. ``rec.pair(reader)`` decodes what no pool holds. Returns
     the size of the fixed set trained on, or None for a mining stage.
     """
-    if pool is not None and stage != (pool.stage + 1 if pool.records else 0):
+    if pool is not None and stage != pool.next_stage:
         raise ValueError(f"stage {stage} is out of sequence for the pool")
     if pool is not None and stage:
         incremental_step(pool, params, selcfg, traincfg, chunk, trace)
         return None
-    examples = (_pairs(chunk, reader) if pool is None
+    examples = ([rec.pair(reader) for rec in chunk] if pool is None
                 else [pool.pair(rec.id) for rec in add_chunk(pool, chunk, 0).records])
     rng = np.random.default_rng([selcfg.seed, stage])
     if stage:
@@ -189,7 +185,7 @@ def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None,
         mine(pool, params, K, budget // (4 * K), selcfg, traincfg, trace)
         return None
     rng = np.random.default_rng([selcfg.seed, 0])
-    examples = _pairs([rec for chunk in train_chunks for rec in chunk], reader)
+    examples = [rec.pair(reader) for chunk in train_chunks for rec in chunk]
     epochs, remainder = divmod(budget, len(examples))
     for _ in range(epochs):
         train_on_subset(params, examples, traincfg, rng)
@@ -204,16 +200,16 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
 
     ``pool`` is None for the strategies that do not mine. Each stage's
     seconds cover its training but not its evaluation, and its
-    examples_trained is the number of SGD steps it took. ``reader.pair``
-    decodes the test set and the full and naive training sets once per
-    run. An empty chunk anywhere is refused before any training.
+    examples_trained is the number of SGD steps it took. ``rec.pair(reader)``
+    decodes and checks the test set and the full and naive training sets
+    once per run. An empty chunk anywhere is refused before any training.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     empty = [i for i, chunk in enumerate(train_chunks) if not chunk]
     if not train_chunks or empty:
         raise ValueError(f"need nonempty training chunks; empty: {empty}")
-    test_pairs = _pairs(test_records, reader)
+    test_pairs = [rec.pair(reader) for rec in test_records]
     params, trace, rows = init_params(), [], []
     pool = PoolState() if strategy in ("baseline_hem", "iem_incremental") else None
 

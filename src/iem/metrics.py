@@ -254,22 +254,12 @@ def breakdown_arrays(probs, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
     return L, fp, fn, ji, error_term(L, fp, fn, ji, weights)
 
 
-def evaluate_examples(probs, gt_masks, tau=0.5, weights=(1.0, 1.0, 1.0)):
-    """Per-example breakdowns of an (n, h, w) stack of probability maps.
-
-    Returns a list of n ``MetricsBreakdown``s, each equal to what
-    ``evaluate_example`` gives for that map and mask alone.
-    """
-    arrays = breakdown_arrays(probs, np.asarray(gt_masks, dtype=np.bool_),
-                              tau, weights)
-    return [MetricsBreakdown(*fields)
-            for fields in zip(*(a.tolist() for a in arrays))]
-
-
 def evaluate_example(prob, gt_mask, tau=0.5, weights=(1.0, 1.0, 1.0)):
     """Full per-example breakdown of a probability map against its mask."""
-    return evaluate_examples(np.asarray(prob)[None], np.asarray(gt_mask)[None],
-                             tau, weights)[0]
+    arrays = breakdown_arrays(np.asarray(prob)[None],
+                              np.asarray(gt_mask, dtype=np.bool_)[None],
+                              tau, weights)
+    return MetricsBreakdown(*(a.item() for a in arrays))
 
 
 def evaluate_detection(pred_masks, gt_masks, tau=0.5):

@@ -49,6 +49,15 @@ class ExampleRecord:
         """Whether one more training update takes C past dropping number d."""
         return self.C >= d
 
+    def pair(self, reader=pgm):
+        """``reader.pair`` of the record's files; refuses a mask that is
+        empty on a positive record or nonempty on a negative one."""
+        img, mask = reader.pair(self.image_ref, self.mask_ref)
+        if mask.any() != (self.label == "positive"):
+            raise DataError(f"{self.mask_ref}: {self.id}: label "
+                            f"{self.label!r} disagrees with mask content")
+        return img, mask
+
 
 @dataclass
 class PoolState:
@@ -66,10 +75,9 @@ class PoolState:
         self._labels = {}
 
     def pair(self, example_id):
-        """A record's decoded (image, mask), kept and read-only."""
+        """A record's ``ExampleRecord.pair``, kept and read-only."""
         if example_id not in self._pairs:
-            record = self.record_for(example_id)
-            arrays = pgm.pair(record.image_ref, record.mask_ref)
+            arrays = self.record_for(example_id).pair()
             for array in arrays:
                 array.flags.writeable = False  # augment hands out views
             self._pairs[example_id] = arrays
@@ -92,6 +100,11 @@ class PoolState:
             self._labels.update(zip((i for _, i in block), labels))
         return [(self.pair(i)[0], self._labels[i]) for i in example_ids]
 
+    @property
+    def next_stage(self):
+        """The stage of the next chunk: 0 into an empty pool, else stage + 1."""
+        return self.stage + 1 if self.records else 0
+
     def record_for(self, example_id):
         try:
             return self._by_id[example_id]
@@ -105,15 +118,13 @@ class PoolState:
 def add_chunk(pool, examples, chunk_index):
     """Append a new chunk of records with E=0, C=0, dropped=False.
 
-    The first chunk into an empty pool must carry index 0; afterwards
-    chunks must arrive in sequence (stage + 1). Records are re-stamped
-    with the given chunk index and fresh bookkeeping fields.
+    The chunk must carry index ``pool.next_stage``, so chunks arrive in
+    sequence from 0. Records are re-stamped with the given chunk index
+    and fresh bookkeeping fields.
     """
-    expected = 0 if not pool.records else pool.stage + 1
-    if chunk_index != expected:
-        raise ValueError(
-            f"chunk_index {chunk_index} out of sequence (expected {expected})"
-        )
+    if chunk_index != pool.next_stage:
+        raise ValueError(f"chunk_index {chunk_index} out of sequence "
+                         f"(expected {pool.next_stage})")
     seen = set()
     for ex in examples:
         if ex.id in pool._by_id:
@@ -237,6 +248,8 @@ def load_state(path):
         count = int(_parse_kv(header[3], "records", path, 1))
     except ValueError as exc:
         raise DataError(f"{path}:1: bad header numbers") from exc
+    if stage < 0:
+        raise DataError(f"{path}:1: negative stage {stage}")
 
     records = []
     ids = set()
@@ -264,6 +277,9 @@ def load_state(path):
             dropped = {"0": False, "1": True}[values[7]]
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}:{lineno}: bad field value") from exc
+        if not 0 <= chunk_index <= stage:
+            raise DataError(f"{path}:{lineno}: chunk {chunk_index} outside "
+                            f"stages 0..{stage}")
         if not math.isfinite(e_value) or c_value < 0:
             raise DataError(f"{path}:{lineno}: E must be finite and C >= 0")
         if dropped and e_value != 0.0:

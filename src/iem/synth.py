@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, read_lines
-from .pgm import read_mask_pgm, write_mask_pgm, write_pgm
+from .pgm import write_mask_pgm, write_pgm
 from .pool import ExampleRecord
 
 MANIFEST_NAME = "manifest.tsv"
@@ -185,12 +185,10 @@ def read_manifest(path):
 
 
 def verify_labels(records):
-    """Check each record is labeled positive iff its mask has on-pixels."""
+    """Check each record is labeled positive iff its mask has on-pixels
+    (``ExampleRecord.pair`` refuses any other)."""
     for rec in records:
-        nonempty = bool(read_mask_pgm(rec.mask_ref).any())
-        if nonempty != (rec.label == "positive"):
-            raise DataError(f"{rec.mask_ref}: {rec.id}: label {rec.label!r} "
-                            "disagrees with mask content")
+        rec.pair()
 
 
 @dataclass(frozen=True)

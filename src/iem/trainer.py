@@ -257,7 +257,7 @@ def incremental_step(pool, params, selcfg, traincfg, new_chunk, trace=None):
     Ingests the chunk, sets K to its positive count, then runs
     iterations_per_step mining rounds (see ``mine``).
     """
-    stage = 0 if not pool.records else pool.stage + 1
+    stage = pool.next_stage
     K = compute_partition_number(new_chunk)
     add_chunk(pool, new_chunk, stage)
     mine(pool, params, K, selcfg.iterations_per_step, selcfg, traincfg, trace)

@@ -561,14 +561,18 @@ def _mask_of_another_size(data, tmp_path):
     return _train_argv(data, tmp_path, "full"), record.mask_ref
 
 
-def _flipped_label(data, tmp_path):
-    manifest = data / "chunk1" / "manifest.tsv"
+def _flip_first_label(manifest):
+    """Flip the label of a manifest's first record; return its mask path."""
     lines = manifest.read_text().splitlines()
     fields = lines[0].split("\t")
     fields[3] = {"positive": "negative", "negative": "positive"}[fields[3]]
     manifest.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+    return synth.read_manifest(str(manifest))[0].mask_ref
+
+
+def _flipped_label(data, tmp_path):
     return (_train_argv(data, tmp_path, "naive"),
-            synth.read_manifest(str(manifest))[0].mask_ref)
+            _flip_first_label(data / "chunk1" / "manifest.tsv"))
 
 
 def _chunk_after_a_gap(data, tmp_path):
@@ -598,6 +602,69 @@ def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
     assert str(path) in err
     assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()  # nothing written
+
+
+def _log_training(monkeypatch, log):
+    """Append "train" to ``log`` at each ``train_on_subset`` call from the
+    harness or the mining loop."""
+    train = trainer.train_on_subset
+
+    def logged(*args, **kwargs):
+        log.append("train")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_on_subset", logged)
+    monkeypatch.setattr(harness, "train_on_subset", logged)
+
+
+@pytest.mark.parametrize("strategy", sorted(cli._STRATEGY_ALIASES))
+def test_train_reads_each_image_and_mask_file_once(tiny_dataset_dir, tmp_path,
+                                                    monkeypatch, strategy):
+    read, decode = [], pgm._read_pgm_bytes
+    monkeypatch.setattr(pgm, "_read_pgm_bytes",
+                        lambda path: read.append(path) or decode(path))
+    config = tmp_path / "fast.cfg"
+    config.write_text(FAST_CONFIG)
+    argv = _train_argv(tiny_dataset_dir, tmp_path, strategy,
+                       "--config", str(config))
+    assert cli.main(argv) == 0
+    chunks, test_records = harness.load_dataset(tiny_dataset_dir)
+    records = [rec for chunk in (*chunks, test_records) for rec in chunk]
+    assert sorted(read) == sorted([r.image_ref for r in records]
+                                  + [r.mask_ref for r in records])
+
+
+def test_train_iem_refuses_a_bad_label_at_the_stage_of_its_chunk(
+        tiny_dataset_dir, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    mask_ref = _flip_first_label(data / "chunk2" / "manifest.tsv")
+    log = []
+    step = harness.incremental_step
+    monkeypatch.setattr(harness, "incremental_step", lambda pool, *rest: (
+        log.append(f"stage {pool.next_stage}"), step(pool, *rest)))
+    _log_training(monkeypatch, log)
+    assert cli.main(_train_argv(data, tmp_path, "iem")) == 3
+    err = capsys.readouterr().err
+    assert (f"error: {mask_ref}: chunk2-0000: label" in err
+            and "disagrees with mask content" in err)
+    # chunks 0 and 1 are trained on; chunk 2 fails before its first step
+    assert log[0] == "train" and "stage 1" in log and log[-1] == "stage 2"
+    assert not (tmp_path / "runs").exists()  # nothing written
+
+
+@pytest.mark.parametrize("strategy", sorted(cli._STRATEGY_ALIASES))
+def test_train_refuses_a_bad_test_label_before_training(
+        tiny_dataset_dir, tmp_path, monkeypatch, capsys, strategy):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    mask_ref = _flip_first_label(data / "test" / "manifest.tsv")
+    log = []
+    _log_training(monkeypatch, log)
+    assert cli.main(_train_argv(data, tmp_path, strategy)) == 3
+    assert f"error: {mask_ref}: " in capsys.readouterr().err
+    assert log == []
+    assert not (tmp_path / "runs").exists()
 
 
 # -- compare ---------------------------------------------------------------

@@ -81,6 +81,17 @@ def test_add_chunk_rejects_out_of_sequence():
         add_chunk(pool, [_rec("b")], 3)
 
 
+def test_next_stage_is_zero_then_one_past_the_pool_stage():
+    pool = _pool()
+    assert pool.next_stage == 0
+    add_chunk(pool, [_rec("a")], 0)
+    assert pool.next_stage == 1
+    add_chunk(pool, [_rec("b")], 1)
+    assert pool.next_stage == 2
+    # a pool's stage counts only once it holds records
+    assert _pool(stage=4).next_stage == 0
+
+
 def test_add_chunk_rejects_duplicate_ids():
     pool = _pool()
     add_chunk(pool, [_rec("a")], 0)
@@ -163,6 +174,27 @@ def test_pool_decodes_once_into_read_only_arrays(tmp_path, monkeypatch):
         got_mask[:, ::-1][0, 0] = False
     with pytest.raises(ValueError, match="unknown example id"):
         pool.pair("b")
+
+
+@pytest.mark.parametrize("mask", [np.zeros((3, 4), bool),
+                                  np.eye(3, 4, dtype=bool)],
+                         ids=["empty", "nonempty"])
+@pytest.mark.parametrize("reader", [pgm, pgm.ImageCache()],
+                         ids=["pgm", "cache"])
+def test_record_pair_refuses_a_label_its_mask_disagrees_with(
+        tmp_path, mask, reader):
+    rec = _write_pair(tmp_path, "a", np.full((3, 4), 0.4), mask)
+    img, got = rec.pair(reader)
+    assert np.array_equal(got, mask) and img.shape == mask.shape
+    flipped = ExampleRecord(
+        id="a", image_ref=rec.image_ref, mask_ref=rec.mask_ref,
+        label="negative" if rec.label == "positive" else "positive")
+    with pytest.raises(DataError) as exc:
+        flipped.pair(reader)
+    assert str(exc.value) == (f"{rec.mask_ref}: a: label {flipped.label!r} "
+                              "disagrees with mask content")
+    with pytest.raises(DataError, match="disagrees"):
+        _pool(flipped).pair("a")
 
 
 # -- record_training_update ------------------------------------------------
@@ -294,6 +326,21 @@ def test_load_rejects_malformed(tmp_path, mangle, complaint):
     path.write_text("\n".join(mangled) + ("\n" if mangled else ""))
     with pytest.raises(DataError, match=complaint):
         load_state(path)
+
+
+@pytest.mark.parametrize("edit, complaint", [
+    (("stage=1", "stage=-1"), "1: negative stage -1"),
+    (("chunk=1", "chunk=-1"), "3: chunk -1 outside stages 0..1"),
+    (("chunk=1", "chunk=2"), "3: chunk 2 outside stages 0..1"),
+], ids=["negative-stage", "negative-chunk", "chunk-past-stage"])
+def test_load_refuses_an_impossible_stage(tmp_path, edit, complaint):
+    pool = _pool(_rec("a"), _rec("b", chunk_index=1), stage=1)
+    path = tmp_path / "pool.tsv"
+    save_state(pool, path)
+    path.write_text(path.read_text().replace(*edit))
+    with pytest.raises(DataError) as exc:
+        load_state(path)
+    assert str(exc.value) == f"{path}:{complaint}"
 
 
 def test_load_rejects_dropped_with_nonzero_e(tmp_path):
