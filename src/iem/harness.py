@@ -108,7 +108,8 @@ def evaluate_model(params, pairs, tau):
 
     Runs over blocks of up to 16 same-shape (image, mask) test pairs,
     keeping running lesion counts and the per-image Jaccard values.
-    ``pairs`` is read once, so a decoding generator keeps no image.
+    ``pairs`` is read once, so a decoding generator keeps no image. No
+    pairs at all is refused: there is no mean Jaccard to give.
     """
     tp = fp = fn = 0
     jis = []
@@ -121,6 +122,8 @@ def evaluate_model(params, pairs, tau):
         fp += int(false_pos.sum())
         fn += int(false_neg.sum())
         jis.extend(metrics.jaccard_index(preds, masks).tolist())
+    if not jis:
+        raise ValueError("no test pairs to evaluate")
     return (*metrics.detection_scores(tp, fp, fn), float(np.mean(jis)))
 
 
@@ -202,13 +205,16 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
     seconds cover its training but not its evaluation, and its
     examples_trained is the number of SGD steps it took. ``rec.pair(reader)``
     decodes and checks the test set and the full and naive training sets
-    once per run. An empty chunk anywhere is refused before any training.
+    once per run. An empty chunk anywhere, or an empty test set, is
+    refused before any training.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     empty = [i for i, chunk in enumerate(train_chunks) if not chunk]
     if not train_chunks or empty:
         raise ValueError(f"need nonempty training chunks; empty: {empty}")
+    if not test_records:
+        raise ValueError("need a nonempty test set")
     test_pairs = [rec.pair(reader) for rec in test_records]
     params, trace, rows = init_params(), [], []
     pool = PoolState() if strategy in ("baseline_hem", "iem_incremental") else None

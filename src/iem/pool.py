@@ -119,12 +119,14 @@ def add_chunk(pool, examples, chunk_index):
     """Append a new chunk of records with E=0, C=0, dropped=False.
 
     The chunk must carry index ``pool.next_stage``, so chunks arrive in
-    sequence from 0. Records are re-stamped with the given chunk index
-    and fresh bookkeeping fields.
+    sequence from 0, and must not be empty. Records are re-stamped with
+    the given chunk index and fresh bookkeeping fields.
     """
     if chunk_index != pool.next_stage:
         raise ValueError(f"chunk_index {chunk_index} out of sequence "
                          f"(expected {pool.next_stage})")
+    if not examples:
+        raise ValueError(f"chunk {chunk_index} is empty")
     seen = set()
     for ex in examples:
         if ex.id in pool._by_id:

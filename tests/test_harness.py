@@ -83,6 +83,14 @@ def test_run_strategy_validates_inputs(tiny_dataset, tiny_selcfg, tiny_traincfg)
         run_strategy("baseline_full", [], test_records, tiny_selcfg, tiny_traincfg)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_strategy_refuses_an_empty_test_set_before_training(
+        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg):
+    chunks, _ = tiny_dataset
+    with pytest.raises(ValueError, match=r"^need a nonempty test set$"):
+        run_strategy(strategy, chunks, [], tiny_selcfg, tiny_traincfg, _NoReads())
+
+
 class _NoReads:
     def pair(self, image_ref, mask_ref):
         raise AssertionError(f"decoded {image_ref}")
@@ -349,6 +357,12 @@ def test_evaluate_model_perfect_and_mixed(tmp_path):
     precision, recall, f1, ji = evaluate_model(blind, decoded(mixed), tau)
     assert (precision, recall, f1) == (0.0, 0.0, 0.0)
     assert ji == 0.0
+
+
+@pytest.mark.parametrize("pairs", [[], iter(())], ids=["list", "generator"])
+def test_evaluate_model_refuses_no_pairs(pairs):
+    with pytest.raises(ValueError, match=r"^no test pairs to evaluate$"):
+        evaluate_model(init_params(), pairs, SelectionConfig().tau)
 
 
 # -- report files ----------------------------------------------------------

@@ -1,13 +1,15 @@
-"""PGM round trips, header parsing, malformed-file rejection, and the read cache."""
+"""PGM round trips, header parsing and reuse, malformed files, and the read cache."""
 
 import collections
 import os
 import random
+import types
 
 import numpy as np
 import pytest
 
 import oracles
+from iem import pgm
 from iem.errors import DataError
 from iem.pgm import (ImageCache, pair, read_mask_pgm, read_pgm, write_mask_pgm,
                      write_pgm)
@@ -83,13 +85,20 @@ _ODD_SIZE = [b"0", b"-1", b"+2", b"1_0", b"3#x", b"x", b"\xff", b"2.0", b"02"]
 _ODD_MAXVAL = [b"65535", b"256", b"0255", b"255#", b"25x", b"+255"]
 
 
+def _fuzzed_raster(rng, length):
+    return bytes(rng.choice(b"\x00\x7f\x80\xff#" + _WHITESPACE)
+                 for _ in range(length))
+
+
 def _fuzzed_pgm(rng):
     """Bytes shaped like a PGM file, with every kind of header damage.
 
     Header tokens sit between runs of any whitespace and comments; a
     comment may hold '#' and whitespace and may lack its newline, a gap
     may be empty (joining two tokens), a token may hold '#', and the
-    raster may be a few bytes short or long.
+    raster may be a few bytes short or long. Returns the bytes, the
+    length of the part before the raster, and the raster size the size
+    tokens ask for (4 when they are not integers).
     """
     out = bytearray()
 
@@ -119,42 +128,160 @@ def _fuzzed_pgm(rng):
         size = int(tokens[1]) * int(tokens[2])
     except (IndexError, ValueError):
         size = 4
+    header_len = len(out)
     length = min(size, 16)
     if rng.random() < 0.3:  # a raster short or long by a byte or two
         length = max(0, length + rng.randint(-2, 2))
-    out.extend(rng.choice(b"\x00\x7f\x80\xff#" + _WHITESPACE)
-               for _ in range(length))
-    return bytes(out)
+    out.extend(_fuzzed_raster(rng, length))
+    return bytes(out), header_len, size
 
 
 def test_header_match_agrees_with_the_token_loop_on_fuzzed_files(tmp_path):
     rng = random.Random(20)
+    reuse = random.Random(21)  # its own draws, so rng's files stay the same
     path = tmp_path / "fuzz.pgm"
     outcomes = collections.Counter()
+    reused = collections.Counter()
     # one file rewritten in place: a close after each truncation can make
     # the file system flush it, at hundreds of microseconds a case
     with open(path, "wb", buffering=0) as fh:
-        for _ in range(20000):
-            data = _fuzzed_pgm(rng)
+
+        def check(data, counts):
             fh.seek(0)
             fh.write(data)
             fh.truncate()
             want, complaint = oracles.decode_pgm(data, path)
             if complaint is None:
-                outcomes["decoded"] += 1
+                counts["decoded"] += 1
                 img, mask = read_pgm(path), read_mask_pgm(path)
                 assert img.shape == mask.shape == want.shape, data
                 assert (img.tobytes()
                         == (want.astype(np.float64) / 255.0).tobytes()), data
                 assert mask.tobytes() == (want >= 128).tobytes(), data
-                continue
-            outcomes[complaint[len(str(path)) + 2:][:12]] += 1
+                return
+            counts[complaint[len(str(path)) + 2:][:12]] += 1
             for read in (read_pgm, read_mask_pgm):
                 with pytest.raises(DataError) as exc:
                     read(path)
                 assert str(exc.value) == complaint, data
+
+        for _ in range(20000):
+            data, header_len, size = _fuzzed_pgm(rng)
+            check(data, outcomes)
+            if reuse.random() < 0.25:
+                # the header bytes just read again, before a raster short
+                # or long by a few bytes, or long past one 4 KiB read; at
+                # times first alone, so a file ends where its header does
+                if reuse.random() < 0.3:
+                    check(data[:header_len], reused)
+                length = max(0, size + reuse.randint(-3, 3))
+                raster = _fuzzed_raster(reuse, length)
+                if reuse.random() < 0.2:
+                    raster += reuse.randbytes(reuse.randint(1, 5000))
+                check(data[:header_len] + raster, reused)
     # decoded, and each of the five complaints, drawn many times
     assert len(outcomes) == 6 and min(outcomes.values()) > 300, outcomes
+    assert min(reused["decoded"], reused["raster trunc"]) > 300, reused
+
+
+@pytest.fixture
+def no_known_header(monkeypatch):
+    """The decoder as at import: no header kept from an earlier file."""
+    monkeypatch.setattr(pgm, "_known_header", ())
+
+
+def _same_layout_files(tmp_path, n):
+    rng = np.random.default_rng(3)
+    paths, want = [], []
+    for i in range(n):
+        img = rng.integers(0, 256, (24, 24)).astype(np.float64) / 255.0
+        path = tmp_path / f"{i}.pgm"
+        write_pgm(path, img)
+        paths.append(path)
+        want.append(img)
+    return paths, want
+
+
+def test_files_of_one_layout_parse_the_header_once(tmp_path, monkeypatch,
+                                                   no_known_header):
+    paths, want = _same_layout_files(tmp_path, 50)
+    matches = []
+
+    def counted_match(data):
+        matches.append(data)
+        return header.match(data)
+
+    header = pgm._HEADER
+    monkeypatch.setattr(pgm, "_HEADER", types.SimpleNamespace(match=counted_match))
+    for path, img in zip(paths, want):
+        assert np.array_equal(read_pgm(path), img)
+    assert len(matches) == 1
+
+
+def test_a_known_header_stops_the_read_at_the_raster_end(tmp_path, monkeypatch,
+                                                         no_known_header):
+    paths, want = _same_layout_files(tmp_path, 50)
+    reads = []
+
+    def counted_read(fd, n):
+        reads.append(n)
+        return os_read(fd, n)
+
+    os_read = os.read
+    monkeypatch.setattr(os, "read", counted_read)
+    for path, img in zip(paths, want):
+        assert np.array_equal(read_pgm(path), img)
+    # the first file is read to end of file: its data, then b""
+    assert len(reads) == 2 + 49
+
+
+def test_a_header_cut_at_the_end_of_data_is_not_kept(tmp_path, no_known_header):
+    # the header match of b"P5\n1 1\n255" ends at the end of data; kept
+    # without the byte that ends it, it would read the next file's
+    # b"\n" as the raster
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n1 1\n255")
+    with pytest.raises(DataError) as exc:
+        read_pgm(path)
+    assert str(exc.value) == f"{path}: raster truncated (0 of 1 bytes)"
+    path.write_bytes(b"P5\n1 1\n255\n\x07")
+    assert np.array_equal(read_pgm(path) * 255.0, [[7.0]])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"P5\n24 24\n255\n" + bytes(575),  # the raster a byte short
+        b"P5\n24 24\n255\n",
+        b"P5\n24 24\n255",
+        b"P2\n24 24\n255\n" + bytes(576),
+        b"P5\n20 16\n255\n" + bytes(320),  # another size decodes as itself
+        b"P5\n20 16\n255\n" + bytes(319),
+        b"P5\n24 24 255\n" + bytes(576),  # the same tokens, other bytes
+        b"P5\n24 24\n255\n" + bytes(range(256)) * 20,  # long, past 4 KiB
+        b"P5\n24 24\n255\n#" + bytes(575),  # the raster may start with '#'
+    ],
+    ids=["short", "no-raster", "no-end-byte", "P2", "20x16", "20x16-short",
+         "other-spacing", "long", "hash"],
+)
+def test_a_kept_header_changes_no_outcome(tmp_path, no_known_header, payload):
+    known = tmp_path / "known.pgm"
+    write_pgm(known, np.full((24, 24), 0.4))
+    read_pgm(known)
+    assert pgm._known_header == (b"P5\n24 24\n255\n", 24, 24)
+    path = tmp_path / "next.pgm"
+    path.write_bytes(payload)
+    want, complaint = oracles.decode_pgm(payload, path)
+    if complaint is None:
+        assert read_pgm(path).tobytes() == (want / 255.0).tobytes()
+        assert read_mask_pgm(path).tobytes() == (want >= 128).tobytes()
+    else:
+        for read in (read_pgm, read_mask_pgm):
+            with pytest.raises(DataError) as exc:
+                read(path)
+            assert str(exc.value) == complaint
+    # the file before still decodes the same
+    assert np.array_equal(read_pgm(known), np.full((24, 24), 0.4))
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -81,6 +81,21 @@ def test_add_chunk_rejects_out_of_sequence():
         add_chunk(pool, [_rec("b")], 3)
 
 
+def test_add_chunk_refuses_an_empty_chunk_and_leaves_the_pool():
+    pool = _pool()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^chunk 0 is empty$"):
+            add_chunk(pool, [], 0)
+    assert len(pool) == 0 and pool.next_stage == 0
+    add_chunk(pool, [_rec("a")], 0)
+    with pytest.raises(ValueError, match=r"^chunk 1 is empty$"):
+        add_chunk(pool, [], 1)
+    with pytest.raises(ValueError, match="out of sequence"):
+        add_chunk(pool, [], 2)
+    assert pool.stage == 0 and pool.next_stage == 1
+    assert [rec.chunk_index for rec in pool.records] == [0]
+
+
 def test_next_stage_is_zero_then_one_past_the_pool_stage():
     pool = _pool()
     assert pool.next_stage == 0
