@@ -159,7 +159,7 @@ def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
         incremental_step(pool, params, selcfg, traincfg, chunk, trace)
         return None
     examples = ([rec.pair(reader) for rec in chunk] if pool is None
-                else [pool.pair(rec.id) for rec in add_chunk(pool, chunk, 0).records])
+                else add_chunk(pool, chunk, 0).labeled([r.id for r in chunk]))
     rng = np.random.default_rng([selcfg.seed, stage])
     if stage:
         batch_size = 4 * compute_partition_number(chunk)

@@ -143,10 +143,11 @@ def lesion_counts(pred_masks, gt, tau=0.5):
     """Per-image (matched, false positive, false negative) lesion counts.
 
     Takes an (n, h, w) stack of predicted masks and one of true masks, or
-    of their component labels: an integer stack is read as the labels
-    ``kernels.label_components`` gives the masks, in any numbering (a
-    flipped view's labels are the flipped labels), so its component
-    count is its largest label. Returns three int arrays: what
+    of their component labels: int32 (``kernels.label_components``) or
+    uint8 (``PoolState.labeled``) labels in any numbering (a flipped
+    view's labels are the flipped labels), whose largest is the component
+    count, so a 0/1 stack of those holds one lesion per nonempty image;
+    other integer dtypes raise ValueError. Returns three int arrays: what
     ``match_lesions`` counts on each image's ``connected_components``.
     A prediction equal to its mask is settled without labeling it: each
     component matches itself at IoU 1 and overlaps no other, so matched
@@ -168,6 +169,8 @@ def lesion_counts(pred_masks, gt, tau=0.5):
     pred_masks = np.asarray(pred_masks, dtype=np.bool_)
     gt = np.asarray(gt)
     gt_labeled = np.issubdtype(gt.dtype, np.integer)
+    if gt_labeled and gt.dtype not in (np.int32, np.uint8):
+        raise ValueError(f"gt dtype {gt.dtype} is not bool, int32 or uint8")
     gt_masks = gt != 0 if gt_labeled else gt.astype(np.bool_, copy=False)
     _check_same_shape(pred_masks, gt_masks)
     differ = np.flatnonzero((pred_masks != gt_masks).any(axis=(-2, -1)))
@@ -196,9 +199,8 @@ def lesion_counts(pred_masks, gt, tau=0.5):
         inter = table[:, 1:, 1:][k, p, g]
         union = (table[:, 1:].sum(axis=2)[k, p]
                  + table[:, :, 1:].sum(axis=1)[k, g] - inter)
-        iou = inter / union
-        keep = iou >= tau
-        k, p, g, iou = k[keep], p[keep], g[keep], iou[keep]
+        keep = inter / union >= tau
+        k, p, g = k[keep], p[keep], g[keep]
         matched[differ] = np.bincount(k, minlength=m)
         pred_uses = np.bincount(k * rows + p)
         gt_uses = np.bincount(k * cols + g)

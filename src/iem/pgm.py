@@ -122,7 +122,7 @@ def pair(image_path, mask_path):
 
 
 class ImageCache:
-    """Caches decoded image/mask arrays by absolute path for one run."""
+    """Keeps decodes by path; no command uses it, tests share it across runs."""
 
     def __init__(self):
         self._images = {}

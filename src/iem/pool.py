@@ -5,8 +5,9 @@ dropped flag. Once a record's C exceeds the dropping number it is marked an
 outlier: its E is zeroed and it is excluded from every later selection and
 refresh (exclusion is permanent).
 
-The pool keeps each record's decoded image and mask, and for scoring the
-mask's component labels: a mask never changes, so it is labeled once.
+SGD and scoring read each example in one form, kept by the pool: its
+decoded image and its mask's component labels, whose nonzero pixels are
+the mask. A mask never changes, so it is decoded and labeled once.
 
 Pool state persists as a line-delimited text file: a header line carrying
 the format version, config fingerprint, stage and record count, then one
@@ -61,7 +62,7 @@ class ExampleRecord:
 
 @dataclass
 class PoolState:
-    """Records of every ingested chunk; ``pair`` decodes one on first use."""
+    """Records of every ingested chunk; ``labeled`` decodes one on first use."""
 
     records: list = field(default_factory=list)
     stage: int = 0
@@ -71,34 +72,28 @@ class PoolState:
         self._by_id = {r.id: r for r in self.records}
         if len(self._by_id) != len(self.records):
             raise ValueError("duplicate ids in pool records")
-        self._pairs = {}
-        self._labels = {}
-
-    def pair(self, example_id):
-        """A record's ``ExampleRecord.pair``, kept and read-only."""
-        if example_id not in self._pairs:
-            arrays = self.record_for(example_id).pair()
-            for array in arrays:
-                array.flags.writeable = False  # augment hands out views
-            self._pairs[example_id] = arrays
-        return self._pairs[example_id]
+        self._examples = {}
 
     def labeled(self, example_ids):
         """Each record's (image, labels of its mask's components), kept.
 
-        The labels are what ``kernels.label_components`` gives the mask,
-        uint8 when the counts fit, and read-only. The masks not labeled
-        yet are labeled on this first use, in same-shape stacks.
+        A record not read yet is decoded by ``ExampleRecord.pair`` (which
+        checks its label), and its mask labeled with the other new ones in
+        same-shape stacks by ``kernels.label_components``, uint8 when the
+        counts fit; the mask is not kept. Both arrays are read-only, since
+        ``augment`` hands out views of them.
         """
-        new = [(self.pair(i)[1], i) for i in example_ids
-               if i not in self._labels]
+        new = (self.record_for(i).pair() + (i,)
+               for i in example_ids if i not in self._examples)
         for block in shape_blocks(new):
-            labels, counts = label_components(np.stack([m for m, _ in block]))
+            labels, counts = label_components(np.stack([m for _, m, _ in block]))
             if counts.max() <= np.iinfo(np.uint8).max:
                 labels = labels.astype(np.uint8)
             labels.flags.writeable = False
-            self._labels.update(zip((i for _, i in block), labels))
-        return [(self.pair(i)[0], self._labels[i]) for i in example_ids]
+            for (img, _, i), mask_labels in zip(block, labels):
+                img.flags.writeable = False
+                self._examples[i] = (img, mask_labels)
+        return [self._examples[i] for i in example_ids]
 
     @property
     def next_stage(self):

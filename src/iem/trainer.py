@@ -139,6 +139,8 @@ def augment(img, mask, cfg, rng, j):
 def train_on_subset(params, examples, cfg, rng):
     """SGD over (image, mask) pairs, one rng-chosen view per example per epoch.
 
+    A mask may be given as its component labels, whose nonzero pixels are
+    the mask; ``feature_gradient`` casts each step's view to bool.
     Examples are visited in a fresh shuffled order each epoch. The views
     of up to 16 consecutive same-shape steps are drawn in step order and
     featurized as one stack, then the steps run one by one; SGD draws
@@ -224,10 +226,10 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
     rounds of select / train / per-example error update. Per-example
     updates commit in id order. An update that drops its record zeroes
     E, so that record's t views are not scored; each example draws its
-    views from its own ``example_rng``, so no other E moves. Views are
-    scored from the pool's kept mask labels (``PoolState.labeled``). A
-    round whose selection is empty trains nothing. ``trace``, when
-    given, is called with (stage, iteration, subset) after each round.
+    views from its own ``example_rng``, so no other E moves. SGD and
+    scoring read the pool's kept labels (``PoolState.labeled``). A round
+    whose selection is empty trains nothing. ``trace``, when given, is
+    called with (stage, iteration, subset) after each round.
     """
     stage = pool.stage
     refresh_errors(pool, lambda img: forward(params, img), selcfg)
@@ -236,7 +238,7 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
         subset = select_subset(pool, K, rng)
         ids = subset.all_ids()
         if ids:
-            train_on_subset(params, [pool.pair(i) for i in ids], traincfg, rng)
+            train_on_subset(params, pool.labeled(ids), traincfg, rng)
             ids = sorted(ids)
             scored = [i for i in ids
                       if not pool.record_for(i).drops_on_update(selcfg.d)]

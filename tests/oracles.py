@@ -144,6 +144,8 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
     drawn view (an order permutation per epoch, then each example's view
     index and jitter draw), and re-scores each selected id's t views from
     ``example_rng``, committing in id order. Returns the rounds' subsets.
+    A mask is read as the pool's kept labels, which ``evaluate_example``
+    and ``gradient`` cast to the mask.
     """
     stage = pool.stage
 
@@ -153,7 +155,7 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
 
     for record in pool.records:
         if not record.dropped:
-            record.E = error(*pool.pair(record.id))
+            record.E = error(*pool.labeled([record.id])[0])
     rng = np.random.default_rng([selcfg.seed, stage])
     subsets = []
     for iteration in range(rounds):
@@ -163,14 +165,14 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
             continue
         for _ in range(traincfg.epochs_per_iteration):
             for i in rng.permutation(len(ids)):
-                img, mask = pool.pair(ids[i])
+                img, mask = pool.labeled([ids[i]])[0]
                 j = int(rng.integers(1, traincfg.n_views + 1))
                 view, view_mask = augment(img, mask, traincfg, rng, j)
                 params.weights = (params.weights - traincfg.learning_rate
                                   * gradient(params, view, view_mask))
                 params.version += 1
         for example_id in sorted(ids):
-            img, mask = pool.pair(example_id)
+            img, mask = pool.labeled([example_id])[0]
             views = example_rng(selcfg.seed, stage, iteration, example_id)
             errors = [error(*augment(img, mask, traincfg, views, j))
                       for j in range(1, selcfg.t + 1)]

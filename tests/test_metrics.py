@@ -364,6 +364,24 @@ def test_lesion_counts_reject_bad_tau_and_shapes():
         metrics.lesion_counts(masks, np.zeros((1, 3, 4), dtype=bool), 0.5)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16, np.int8])
+def test_lesion_counts_refuse_integer_masks_of_other_dtypes(dtype):
+    # two single-pixel lesions, one found: read as labels, a 0/1 integer
+    # mask would hold one lesion, and the missed one would go uncounted
+    gt = np.zeros((1, 5, 5), dtype=bool)
+    gt[0, 0, 0] = gt[0, 4, 4] = True
+    pred = np.zeros_like(gt)
+    pred[0, 0, 0] = True
+    assert [int(c[0]) for c in metrics.lesion_counts(pred, gt)] == [1, 0, 1]
+    for labels in (np.uint8, np.int32):  # read as labels, as documented
+        got = metrics.lesion_counts(pred, gt.astype(labels))
+        assert [int(c[0]) for c in got] == [1, 0, 0]
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} "):
+        metrics.lesion_counts(pred, gt.astype(dtype))
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} "):
+        metrics.breakdown_arrays(pred.astype(float), gt.astype(dtype))
+
+
 # -- error term ------------------------------------------------------------
 
 

@@ -172,23 +172,36 @@ def test_pool_builds_and_selects_without_decoding(monkeypatch):
     assert len(select_subset(pool, 1, np.random.default_rng(0))) == 4
 
 
-def test_pool_decodes_once_into_read_only_arrays(tmp_path, monkeypatch):
-    img = np.full((3, 4), 0.4)
-    mask = np.eye(3, 4, dtype=bool)
-    pool = _pool(_write_pair(tmp_path, "a", img, mask))
+def test_pool_labels_each_record_once_into_read_only_arrays(tmp_path,
+                                                            monkeypatch):
+    # three lesions; a negative; 300 lesions, too many for uint8 labels
+    masks = [np.zeros((3, 5), bool), np.zeros((3, 5), bool),
+             np.zeros((1, 600), bool)]
+    masks[0][0, 0] = masks[0][0, 4] = masks[0][2, 2] = True
+    masks[2][0, ::2] = True
+    records = [_write_pair(tmp_path, rid, np.full(mask.shape, 0.4), mask)
+               for rid, mask in zip("abc", masks)]
+    pool = _pool(*records)
     calls, decode = [], pgm.pair
     monkeypatch.setattr(pgm, "pair",
                         lambda *refs: calls.append(refs) or decode(*refs))
-    got_img, got_mask = pool.pair("a")
-    assert pool.pair("a")[0] is got_img and len(calls) == 1
-    assert np.array_equal(got_img, np.rint(img * 255) / 255)
-    assert np.array_equal(got_mask, mask)
-    with pytest.raises(ValueError, match="read-only"):
-        got_img[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        got_mask[:, ::-1][0, 0] = False
+    first = pool.labeled(["a", "b"])
+    again = pool.labeled(["c", "b", "a"])
+    assert len(calls) == 3
+    assert all(x is y for x, y in zip(first[0] + first[1], again[2] + again[1]))
+    for (img, labels), rec in zip(again, records[::-1]):
+        want_img, want_mask = decode(rec.image_ref, rec.mask_ref)
+        assert img.dtype == np.float64 and np.array_equal(img, want_img)
+        assert np.array_equal(labels != 0, want_mask)
+        with pytest.raises(ValueError, match="read-only"):
+            img[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            labels[:, ::-1][0, 0] = 0
+    assert [labels.dtype for _, labels in again] == [np.int32, np.uint8,
+                                                     np.uint8]
+    assert [int(labels.max()) for _, labels in again] == [300, 0, 3]
     with pytest.raises(ValueError, match="unknown example id"):
-        pool.pair("b")
+        pool.labeled(["a", "zz"])
 
 
 @pytest.mark.parametrize("mask", [np.zeros((3, 4), bool),
@@ -209,7 +222,7 @@ def test_record_pair_refuses_a_label_its_mask_disagrees_with(
     assert str(exc.value) == (f"{rec.mask_ref}: a: label {flipped.label!r} "
                               "disagrees with mask content")
     with pytest.raises(DataError, match="disagrees"):
-        _pool(flipped).pair("a")
+        _pool(flipped).labeled(["a"])
 
 
 # -- record_training_update ------------------------------------------------
@@ -276,7 +289,8 @@ def test_a_hem_run_labels_each_pool_mask_once(tiny_dataset, tiny_selcfg,
     _, _, pool, _ = harness.run_strategy(
         "baseline_hem", chunks, test_records, tiny_selcfg,
         TrainConfig(epochs_per_iteration=2))
-    masks = [pool.pair(r.id)[1] for r in pool.records]
+    masks = [labels != 0
+             for _, labels in pool.labeled([r.id for r in pool.records])]
     assert [labeled[m.tobytes()] for m in masks if m.any()] == [
         1 for m in masks if m.any()]
     assert len(calls) < sum(calls) / masks[0].size  # stacks, not images

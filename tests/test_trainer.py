@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from iem import metrics, trainer
+from iem import kernels, metrics, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
@@ -364,6 +364,27 @@ def test_train_on_subset_equals_one_step_at_a_time():
     assert params.version == 3 + 2 * len(examples)
 
 
+def test_train_on_subset_on_mask_labels_equals_on_masks():
+    # the pool trains on its kept labels, uint8 or the int32 that
+    # label_components gives: every view of every shape takes the same
+    # steps as on the boolean mask
+    rng = np.random.default_rng(21)
+    examples = _lesion_examples(rng, [(6, 6)] * 19 + [(5, 7)] * 4 + [(6, 6)] * 2)
+    labeled = []
+    for n, (img, mask) in enumerate(examples):
+        labels, count = kernels.label_components(mask)
+        assert count > 1
+        labeled.append((img, labels.astype(np.uint8) if n % 2 else labels))
+    cfg = TrainConfig(learning_rate=0.7, epochs_per_iteration=2, jitter=0.2)
+    assert cfg.n_views == 4
+    got = []
+    for pairs in (examples, labeled):
+        params = ModelParams(weights=np.array([0.5, -0.2, 0.1, 0.0]), version=3)
+        train_on_subset(params, pairs, cfg, np.random.default_rng(12))
+        got.append(([w.hex() for w in params.weights.tolist()], params.version))
+    assert got[0] == got[1] and got[0][1] == 3 + 2 * len(examples)
+
+
 @pytest.mark.parametrize("t", [1, 4, 6])
 def test_augmented_error_terms_equal_per_view_scores(t):
     rng = np.random.default_rng(8)
@@ -430,7 +451,7 @@ def test_views_scored_from_kept_labels_equal_evaluate_example(tiny_dataset):
                                 [example_rng(4, 0, 0, i) for i in ids])
     want, differ = [], 0
     for example_id in ids:
-        img, mask = pool.pair(example_id)
+        img, mask = pool.record_for(example_id).pair()
         views = example_rng(4, 0, 0, example_id)
         errors = []
         for j in range(1, selcfg.t + 1):
