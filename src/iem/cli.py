@@ -145,6 +145,9 @@ def cmd_compare(args):
         [harness.read_report_fragment(path) for path in args.reports],
         args.reports)
     print(harness.final_stage_table(merged))
+    note = harness.uneven_totals(merged)
+    if note:
+        print(note)
     csv_text = harness.comparison_csv(merged)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

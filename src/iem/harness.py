@@ -10,9 +10,11 @@ two train on fixed sets.
 All strategies share one presentation budget. The initial chunk is worth
 iterations_per_step passes over it; each later chunk is worth
 iterations_per_step batches of 4K examples, K being that chunk's
-positive count. Pooled strategies receive the sum. The mining loop may
-present slightly less when truncation shrinks a selection; the allowance
-is never exceeded.
+positive count. Pooled strategies receive the sum. The allowance is
+never exceeded, but the mining loop trains only what its selections
+hold, which can be much less: at the library defaults ``baseline_hem``
+takes 4400 of its 6000 steps (at the criterion-5 config all four take
+9000). ``uneven_totals`` names the strategies whose totals differ.
 
 Per-strategy outputs: a report fragment CSV (no wall-clock column, so
 reruns are byte-identical), a timings sidecar CSV, a trace log of what
@@ -25,6 +27,7 @@ import math
 import os
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
@@ -114,9 +117,9 @@ def evaluate_model(params, pairs, tau):
     tp = fp = fn = 0
     jis = []
     for block in shape_blocks(pairs):
-        masks = np.stack([mask for _, mask in block])
+        masks = np.array([mask for _, mask in block])
         preds = metrics.binarize(
-            forward(params, np.stack([img for img, _ in block])))
+            forward(params, np.array([img for img, _ in block])))
         matched, false_pos, false_neg = metrics.lesion_counts(preds, masks, tau)
         tp += int(matched.sum())
         fp += int(false_pos.sum())
@@ -418,6 +421,21 @@ def final_stage_table(reports):
             f"{row.seconds:>9.3f} {row.examples_trained:>9}"
         )
     return "\n".join(lines)
+
+
+def uneven_totals(reports):
+    """A line naming each strategy whose total examples_trained differs
+    from the one most strategies share (the larger on a tie), or None."""
+    totals = {r.strategy: sum(row.examples_trained for row in r.rows)
+              for r in reports}
+    shares = Counter(totals.values())
+    common = max(shares, key=lambda total: (shares[total], total))
+    odd = [f"{strategy} {total}" for strategy, total in totals.items()
+           if total != common]
+    if not odd:
+        return None
+    return (f"examples_trained totals differ: {', '.join(odd)} against "
+            f"{common} for the others")
 
 
 def load_dataset(data_dir):

@@ -57,7 +57,7 @@ def label_components(mask):
     W = w + 2
     padded = np.zeros((k, h + 2, W), dtype=np.bool_)
     padded[:, 1:-1, 1:-1] = stack
-    flat_on = np.flatnonzero(padded)
+    flat_on = padded.ravel().nonzero()[0]
     n_on = flat_on.size
     labels = np.zeros(k * h * w, dtype=np.int32)
     counts = np.zeros(k, dtype=np.intp)
@@ -69,14 +69,14 @@ def label_components(mask):
         nb = index[flat_on + np.array(offsets)[:, None]]
         lab = np.append(ids, n_on)
         while True:
-            new = lab[lab[lab[nb].min(0)]]
-            if np.array_equal(new, lab[:n_on]):
+            new = lab[lab[np.minimum.reduce(lab[nb])]]
+            if np.logical_and.reduce(new == lab[:n_on]):
                 break
             lab[:n_on] = new
         # roots label themselves; numbering them in raster order, counted
         # from each image's first root, numbers each component by its
         # first on-pixel within its image
-        roots = np.flatnonzero(new == ids)
+        roots = (new == ids).nonzero()[0]
         image = flat_on[roots] // ((h + 2) * W)
         counts = np.bincount(image, minlength=k)
         lab[roots] = (np.arange(1, roots.size + 1)
@@ -127,6 +127,6 @@ def cross_entropy_sum(p, y, eps):
     q = np.clip(p, eps, 1.0 - eps)
     stack = (-1,) + p.shape[-2:] if p.ndim == 3 else (1, -1)
     logs = np.log(np.where(y, q, 1.0 - q)).reshape(stack)
-    sums = [-(terms[on].sum() + terms[~on].sum())
+    sums = [-(np.add.reduce(terms[on]) + np.add.reduce(terms[~on]))
             for terms, on in zip(logs, y.reshape(stack))]
     return np.array(sums) if p.ndim == 3 else float(sums[0])

@@ -173,7 +173,8 @@ def lesion_counts(pred_masks, gt, tau=0.5):
         raise ValueError(f"gt dtype {gt.dtype} is not bool, int32 or uint8")
     gt_masks = gt != 0 if gt_labeled else gt.astype(np.bool_, copy=False)
     _check_same_shape(pred_masks, gt_masks)
-    differ = np.flatnonzero((pred_masks != gt_masks).any(axis=(-2, -1)))
+    differ = np.logical_or.reduce(pred_masks != gt_masks,
+                                  axis=(-2, -1)).nonzero()[0]
     m = differ.size
     preds, gts = pred_masks[differ], gt_masks[differ]
     if gt_labeled:
@@ -190,7 +191,7 @@ def lesion_counts(pred_masks, gt, tau=0.5):
     n_pred[differ], matched[differ] = pred_counts, 0
     if pred_counts.any() and gt_counts.any():
         rows, cols = int(pred_counts.max()) + 1, int(gt_counts.max()) + 1
-        on = np.flatnonzero(preds | gts)
+        on = (preds | gts).ravel().nonzero()[0]
         key = ((on // preds[0].size * rows + pred_labels.ravel()[on])
                * cols + gt_labels.ravel()[on])
         table = np.bincount(key, minlength=m * rows * cols)
@@ -229,8 +230,9 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
     Works element-wise on arrays of the four values, with the same
     bits per element as on scalars.
     """
-    if np.any(np.less(L, 0) | np.less(fp, 0) | np.less(fn, 0)
-              | ~(np.greater_equal(ji, 0.0) & np.less_equal(ji, 1.0))):
+    bad = (np.less(L, 0) | np.less(fp, 0) | np.less(fn, 0)
+           | ~(np.greater_equal(ji, 0.0) & np.less_equal(ji, 1.0)))
+    if np.logical_or.reduce(bad, axis=None):
         raise ValueError(
             f"invalid metric values: L={L}, fp={fp}, fn={fn}, ji={ji}"
         )

@@ -153,8 +153,8 @@ def error_terms(items, predict, cfg):
     """
     for block in shape_blocks(items):
         *_, errors = metrics.breakdown_arrays(
-            predict(np.stack([img for img, _, _ in block])),
-            np.stack([gt for _, gt, _ in block]),
+            predict(np.array([img for img, _, _ in block])),
+            np.array([gt for _, gt, _ in block]),
             tau=cfg.tau, weights=cfg.error_weights,
         )
         for (_, _, tag), E in zip(block, errors.tolist()):
@@ -279,6 +279,8 @@ def load_state(path):
                             f"stages 0..{stage}")
         if not math.isfinite(e_value) or c_value < 0:
             raise DataError(f"{path}:{lineno}: E must be finite and C >= 0")
+        if e_value < 0:  # E is a sum of non-negative terms
+            raise DataError(f"{path}:{lineno}: negative E {values[5]}")
         if dropped and e_value != 0.0:
             raise DataError(f"{path}:{lineno}: dropped record with E != 0")
         records.append(ExampleRecord(

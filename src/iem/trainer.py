@@ -28,6 +28,10 @@ N_FEATURES = 4
 # keeps sigmoid output strictly inside (0,1) in float64
 _LOGIT_CLIP = 35.0
 
+# np.einsum without the Python-level array-function dispatch it pays on
+# every SGD step; the same kernel, so the same bits
+_einsum = np.einsum._implementation
+
 
 @dataclass(eq=False)
 class ModelParams:
@@ -78,10 +82,15 @@ def featurize(img):
     return feats
 
 
-def _sigmoid(z):
-    # np.clip's values, without its Python-level overhead
-    z = np.minimum(np.maximum(z, -_LOGIT_CLIP), _LOGIT_CLIP)
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out=None):
+    # np.clip's values, in place without Python-level overhead: writes
+    # into ``out`` (which may be z) when given, else never into z
+    z = np.maximum(z, -_LOGIT_CLIP, out=out)
+    np.minimum(z, _LOGIT_CLIP, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def forward(params, img):
@@ -94,7 +103,8 @@ def forward(params, img):
 
 
 def forward_features(params, feats):
-    return _sigmoid(feats @ params.weights)
+    logits = feats @ params.weights
+    return _sigmoid(logits, out=logits)
 
 
 def gradient(params, img, mask):
@@ -107,9 +117,9 @@ def gradient(params, img, mask):
 
 def feature_gradient(params, feats, mask):
     """``gradient`` of one image given its (H, W, 4) features."""
-    mask = np.asarray(mask, dtype=np.bool_)
-    residual = forward_features(params, feats) - mask
-    return np.einsum("ijk,ij->k", feats, residual) / residual.size
+    residual = forward_features(params, feats)
+    residual -= np.asarray(mask, dtype=np.bool_)
+    return _einsum("ijk,ij->k", feats, residual) / residual.size
 
 
 def augment(img, mask, cfg, rng, j):
@@ -163,7 +173,7 @@ def train_on_subset(params, examples, cfg, rng):
                         int(rng.integers(1, n_views + 1)))
                 for img, mask in block
             ]
-            feats = featurize(np.stack([img for img, _ in views]))
+            feats = featurize(np.array([img for img, _ in views]))
             steps = [params.weights]
             # From finite weights a step makes no NaN without an overflow
             # first, which still warns; only steps after the block turned

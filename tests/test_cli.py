@@ -735,6 +735,47 @@ def test_compare_takes_each_report_its_own_timings(tmp_path, capsys):
                                                    ("naive_finetune", 1.0)]
 
 
+def _four_fragments(tmp_path, hem_total):
+    """Reports of the four strategies, each beside its timings.csv: 9000
+    examples each, as at the criterion-5 config, but ``hem_total`` for
+    hem."""
+    rows = {"baseline_full": [(4, 9000)], "baseline_hem": [(4, hem_total)],
+            "iem_incremental": [(0, 3000)] + [(s, 1500) for s in range(1, 5)],
+            "naive_finetune": [(0, 3000)] + [(s, 1500) for s in range(1, 5)]}
+    paths = []
+    for strategy, stages in rows.items():
+        report = harness.StrategyReport(strategy, 3, "e47f77e1728a", tuple(
+            harness.StageResult(stage, 0.75, 0.5, 0.6, 0.9, 0.125, examples)
+            for stage, examples in stages))
+        (tmp_path / strategy).mkdir()
+        paths.append(tmp_path / strategy / "report.csv")
+        harness.write_report_fragment(report, paths[-1])
+        harness.write_timings(report, tmp_path / strategy / "timings.csv")
+    return [str(path) for path in paths]
+
+
+def test_compare_prints_no_note_when_every_total_agrees(tmp_path, capsys):
+    # at the criterion-5 config every strategy takes 9000 steps, so the
+    # output is the table, a blank line and the CSV, as it always was
+    paths = _four_fragments(tmp_path, 9000)
+    merged = [harness.read_report_fragment(path) for path in paths]
+    assert cli.main(["compare", *paths]) == 0
+    table, csv_text = (harness.final_stage_table(merged),
+                       harness.comparison_csv(merged))
+    assert capsys.readouterr().out == f"{table}\n\n{csv_text}"
+
+
+def test_compare_names_a_strategy_whose_total_differs(tmp_path, capsys):
+    paths = _four_fragments(tmp_path, 4400)
+    out_csv = tmp_path / "comparison.csv"
+    assert cli.main(["compare", *paths, "--out", str(out_csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6:] == [
+        "examples_trained totals differ: baseline_hem 4400 against 9000 "
+        "for the others",
+        f"full comparison written to {out_csv}"]
+
+
 def test_compare_rejects_seed_mismatch(trained, tiny_dataset_dir, tmp_path):
     config = tmp_path / "fast.cfg"
     config.write_text(FAST_CONFIG)

@@ -552,6 +552,25 @@ def test_comparison_csv_and_table():
         assert table.count(name) == 1  # one final-stage line per strategy
 
 
+@pytest.mark.parametrize("totals, note", [
+    ((20, 20, 20, 20), None),
+    ((20, 11, 20, 20), "baseline_hem 11 against 20"),
+    ((20, 11, 20, 7), "baseline_hem 11, naive_finetune 7 against 20"),
+    ((11, 20), "baseline_full 11 against 20"),  # a tie goes to the larger
+    ((20, 11, 11, 20), "baseline_hem 11, iem_incremental 11 against 20"),
+])
+def test_uneven_totals_names_the_strategies_off_the_common_total(totals,
+                                                                 note):
+    reports = [StrategyReport(strategy, 3, "e47f77e1728a", (
+        _row(0, examples=total - 5), _row(1, examples=5)))
+               for strategy, total in zip(STRATEGIES, totals)]
+    got = harness.uneven_totals(reports)
+    if note is None:
+        assert got is None
+    else:
+        assert got == f"examples_trained totals differ: {note} for the others"
+
+
 def test_write_strategy_outputs_layout(tmp_path, tiny_dataset, tiny_selcfg,
                                        tiny_traincfg):
     chunks, test_records = tiny_dataset

@@ -382,6 +382,19 @@ def test_load_rejects_dropped_with_nonzero_e(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-300"])
+def test_load_refuses_a_negative_e(tmp_path, value):
+    # E is a sum of non-negative terms; a negative one would rank its
+    # record below every real score
+    pool = _pool(_rec("a", E=0.5), _rec("b", E=0.0))
+    path = tmp_path / "pool.tsv"
+    save_state(pool, path)
+    path.write_text(path.read_text().replace("E=0\t", f"E={value}\t"))
+    with pytest.raises(DataError) as exc:
+        load_state(path)
+    assert str(exc.value) == f"{path}:3: negative E {value}"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_state(tmp_path / "nope.tsv")

@@ -1,12 +1,13 @@
 """Model math, augmentation, SGD training, and the incremental stage loop."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from iem import kernels, metrics, trainer
+from iem import harness, kernels, metrics, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
@@ -150,6 +151,43 @@ def test_sigmoid_equals_clip_on_special_values():
                   0.0, -0.0, 1e-300])
     assert np.array_equal(trainer._sigmoid(z), oracles.clip_sigmoid(z),
                           equal_nan=True)
+
+
+def test_einsum_implementation_gives_einsum_bits():
+    # the SGD step calls einsum's implementation without its dispatcher
+    assert trainer._einsum is np.einsum._implementation
+    rng = np.random.default_rng(29)
+    for shape in ((1, 1), (1, 9), (7, 3), (24, 24), (31, 17)):
+        feats = featurize(rng.random(shape))
+        for residual in (rng.standard_normal(shape),
+                         rng.standard_normal(shape[::-1]).T):
+            assert (trainer._einsum("ijk,ij->k", feats, residual).tobytes()
+                    == np.einsum("ijk,ij->k", feats, residual).tobytes())
+
+
+def test_forward_and_sgd_step_leave_read_only_inputs_untouched():
+    # the sigmoid and the residual are computed in place, in buffers of
+    # their own: features, masks, labels and weights are only read
+    rng = np.random.default_rng(31)
+    feats = featurize(rng.random((2, 24, 24)))
+    mask = rng.random((24, 24)) < 0.1
+    labels = kernels.label_components(mask)[0].astype(np.uint8)
+    weights = rng.uniform(-30.0, 30.0, 4)
+    logits = feats[0] @ weights
+    inputs = (feats, mask, labels, weights, logits)
+    before = [a.tobytes() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = False
+    params = ModelParams(weights=weights)
+    assert np.array_equal(trainer.forward_features(params, feats),
+                          oracles.clip_sigmoid(feats @ weights))
+    assert np.array_equal(trainer._sigmoid(logits),
+                          oracles.clip_sigmoid(logits))
+    for view_mask in (mask, labels):
+        assert np.array_equal(
+            trainer.feature_gradient(params, feats[1], view_mask),
+            oracles.broadcast_gradient(weights, feats[1], mask))
+    assert [a.tobytes() for a in inputs] == before
 
 
 # -- augmentation ----------------------------------------------------------
@@ -686,6 +724,58 @@ def test_mine_scores_no_views_of_an_update_that_drops(tiny_dataset,
     assert {(C < selcfg.d, n) for C, n in updates} == {(True, selcfg.t),
                                                        (False, 0)}
     assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+
+
+def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
+                                               monkeypatch):
+    # SGD, the scoring of mined views and evaluation call numpy's compiled
+    # kernels; each of these wrappers costs a Python-level dispatch per
+    # step or per block. The pool is labeled first: its one labeling
+    # pass per mask stacks them.
+    chunks, test_records = tiny_dataset
+    pool = PoolState()
+    for stage, chunk in enumerate(chunks):
+        add_chunk(pool, chunk, stage)
+    pool.labeled([r.id for r in pool.records])
+    test_pairs = [rec.pair() for rec in test_records]
+    wrappers = ("einsum", "stack", "flatnonzero", "array_equal")
+    scopes = ((trainer, "train_on_subset"), (trainer, "augmented_error_terms"),
+              (harness, "evaluate_model"))
+    inside, entered, calls = [], collections.Counter(), collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name, tuple(inside)] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def scoped(name, real):
+        def wrapper(*args, **kwargs):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in wrappers:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    for module, name in scopes:
+        monkeypatch.setattr(module, name, scoped(name, getattr(module, name)))
+    params = init_params()
+    trainer.mine(pool, params, compute_partition_number(chunks[-1]), 2,
+                 tiny_selcfg, TrainConfig(epochs_per_iteration=2))
+    harness.evaluate_model(params, test_pairs, tiny_selcfg.tau)
+    assert sorted(entered) == sorted(name for _, name in scopes)
+    assert params.version > 0
+    assert [key for key in calls if key[1]] == []
+    # the counters see what a caller in a scope calls
+    scoped("check", lambda: [
+        np.einsum("i->", np.ones(2)), np.stack([np.ones(2)]),
+        np.flatnonzero(np.ones(2)), np.array_equal(np.ones(2), np.ones(2))])()
+    assert sorted(key for key in calls if key[1]) == [
+        (name, ("check",)) for name in sorted(wrappers)]
 
 
 # -- checkpoints -----------------------------------------------------------
