@@ -13,6 +13,7 @@ import ctypes
 import dataclasses
 import os
 import sys
+from collections import Counter
 
 from . import harness, pgm, synth
 from .errors import DataError, NumericError, read_lines
@@ -116,11 +117,18 @@ def cmd_train(args):
     harness.write_strategy_outputs(out_dir, report, params, pool, trace)
     row = report.final_row()
     presented = sum(r.examples_trained for r in report.rows)
+    allowed = (sum(harness.stage_budgets(train_chunks, selcfg))
+               * traincfg.epochs_per_iteration)
     seconds = sum(r.seconds for r in report.rows)
+    dropped = ""
+    if pool is not None:
+        counts = Counter(r.chunk_index for r in pool.records if r.dropped)
+        dropped = "; dropped per chunk " + " ".join(
+            f"{i}:{counts[i]}" for i in range(len(train_chunks)))
     print(f"{strategy}: stage {row.stage} precision={row.precision:.4f} "
           f"recall={row.recall:.4f} f1={row.f1:.4f} jaccard={row.jaccard:.4f}; "
-          f"run totals: {presented} presentations, {seconds:.2f}s of training; "
-          f"outputs in {out_dir}")
+          f"run totals: {presented} presentations of {allowed} allowed, "
+          f"{seconds:.2f}s of training{dropped}; outputs in {out_dir}")
     return 0
 
 
@@ -128,9 +136,9 @@ def cmd_eval(args):
     params = load_params(args.checkpoint)
     records = synth.read_manifest(args.test)
     selcfg, _ = make_configs(load_settings(args.config))
-    pairs = (pgm.pair(rec.image_ref, rec.mask_ref) for rec in records)
+    blocks = pgm.pair_blocks((rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
-        params, pairs, selcfg.tau
+        params, blocks, selcfg.tau
     )
     print("precision,recall,f1,jaccard")
     print(f"{precision:.6f},{recall:.6f},{f1:.6f},{jaccard:.6f}")

@@ -14,14 +14,25 @@ bytes skips the header parse and is read only up to its raster's end;
 any other file is parsed in full. A stream of same-size files thus
 parses one header: ``pair`` of a 24x24 image and mask took 12-14 us
 against 16-17 us with a parse of every header (2-vCPU host).
+
+``pair_blocks`` decodes a stream of pairs a block at a time, as
+``iem eval`` does: the same reader, with every check, returns each
+file's raster bytes, and the rasters of up to 16 same-shape pairs are
+joined and converted once. Both conversions, a divide by 255 and
+``>= 128``, work element by element, so the stacks are ``pair``'s arrays
+stacked, bit for bit. Over 320 24x24 pairs it took 7.7-8.0 us a pair,
+5.8-6.1 of them the reads, against 13.2-13.9 us for ``pair`` and a
+re-stack of each block (min of 15 rounds, 2-vCPU host).
 """
 
 import os
 import re
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
+from .kernels import shape_blocks
 
 # header = 4 tokens (magic, width, height, maxval); a '#' that starts a
 # token starts a comment to the end of its line. Lookaheads hold each
@@ -55,6 +66,7 @@ def write_mask_pgm(path, mask):
 
 
 def _read_pgm_bytes(path):
+    """The raster bytes of a binary PGM file and its (h, w) shape."""
     global _known_header
     header, w, h = _known_header or (None, 0, 0)
     chunks = []
@@ -95,30 +107,62 @@ def _read_pgm_bytes(path):
     raster = data[start : start + w * h]
     if len(raster) != w * h:
         raise DataError(f"{path}: raster truncated ({len(raster)} of {w * h} bytes)")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+    return raster, (h, w)
+
+
+def _image(raster, shape):
+    return np.divide(np.frombuffer(raster, dtype=np.uint8).reshape(shape), 255.0)
+
+
+def _mask(raster, shape):
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape) >= 128
 
 
 def read_pgm(path):
     """Read an 8-bit PGM as a float64 array in [0,1]."""
-    return np.divide(_read_pgm_bytes(path), 255.0)
+    return _image(*_read_pgm_bytes(path))
 
 
 def read_mask_pgm(path):
     """Read a {0,255} PGM as a boolean mask."""
-    return _read_pgm_bytes(path) >= 128
+    return _mask(*_read_pgm_bytes(path))
 
 
-def _same_size(image_path, mask_path, img, mask):
-    if img.shape != mask.shape:
-        raise DataError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]} "
-                        f"but image {image_path} is {img.shape[1]}x{img.shape[0]}")
-    return img, mask
+def _same_size(image_path, mask_path, image_shape, mask_shape):
+    if image_shape != mask_shape:
+        raise DataError(f"{mask_path}: mask is {mask_shape[1]}x{mask_shape[0]} "
+                        f"but image {image_path} is {image_shape[1]}x{image_shape[0]}")
 
 
 def pair(image_path, mask_path):
     """``ImageCache.pair`` without the cache: decodes, keeps nothing."""
-    return _same_size(image_path, mask_path, read_pgm(image_path),
-                      read_mask_pgm(mask_path))
+    img, mask = read_pgm(image_path), read_mask_pgm(mask_path)
+    _same_size(image_path, mask_path, img.shape, mask.shape)
+    return img, mask
+
+
+def _pair_rasters(image_path, mask_path):
+    image, shape = _read_pgm_bytes(image_path)
+    mask, mask_shape = _read_pgm_bytes(mask_path)
+    _same_size(image_path, mask_path, shape, mask_shape)
+    return shape, image, mask
+
+
+def pair_blocks(path_pairs):
+    """``pair`` of each (image path, mask path), as (images, masks) stacks.
+
+    A stack holds up to 16 consecutive same-shape pairs
+    (``kernels.shape_blocks``), and equals ``pair``'s arrays stacked, bit
+    for bit. Each block's image rasters are joined and converted by one
+    ``np.frombuffer`` and one divide, and its masks' likewise, in place
+    of those calls per file. Files are read in order, none before the
+    first ``next()``, and a bad pair raises what ``pair`` does.
+    """
+    rasters = (_pair_rasters(*paths) for paths in path_pairs)
+    for block in shape_blocks(rasters, shape=itemgetter(0)):
+        shape = (len(block), *block[0][0])
+        yield (_image(b"".join([image for _, image, _ in block]), shape),
+               _mask(b"".join([mask for _, _, mask in block]), shape))
 
 
 class ImageCache:
@@ -142,5 +186,6 @@ class ImageCache:
 
     def pair(self, image_path, mask_path):
         """Decoded (image, mask); refuses a mask whose size differs."""
-        return _same_size(image_path, mask_path, self.image(image_path),
-                          self.mask(mask_path))
+        img, mask = self.image(image_path), self.mask(mask_path)
+        _same_size(image_path, mask_path, img.shape, mask.shape)
+        return img, mask

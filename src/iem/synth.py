@@ -169,7 +169,9 @@ def read_manifest(path):
         try:
             chunk_index = int(chunk_field)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: bad chunk index {chunk_field!r}") from None
+            chunk_index = -1
+        if chunk_index < 0:
+            raise DataError(f"{path}:{lineno}: bad chunk index {chunk_field!r}")
         image_path = os.path.join(base, image_ref)
         mask_path = os.path.join(base, mask_ref)
         for p in (image_path, mask_path):

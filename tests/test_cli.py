@@ -281,8 +281,8 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     cache = pgm.ImageCache()
     want = harness.evaluate_model(
         load_params(checkpoint),
-        [cache.pair(r.image_ref, r.mask_ref)
-         for r in synth.read_manifest(manifest)],
+        harness.stacked(cache.pair(r.image_ref, r.mask_ref)
+                        for r in synth.read_manifest(manifest)),
         make_configs({})[0].tau,
     )
     assert line == ",".join(f"{v:.6f}" for v in want)
@@ -293,14 +293,10 @@ def test_eval_decodes_each_pair_once_and_keeps_none(eval_inputs, monkeypatch,
     def no_cache():
         raise AssertionError("iem eval reads each pair once; keep none")
 
-    decoded = []
-
-    def counting(read):
-        return lambda path: decoded.append(path) or read(path)
-
+    decoded, read = [], pgm._read_pgm_bytes
     monkeypatch.setattr(pgm, "ImageCache", no_cache)
-    monkeypatch.setattr(pgm, "read_pgm", counting(pgm.read_pgm))
-    monkeypatch.setattr(pgm, "read_mask_pgm", counting(pgm.read_mask_pgm))
+    monkeypatch.setattr(pgm, "_read_pgm_bytes",
+                        lambda path: decoded.append(path) or read(path))
     checkpoint, manifest = eval_inputs
     argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
     assert cli.main(argv) == 0
@@ -376,6 +372,20 @@ def test_train_prints_run_totals(trained, strategy, run_name):
     assert match, printed
     assert len(rows) > 1
     assert int(match.group(1)) == sum(int(row[-1]) for row in rows)
+    assert ("; dropped per chunk " in printed) == (strategy == "iem")
+
+
+def test_train_prints_steps_against_allowance_and_drops_per_chunk(
+        tmp_path, capsys):
+    # at the library defaults hem drops every record and then trains
+    # nothing, so it takes 4400 of its 6000 steps
+    data = str(tmp_path / "data")
+    assert cli.main(["gen", "--out", data, "--seed", "0"]) == 0
+    assert cli.main(["train", "--strategy", "hem", "--data", data,
+                     "--out", str(tmp_path / "runs"), "--seed", "0"]) == 0
+    printed = capsys.readouterr().out
+    assert "run totals: 4400 presentations of 6000 allowed, " in printed
+    assert "; dropped per chunk 0:200 1:50 2:50 3:50 4:50; " in printed
 
 
 def test_train_rejects_unknown_strategy(tiny_dataset_dir, tmp_path):

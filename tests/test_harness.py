@@ -17,13 +17,14 @@ from iem.harness import (
     read_report_fragment,
     read_timings,
     run_strategy,
+    stacked,
     stage_budgets,
     train_stage,
     write_report_fragment,
     write_strategy_outputs,
     write_timings,
 )
-from iem.pgm import ImageCache, pair, write_mask_pgm, write_pgm
+from iem.pgm import ImageCache, pair, pair_blocks, write_mask_pgm, write_pgm
 from iem.pool import ExampleRecord, PoolState, load_state, save_state
 from iem.selection import SelectionConfig
 from iem.trainer import (ModelParams, TrainConfig, forward, init_params,
@@ -328,8 +329,9 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
     want = (*metrics.evaluate_detection(preds, gts, selcfg.tau),
             float(np.mean(jis)))
     assert want[0] > 0 and want[1] > 0
-    pairs = [cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records]
-    assert evaluate_model(params, pairs, selcfg.tau) == want
+    blocks = stacked(cache.pair(rec.image_ref, rec.mask_ref)
+                     for rec in test_records)
+    assert evaluate_model(params, blocks, selcfg.tau) == want
 
 
 def test_evaluate_model_perfect_and_mixed(tmp_path):
@@ -338,7 +340,8 @@ def test_evaluate_model_perfect_and_mixed(tmp_path):
     tau = SelectionConfig().tau
 
     def decoded(records):
-        return [pair(rec.image_ref, rec.mask_ref) for rec in records]
+        return list(pair_blocks((rec.image_ref, rec.mask_ref)
+                                for rec in records))
 
     (tmp_path / "same").mkdir()
     same = _fixture_records(tmp_path / "same", [

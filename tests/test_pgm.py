@@ -329,3 +329,87 @@ def test_pair_refuses_a_mask_of_another_size(tmp_path, read_pair):
         read_pair(str(img_path), str(mask_path))
     assert str(exc.value) == (f"{mask_path}: mask is 20x16 but image "
                               f"{img_path} is 24x24")
+
+
+def _write_pairs(directory, sizes, rng):
+    """(image path, mask path) of one random pair per (h, w) in ``sizes``."""
+    paths = []
+    for i, (h, w) in enumerate(sizes):
+        image, mask = directory / f"{i}.pgm", directory / f"{i}-mask.pgm"
+        write_pgm(image, rng.integers(0, 256, (h, w)) / 255.0)
+        write_mask_pgm(mask, rng.random((h, w)) < 0.3)
+        paths.append((image, mask))
+    return paths
+
+
+def _pair_stacks(paths):
+    """``pair``'s arrays of ``paths``, stacked."""
+    pairs = [pair(*p) for p in paths]
+    return (np.array([img for img, _ in pairs]),
+            np.array([mask for _, mask in pairs]))
+
+
+def test_pair_blocks_equal_pair_stacked_bit_for_bit(tmp_path, monkeypatch,
+                                                    no_known_header):
+    # 20 12x12 pairs, then 20 24x24 pairs; pair 30 has another header
+    # layout, which is parsed and kept for its mask, then parsed again
+    paths = _write_pairs(tmp_path, [(12, 12)] * 20 + [(24, 24)] * 20,
+                         np.random.default_rng(4))
+    for path in paths[30]:
+        path.write_bytes(path.read_bytes().replace(b"P5\n24 24\n255\n",
+                                                   b"P5 24 24 255\n", 1))
+    matches = []
+    header = pgm._HEADER
+
+    def counted_match(data):
+        matches.append(data[:13])
+        return header.match(data)
+
+    monkeypatch.setattr(pgm, "_HEADER", types.SimpleNamespace(match=counted_match))
+    blocks = list(pgm.pair_blocks(iter(paths)))
+    assert matches == [b"P5\n12 12\n255\n", b"P5\n24 24\n255\n",
+                       b"P5 24 24 255\n", b"P5\n24 24\n255\n"]
+    assert [len(images) for images, _ in blocks] == [16, 4, 16, 4]
+    start = 0
+    for images, masks in blocks:
+        want_images, want_masks = _pair_stacks(paths[start : start + len(images)])
+        start += len(images)
+        assert images.dtype == np.float64 and masks.dtype == np.bool_
+        assert images.shape == want_images.shape == masks.shape
+        assert images.tobytes() == want_images.tobytes()
+        assert masks.tobytes() == want_masks.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "magic", "size"])
+def test_pair_blocks_raise_what_pair_does_for_the_first_bad_pair(
+        tmp_path, no_known_header, damage):
+    # pair 17 is damaged, in the second block; pair 18's image is missing
+    paths = _write_pairs(tmp_path, [(24, 24)] * 20, np.random.default_rng(5))
+    image, mask = paths[17]
+    if damage == "missing":
+        os.remove(mask)
+    elif damage == "truncated":
+        image.write_bytes(b"P5\n24 24\n255\n" + bytes(500))
+    elif damage == "magic":
+        mask.write_bytes(b"P2\n24 24\n255\n" + bytes(576))
+    else:
+        write_mask_pgm(mask, np.zeros((16, 20), dtype=bool))
+    os.remove(paths[18][0])
+    with pytest.raises(DataError) as want:
+        pair(image, mask)
+    with pytest.raises(DataError) as got:
+        list(pgm.pair_blocks(paths))
+    assert str(got.value) == str(want.value)
+    assert str(image if damage == "truncated" else mask) in str(got.value)
+
+
+def test_pair_blocks_read_no_file_before_the_first_next(tmp_path, monkeypatch):
+    paths = _write_pairs(tmp_path, [(24, 24)] * 20, np.random.default_rng(6))
+    read, decode = [], pgm._read_pgm_bytes
+    monkeypatch.setattr(pgm, "_read_pgm_bytes",
+                        lambda path: read.append(path) or decode(path))
+    blocks = pgm.pair_blocks(paths)
+    assert read == []
+    images, _ = next(blocks)
+    assert len(images) == 16
+    assert read == [path for p in paths[:16] for path in p]

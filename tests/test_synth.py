@@ -169,6 +169,7 @@ def test_verify_labels_catches_mismatch(tmp_path):
         ("a\tb.pgm\tc.pgm\tpositive", "expected 5 fields"),
         ("a\tb.pgm\tc.pgm\todd\t0", "bad label"),
         ("a\tb.pgm\tc.pgm\tpositive\tzz", "bad chunk index"),
+        ("a\tb.pgm\tc.pgm\tpositive\t-2", "bad chunk index '-2'"),
         ("a\tmissing.pgm\tc.pgm\tpositive\t0", "missing file"),
     ],
 )

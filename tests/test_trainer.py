@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from iem import harness, kernels, metrics, trainer
+from iem import harness, kernels, metrics, pgm, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
 from iem.pgm import ImageCache, write_mask_pgm, write_pgm
@@ -728,16 +728,15 @@ def test_mine_scores_no_views_of_an_update_that_drops(tiny_dataset,
 
 def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
                                                monkeypatch):
-    # SGD, the scoring of mined views and evaluation call numpy's compiled
-    # kernels; each of these wrappers costs a Python-level dispatch per
-    # step or per block. The pool is labeled first: its one labeling
-    # pass per mask stacks them.
+    # SGD, the scoring of mined views and evaluation, with the block
+    # decode of its test set, call numpy's compiled kernels; each of these
+    # wrappers costs a Python-level dispatch per step or per block. The
+    # pool is labeled first: its one labeling pass per mask stacks them.
     chunks, test_records = tiny_dataset
     pool = PoolState()
     for stage, chunk in enumerate(chunks):
         add_chunk(pool, chunk, stage)
     pool.labeled([r.id for r in pool.records])
-    test_pairs = [rec.pair() for rec in test_records]
     wrappers = ("einsum", "stack", "flatnonzero", "array_equal")
     scopes = ((trainer, "train_on_subset"), (trainer, "augmented_error_terms"),
               (harness, "evaluate_model"))
@@ -766,7 +765,8 @@ def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
     params = init_params()
     trainer.mine(pool, params, compute_partition_number(chunks[-1]), 2,
                  tiny_selcfg, TrainConfig(epochs_per_iteration=2))
-    harness.evaluate_model(params, test_pairs, tiny_selcfg.tau)
+    harness.evaluate_model(params, pgm.pair_blocks(
+        (rec.image_ref, rec.mask_ref) for rec in test_records), tiny_selcfg.tau)
     assert sorted(entered) == sorted(name for _, name in scopes)
     assert params.version > 0
     assert [key for key in calls if key[1]] == []
