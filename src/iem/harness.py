@@ -124,9 +124,9 @@ def evaluate_model(params, blocks, tau):
     for images, masks in blocks:
         preds = metrics.binarize(forward(params, images))
         matched, false_pos, false_neg = metrics.lesion_counts(preds, masks, tau)
-        tp += int(matched.sum())
-        fp += int(false_pos.sum())
-        fn += int(false_neg.sum())
+        tp += int(np.add.reduce(matched))
+        fp += int(np.add.reduce(false_pos))
+        fn += int(np.add.reduce(false_neg))
         jis.extend(metrics.jaccard_index(preds, masks).tolist())
     if not jis:
         raise ValueError("no test pairs to evaluate")

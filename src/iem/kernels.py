@@ -2,10 +2,12 @@
 
 All three are vectorized numpy with no per-pixel Python loop and take an
 (n, h, w) stack of same-shape images, which costs about one call's numpy
-overhead instead of n. The 3x3 stencil reads a padded stack as one flat
-array with row stride W = w + 2, so each pass is one contiguous op.
-Labeling visits only the on-pixels, since the masks it labels are
-mostly off. ``shape_blocks`` cuts a sequence of images into stacks.
+overhead instead of n; cross-entropy alone loops in Python, over the
+images of a stack that have a lesion pixel. The 3x3 stencil reads a
+padded stack as one flat array with row stride W = w + 2, so each pass
+is one contiguous op. Labeling visits only the on-pixels, since the
+masks it labels are mostly off. ``shape_blocks`` cuts a sequence of
+images into stacks.
 """
 
 from itertools import groupby, islice
@@ -118,12 +120,22 @@ def cross_entropy_sum(p, y, eps):
     """Sum over pixels of -[y ln p + (1-y) ln(1-p)], with p clamped to [eps, 1-eps].
 
     A 3-d stack gives each image's sum, of y's terms then the others.
+    One reduce sums every image's row of terms; only an image with a y
+    pixel is summed again in that order, in a per-image loop. A row
+    with none is the others' terms alone, and the empty y sum adds 0.0
+    to it, so every sum has the bits of the two-part one.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.bool_)
-    q = np.clip(p, eps, 1.0 - eps)
-    stack = (-1,) + p.shape[-2:] if p.ndim == 3 else (1, -1)
-    logs = np.log(np.where(y, q, 1.0 - q)).reshape(stack)
-    sums = [-(np.add.reduce(terms[on]) + np.add.reduce(terms[~on]))
-            for terms, on in zip(logs, y.reshape(stack))]
-    return np.array(sums) if p.ndim == 3 else float(sums[0])
+    # by h * w: reshape cannot infer a row length for an empty stack
+    rows = (p.shape[0], p.shape[1] * p.shape[2]) if p.ndim == 3 else (1, p.size)
+    y = np.ascontiguousarray(y, dtype=np.bool_).reshape(rows)
+    # np.clip's values without its Python-level overhead
+    q = np.maximum(p.reshape(rows), eps)
+    np.minimum(q, 1.0 - eps, out=q)
+    logs = np.where(y, q, 1.0 - q)
+    np.log(logs, out=logs)
+    sums = -np.add.reduce(logs, axis=1)
+    for i in np.logical_or.reduce(y, axis=1).nonzero()[0].tolist():
+        terms, on = logs[i], y[i]
+        sums[i] = -(np.add.reduce(terms[on]) + np.add.reduce(terms[~on]))
+    return sums if p.ndim == 3 else float(sums[0])

@@ -69,8 +69,8 @@ def jaccard_index(a, b):
     a = np.asarray(a, dtype=np.bool_)
     b = np.asarray(b, dtype=np.bool_)
     _check_same_shape(a, b)
-    union = np.logical_or(a, b).sum(axis=(-2, -1))
-    inter = np.logical_and(a, b).sum(axis=(-2, -1))
+    union = np.add.reduce(np.logical_or(a, b), axis=(-2, -1))
+    inter = np.add.reduce(np.logical_and(a, b), axis=(-2, -1))
     # both masks empty: (0 + 1) / 1
     ji = (inter + (union == 0)) / np.maximum(union, 1)
     return float(ji) if a.ndim == 2 else ji
@@ -91,7 +91,7 @@ def connected_components(mask):
     labels, n = kernels.label_components(np.asarray(mask, dtype=np.bool_))
     comps = []
     for k in range(1, n + 1):
-        rows, cols = np.nonzero(labels == k)
+        rows, cols = (labels == k).nonzero()
         first = int(rows[0] * labels.shape[1] + cols[0])
         comps.append(((int(rows.min()), int(cols.min()), first),
                       frozenset(zip(rows.tolist(), cols.tolist()))))
@@ -168,7 +168,7 @@ def lesion_counts(pred_masks, gt, tau=0.5):
         raise ValueError(f"tau must lie in (0,1], got {tau}")
     pred_masks = np.asarray(pred_masks, dtype=np.bool_)
     gt = np.asarray(gt)
-    gt_labeled = np.issubdtype(gt.dtype, np.integer)
+    gt_labeled = issubclass(gt.dtype.type, np.integer)
     if gt_labeled and gt.dtype not in (np.int32, np.uint8):
         raise ValueError(f"gt dtype {gt.dtype} is not bool, int32 or uint8")
     gt_masks = gt != 0 if gt_labeled else gt.astype(np.bool_, copy=False)
@@ -180,7 +180,7 @@ def lesion_counts(pred_masks, gt, tau=0.5):
     if gt_labeled:
         pred_labels, pred_counts = kernels.label_components(preds)
         gt_labels = gt[differ]
-        n_gt = gt.max(axis=(-2, -1), initial=0).astype(np.intp)
+        n_gt = np.maximum.reduce(gt, axis=(-2, -1), initial=0).astype(np.intp)
     else:
         labels, counts = kernels.label_components(
             np.concatenate((preds, gt_masks)))
@@ -189,23 +189,25 @@ def lesion_counts(pred_masks, gt, tau=0.5):
     gt_counts = n_gt[differ]
     n_pred, matched = n_gt.copy(), n_gt.copy()
     n_pred[differ], matched[differ] = pred_counts, 0
-    if pred_counts.any() and gt_counts.any():
-        rows, cols = int(pred_counts.max()) + 1, int(gt_counts.max()) + 1
+    rows = int(np.maximum.reduce(pred_counts, initial=0)) + 1
+    cols = int(np.maximum.reduce(gt_counts, initial=0)) + 1
+    if rows > 1 and cols > 1:
         on = (preds | gts).ravel().nonzero()[0]
         key = ((on // preds[0].size * rows + pred_labels.ravel()[on])
                * cols + gt_labels.ravel()[on])
         table = np.bincount(key, minlength=m * rows * cols)
         table = table.reshape(m, rows, cols)
-        k, p, g = np.nonzero(table[:, 1:, 1:])
+        k, p, g = table[:, 1:, 1:].nonzero()
         inter = table[:, 1:, 1:][k, p, g]
-        union = (table[:, 1:].sum(axis=2)[k, p]
-                 + table[:, :, 1:].sum(axis=1)[k, g] - inter)
+        union = (np.add.reduce(table[:, 1:], axis=2)[k, p]
+                 + np.add.reduce(table[:, :, 1:], axis=1)[k, g] - inter)
         keep = inter / union >= tau
         k, p, g = k[keep], p[keep], g[keep]
         matched[differ] = np.bincount(k, minlength=m)
         pred_uses = np.bincount(k * rows + p)
         gt_uses = np.bincount(k * cols + g)
-        if k.size and (pred_uses.max() > 1 or gt_uses.max() > 1):
+        if k.size and (np.maximum.reduce(pred_uses) > 1
+                       or np.maximum.reduce(gt_uses) > 1):
             shared = (pred_uses[k * rows + p] > 1) | (gt_uses[k * cols + g] > 1)
             for image in set(k[shared].tolist()):
                 matched[differ[image]] = len(match_lesions(
@@ -228,10 +230,13 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
 
     ``weights`` defaults to (1, 1, 1), i.e. raw counts enter unscaled.
     Works element-wise on arrays of the four values, with the same
-    bits per element as on scalars.
+    bits per element as on scalars. A negative or NaN L, fp or fn, or a
+    ji outside [0, 1] or NaN, raises ValueError.
     """
-    bad = (np.less(L, 0) | np.less(fp, 0) | np.less(fn, 0)
-           | ~(np.greater_equal(ji, 0.0) & np.less_equal(ji, 1.0)))
+    # every value within its bound, so that a NaN fails too
+    ge = np.greater_equal
+    bad = ~(ge(L, 0) & ge(fp, 0) & ge(fn, 0) & ge(ji, 0.0)
+            & np.less_equal(ji, 1.0))
     if np.logical_or.reduce(bad, axis=None):
         raise ValueError(
             f"invalid metric values: L={L}, fp={fp}, fn={fn}, ji={ji}"

@@ -222,11 +222,16 @@ def example_rng(seed, stage, iteration, example_id):
     """Stream used for one example's augmented error views.
 
     Derived from stable indices only, so the errors behind any recorded E
-    can be recomputed offline from the saved model and the trace.
+    can be recomputed offline from the saved model and the trace. The
+    entropy is ``[seed, stage, iteration, crc32(example_id)]``, passed as
+    a uint32 array when all four lie in [0, 2**32): numpy reads each such
+    int as one 32-bit word, so the stream is the list's, without numpy's
+    per-int conversion.
     """
-    return np.random.default_rng(
-        [seed, stage, iteration, zlib.crc32(example_id.encode())]
-    )
+    entropy = [seed, stage, iteration, zlib.crc32(example_id.encode())]
+    if (seed | stage | iteration) >> 32 == 0:  # crc32 is a uint32
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.default_rng(entropy)
 
 
 def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):

@@ -300,6 +300,31 @@ def test_cross_entropy_sum_stack_equals_per_image_calls():
                             for pi, yi in zip(p, y)]
 
 
+def test_cross_entropy_sum_on_mostly_lesion_free_and_empty_stacks():
+    # the stacks mining scores: most images have no lesion pixel and are
+    # summed in one reduce, the rest in the two-part per-image loop
+    rng = np.random.default_rng(71)
+    for shape in ((24, 24), (13, 17), (1, 9)):
+        for density in (0.01, 0.02, 0.03, 0.05):
+            p = rng.random((16,) + shape) ** rng.choice([0.1, 1.0, 10.0])
+            p[rng.random(p.shape) < 0.05] = 0.0  # clamped on both sides
+            p[rng.random(p.shape) < 0.05] = 1.0
+            y = rng.random(p.shape) < density
+            y[0] = True  # all on
+            y[1] = False  # all off
+            got = kernels.cross_entropy_sum(p, y, 1e-7)
+            assert got.dtype == np.float64 and got.shape == (16,)
+            assert [v.hex() for v in got.tolist()] == [
+                kernels.cross_entropy_sum(pi, yi, 1e-7).hex()
+                for pi, yi in zip(p, y)]
+            assert got.tolist() == [
+                oracles.selected_cross_entropy_sum(pi, yi, 1e-7)
+                for pi, yi in zip(p, y)]
+    got = kernels.cross_entropy_sum(np.zeros((0, 24, 24)),
+                                    np.zeros((0, 24, 24), dtype=bool), 1e-7)
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
 def test_shape_blocks_keep_order_and_never_mix_shapes():
     size = kernels._BLOCK
     shapes = ([(2, 3)] * (size + 2) + [(3, 2)] + [(2, 3)] * 3

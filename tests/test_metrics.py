@@ -376,7 +376,8 @@ def test_lesion_counts_refuse_integer_masks_of_other_dtypes(dtype):
     for labels in (np.uint8, np.int32):  # read as labels, as documented
         got = metrics.lesion_counts(pred, gt.astype(labels))
         assert [int(c[0]) for c in got] == [1, 0, 0]
-    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} "):
+    text = f"^gt dtype {np.dtype(dtype)} is not bool, int32 or uint8$"
+    with pytest.raises(ValueError, match=text):
         metrics.lesion_counts(pred, gt.astype(dtype))
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} "):
         metrics.breakdown_arrays(pred.astype(float), gt.astype(dtype))
@@ -421,7 +422,8 @@ def test_error_term_rejects_bad_inputs():
     with pytest.raises(ValueError):
         metrics.error_term(0.1, 0, 0, 1.0, (1.0, 1.0))
     for args in ((-0.1, 0, 0, 1.0), (0.1, -1, 0, 1.0), (0.1, 0, 0, 1.5),
-                 (0.1, 0, 0, math.nan)):
+                 (0.1, 0, 0, math.nan), (math.nan, 0, 0, 1.0),
+                 (0.1, math.nan, 0, 1.0), (0.1, 0, math.nan, 1.0)):
         with pytest.raises(ValueError):
             metrics.error_term(*args)
         # one bad element spoils an array of good ones

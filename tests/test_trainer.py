@@ -2,6 +2,7 @@
 
 import collections
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -517,6 +518,19 @@ def test_example_rng_is_stable_per_coordinates():
     assert not np.array_equal(a, c)
 
 
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
+def test_example_rng_equals_the_generator_of_its_entropy_list(seed):
+    # below 2**32 the entropy goes in as a uint32 array, at or above it
+    # as the list numpy splits into 32-bit words: the same stream either way
+    for stage, iteration, example_id in ((0, 0, "chunk0-0000"),
+                                         (3, 7, "chunk1-0005")):
+        got = example_rng(seed, stage, iteration, example_id)
+        want = np.random.default_rng(
+            [seed, stage, iteration, zlib.crc32(example_id.encode())])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.uniform(-0.1, 0.1) == want.uniform(-0.1, 0.1)
+
 # -- incremental stage loop ------------------------------------------------
 
 
@@ -737,7 +751,8 @@ def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
     for stage, chunk in enumerate(chunks):
         add_chunk(pool, chunk, stage)
     pool.labeled([r.id for r in pool.records])
-    wrappers = ("einsum", "stack", "flatnonzero", "array_equal")
+    wrappers = ("einsum", "stack", "flatnonzero", "array_equal", "nonzero",
+                "issubdtype")
     scopes = ((trainer, "train_on_subset"), (trainer, "augmented_error_terms"),
               (harness, "evaluate_model"))
     inside, entered, calls = [], collections.Counter(), collections.Counter()
@@ -773,7 +788,8 @@ def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
     # the counters see what a caller in a scope calls
     scoped("check", lambda: [
         np.einsum("i->", np.ones(2)), np.stack([np.ones(2)]),
-        np.flatnonzero(np.ones(2)), np.array_equal(np.ones(2), np.ones(2))])()
+        np.flatnonzero(np.ones(2)), np.array_equal(np.ones(2), np.ones(2)),
+        np.nonzero(np.ones(2)), np.issubdtype(np.int32, np.integer)])()
     assert sorted(key for key in calls if key[1]) == [
         (name, ("check",)) for name in sorted(wrappers)]
 
