@@ -245,22 +245,34 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
     return L + w_fp * fp + w_fn * fn + w_ji * (1.0 - ji)
 
 
+def loss_and_predictions(probs, gt):
+    """Mean cross-entropy L of each map of an (n, h, w) stack, and its
+    binarized predictions: the per-block part of ``breakdown_arrays``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    gt = np.asarray(gt)
+    _check_same_shape(probs, gt)
+    # mean_cross_entropy of each map alone
+    L = (kernels.cross_entropy_sum(probs, gt.astype(np.bool_, copy=False),
+                                   CLAMP_EPS) / probs[0].size)
+    return L, binarize(probs)
+
+
+def error_arrays(L, pred_masks, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
+    """The rest of ``breakdown_arrays``, (fp, fn, ji, E), from L and the
+    predictions; each is per image, so joined blocks keep their bits."""
+    _, fp, fn = lesion_counts(pred_masks, gt, tau)
+    ji = jaccard_index(pred_masks, gt)
+    return fp, fn, ji, error_term(L, fp, fn, ji, weights)
+
+
 def breakdown_arrays(probs, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
     """The ``MetricsBreakdown`` fields of an (n, h, w) stack, as n-arrays.
 
     Returns (L, fp, fn, ji, E). ``gt`` holds the boolean masks or their
     component labels (see ``lesion_counts``).
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    gt = np.asarray(gt)
-    _check_same_shape(probs, gt)
-    gt_masks = gt.astype(np.bool_, copy=False)
-    pred_masks = binarize(probs)
-    _, fp, fn = lesion_counts(pred_masks, gt, tau)
-    # mean_cross_entropy of each map alone
-    L = kernels.cross_entropy_sum(probs, gt_masks, CLAMP_EPS) / probs[0].size
-    ji = jaccard_index(pred_masks, gt_masks)
-    return L, fp, fn, ji, error_term(L, fp, fn, ji, weights)
+    L, pred_masks = loss_and_predictions(probs, gt)
+    return (L,) + error_arrays(L, pred_masks, gt, tau, weights)
 
 
 def evaluate_example(prob, gt_mask, tau=0.5, weights=(1.0, 1.0, 1.0)):

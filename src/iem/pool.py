@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import label_components, shape_blocks
+from .kernels import _STACK, _STACK_ON, label_components, shape_blocks
 
 POOL_FORMAT = "iem-pool/1"
 
@@ -146,28 +146,47 @@ def error_terms(items, predict, cfg):
     Yields (tag, E) in item order. ``predict`` maps an (n, h, w) image
     stack to its probability maps; it sees blocks of up to 16 consecutive
     same-shape images, and each item's E equals what its image and mask
-    give alone. A block's E come from one array of
-    ``metrics.breakdown_arrays``, which reads boolean masks or their
-    component labels alike. Metric knobs (tau, error weights) come from
-    the selection config ``cfg``.
+    give alone. ``metrics.loss_and_predictions`` scores each block, and
+    ``metrics.error_arrays`` (lesion counts, whose per-call cost exceeds
+    their pixels' at 24x24) a stack of whole same-shape blocks: at most
+    128 images and 16·h·w predicted on-pixels, so lesion counting labels
+    no more at once than for one block (at zero weights every pixel is
+    on). Items give all masks or all labels. Metric knobs (tau, error
+    weights) come from the selection config ``cfg``.
     """
+    def scored(stack):
+        blocks, L, preds, gts = zip(*stack)
+        *_, errors = metrics.error_arrays(
+            np.concatenate(L), np.concatenate(preds), np.concatenate(gts),
+            tau=cfg.tau, weights=cfg.error_weights)
+        return zip((tag for block in blocks for *_, tag in block),
+                   errors.tolist())
+
+    stack, shape, size, on = [], None, 0, 0
     for block in shape_blocks(items):
-        *_, errors = metrics.breakdown_arrays(
-            predict(np.array([img for img, _, _ in block])),
-            np.array([gt for _, gt, _ in block]),
-            tau=cfg.tau, weights=cfg.error_weights,
-        )
-        for (_, _, tag), E in zip(block, errors.tolist()):
-            yield tag, E
+        gt = np.array([gt for _, gt, _ in block])
+        L, preds = metrics.loss_and_predictions(
+            predict(np.array([img for img, _, _ in block])), gt)
+        block_on = int(np.add.reduce(preds, axis=None))
+        if stack and not (gt[0].shape == shape
+                          and size + len(block) <= _STACK
+                          and on + block_on <= _STACK_ON * preds[0].size):
+            yield from scored(stack)
+            stack, size, on = [], 0, 0
+        stack.append((block, L, preds, gt))
+        shape, size, on = gt[0].shape, size + len(block), on + block_on
+    if stack:
+        yield from scored(stack)
 
 
 def refresh_errors(pool, predict, cfg):
     """Recompute E for every non-dropped record from one plain forward pass.
 
     ``predict`` maps an (n, h, w) image stack to its probability maps; it
-    sees blocks of up to 16 same-shape images in pool order (see
-    ``error_terms``). Each record is scored from its kept labels
-    (``PoolState.labeled``), so a mask is labeled at most once per pool.
+    sees blocks of up to 16 same-shape images in pool order, scored in
+    stacks of such blocks (see ``error_terms``). Each record is scored
+    from its kept labels (``PoolState.labeled``), so a mask is labeled at
+    most once per pool.
     Dropped records keep E = 0.
     """
     active = [r for r in pool.records if not r.dropped]

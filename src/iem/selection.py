@@ -26,7 +26,8 @@ class SelectionConfig:
 
     d       dropping number: selection count beyond which an example is
             marked an outlier and excluded
-    t       augmented views per example when refreshing its error
+    t       augmented views that score an example after each training
+            update (a refresh of the pool is one plain forward pass)
     iterations_per_step   selection/training rounds per incremental stage
     tau     IoU threshold for lesion matching
     seed    base seed for all derived random streams

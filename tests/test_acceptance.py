@@ -23,7 +23,8 @@ from iem.trainer import (ModelParams, TrainConfig, forward, gradient,
 
 def _verdict(capsys, n, ok, detail=""):
     with capsys.disabled():  # keep the verdict visible under capture
-        print(f"criterion {n}: {'PASS' if ok else 'FAIL'}")
+        print(f"criterion {n}: {'PASS' if ok else 'FAIL'}"
+              + (f" ({detail})" if detail else ""))
     assert ok, detail
 
 

@@ -302,7 +302,7 @@ def test_cross_entropy_sum_stack_equals_per_image_calls():
 
 def test_cross_entropy_sum_on_mostly_lesion_free_and_empty_stacks():
     # the stacks mining scores: most images have no lesion pixel and are
-    # summed in one reduce, the rest in the two-part per-image loop
+    # summed in one reduce, the rest in two parts per lesion-pixel count
     rng = np.random.default_rng(71)
     for shape in ((24, 24), (13, 17), (1, 9)):
         for density in (0.01, 0.02, 0.03, 0.05):
@@ -323,6 +323,31 @@ def test_cross_entropy_sum_on_mostly_lesion_free_and_empty_stacks():
     got = kernels.cross_entropy_sum(np.zeros((0, 24, 24)),
                                     np.zeros((0, 24, 24), dtype=bool), 1e-7)
     assert got.dtype == np.float64 and got.shape == (0,)
+
+
+def test_cross_entropy_sum_by_count_group_equals_oracle_on_fuzzed_stacks():
+    # images sharing a lesion-pixel count are summed as one group; flipped
+    # duplicates share a count, as a scored example's views do
+    rng = np.random.default_rng(83)
+    sums = 0
+    for _ in range(3000):
+        shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+        n = int(rng.integers(0, 20))
+        p = rng.random((n,) + shape) ** rng.choice([0.1, 1.0, 10.0])
+        p[rng.random(p.shape) < 0.02] = 0.0  # clamped on both sides
+        p[rng.random(p.shape) < 0.02] = 1.0
+        y = rng.random(p.shape) < rng.uniform(0.0, 1.0, size=(n, 1, 1))
+        if n >= 4:
+            y[0] = True  # all on
+            p[1], y[1] = p[2, ::-1], y[2, ::-1]
+            p[3], y[3] = p[2, :, ::-1], y[2, :, ::-1]
+        got = kernels.cross_entropy_sum(p, y, 1e-7)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert [v.hex() for v in got.tolist()] == [
+            oracles.selected_cross_entropy_sum(pi, yi, 1e-7).hex()
+            for pi, yi in zip(p, y)]
+        sums += n
+    assert sums > 25000
 
 
 def test_shape_blocks_keep_order_and_never_mix_shapes():

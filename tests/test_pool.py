@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from iem import harness, kernels, pgm
+from iem import harness, kernels, metrics, pgm
 from iem import pool as pool_module
 from iem.errors import DataError
 from iem.pgm import write_mask_pgm, write_pgm
@@ -14,13 +14,14 @@ from iem.pool import (
     ExampleRecord,
     PoolState,
     add_chunk,
+    error_terms,
     load_state,
     record_training_update,
     refresh_errors,
     save_state,
 )
 from iem.selection import SelectionConfig, select_subset
-from iem.trainer import TrainConfig
+from iem.trainer import TrainConfig, init_params, mine
 
 
 def _rec(rid, label="positive", **kw):
@@ -160,6 +161,92 @@ def test_refresh_errors_skips_dropped(tmp_path):
     pool = _pool(rec)
     refresh_errors(pool, lambda img: np.full_like(img, 0.5), SelectionConfig())
     assert pool.record_for("a").E == 0.0
+
+
+def _scored_items(rng, shape, n, flip, dtype):
+    """n (probability map, mask, tag) items: each map predicts its mask
+    with a share ``flip`` of its pixels flipped, or, for flip=None, is
+    0.5 everywhere, as at zero weights, so every pixel is predicted on."""
+    masks = rng.random((n,) + shape) < 0.03
+    masks[rng.random(n) < 0.3] = False  # lesion-free images
+    if flip is None:
+        probs = np.full(masks.shape, 0.5)
+    else:
+        probs = np.where(masks ^ (rng.random(masks.shape) < flip),
+                         0.5 + 0.5 * rng.random(masks.shape),
+                         0.5 * rng.random(masks.shape))
+    if dtype != bool:
+        masks = kernels.label_components(masks)[0].astype(dtype)
+    return [(prob, mask, (shape, i)) for i, (prob, mask) in
+            enumerate(zip(probs, masks))]
+
+
+@pytest.mark.parametrize("runs, stacks", [
+    # past 128 images: 16-image blocks join into stacks of 128
+    ([((24, 24), 300, 0.002, bool)], [128, 128, 44]),
+    # a shape change ends a stack; uint8 and int32 labels join
+    ([((24, 24), 40, 0.002, bool), ((13, 17), 40, 0.002, np.uint8),
+      ((24, 24), 32, 0.002, np.uint8), ((24, 24), 16, 0.002, np.int32)],
+     [40, 40, 48]),
+    # every pixel predicted on, as at zero weights: a block alone fills
+    # a stack's on-pixels
+    ([((24, 24), 40, None, bool)], [16, 16, 8]),
+    ([((9, 9), 20, None, np.uint8), ((9, 9), 300, 0.0, np.uint8)],
+     [16, 4 + 124, 128, 48]),
+    ([], []),
+])
+def test_error_terms_equal_breakdown_arrays_per_block(monkeypatch, runs,
+                                                     stacks):
+    # E compared as float hex with breakdown_arrays over the 16-image
+    # blocks that predict sees; lesions are counted once per stack
+    rng = np.random.default_rng(29)
+    items = [item for shape, n, flip, dtype in runs
+             for item in _scored_items(rng, shape, n, flip, dtype)]
+    cfg = SelectionConfig(tau=0.3, error_weights=(1.0, 2.0, 0.5))
+    want = []
+    for block in kernels.shape_blocks(items):
+        *_, errors = metrics.breakdown_arrays(
+            np.array([p for p, _, _ in block]),
+            np.array([m for _, m, _ in block]), cfg.tau, cfg.error_weights)
+        want += zip([tag for _, _, tag in block], errors.tolist())
+    real, counted = metrics.lesion_counts, []
+
+    def counting(pred_masks, gt, tau):
+        counted.append(len(pred_masks))
+        return real(pred_masks, gt, tau)
+
+    monkeypatch.setattr(metrics, "lesion_counts", counting)
+    seen = []
+    got = list(error_terms(iter(items), lambda p: seen.append(len(p)) or p,
+                           cfg))
+    assert [(tag, E.hex()) for tag, E in got] == [
+        (tag, E.hex()) for tag, E in want]
+    assert seen == [len(block) for block in kernels.shape_blocks(items)]
+    assert counted == stacks
+
+
+def test_mining_from_zero_weights_labels_at_most_a_block_of_pixels(
+        tiny_dataset, tiny_selcfg, monkeypatch):
+    # at zero weights every probability is 0.5 and every pixel is
+    # predicted on; no labeling call takes more on-pixels than 16 images
+    chunks, _ = tiny_dataset
+    pool = PoolState()
+    for stage, chunk in enumerate(chunks):
+        add_chunk(pool, chunk, stage)
+    real = kernels.label_components
+    on_pixels = []
+
+    def counting(masks):
+        on_pixels.append(int(np.count_nonzero(masks)))
+        return real(masks)
+
+    monkeypatch.setattr(kernels, "label_components", counting)
+    monkeypatch.setattr(pool_module, "label_components", counting)
+    params = init_params()
+    mine(pool, params, 4, 2, tiny_selcfg, TrainConfig())
+    h, w = pool.labeled([pool.records[0].id])[0][0].shape
+    assert len(pool) > kernels._BLOCK * 2 and params.version > 0
+    assert max(on_pixels) == kernels._STACK_ON * h * w
 
 
 def test_pool_builds_and_selects_without_decoding(monkeypatch):
