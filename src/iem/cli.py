@@ -97,6 +97,8 @@ def make_configs(values):
 
 
 def cmd_gen(args):
+    if args.seed < 0:  # refused before anything is written, as train does
+        raise DataError(f"bad configuration: seed must be >= 0, got {args.seed}")
     scenario = synth.default_scenario(args.seed)
     train_chunks, test_records = synth.generate_scenario(scenario, args.out)
     sizes = [len(chunk) for chunk in train_chunks]

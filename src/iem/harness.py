@@ -114,10 +114,6 @@ def evaluate_model(params, blocks, tau):
     nothing. It keeps running lesion counts and the per-image Jaccard
     values, and reads ``blocks`` once, so a decoding generator keeps no
     image. No pairs at all is refused: there is no mean Jaccard to give.
-    Fed by ``pgm.pair_blocks``, which converts each block's joined
-    rasters once, ``iem eval`` of 4000 24x24 pairs took 0.237 s against
-    0.273 s with a per-pair decode and a stack here (benchmark
-    ``run_scaled_s``, medians of 10 pairs, 2-vCPU host).
     """
     tp = fp = fn = 0
     jis = []

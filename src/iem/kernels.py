@@ -14,11 +14,8 @@ from itertools import groupby, islice
 
 import numpy as np
 
-# images per stack; 32 gains nothing measurable and takes 1 MB more peak memory
+# images per stack; 32 gains nothing measurable and takes more peak memory
 _BLOCK = 16
-# pool.error_terms counts lesions in stacks of blocks: at most 128 images,
-# whose predicted on-pixels (labeled at once) fill at most 16 images
-_STACK, _STACK_ON = 128, 16
 
 
 def shape_blocks(items, shape=lambda item: item[0].shape):

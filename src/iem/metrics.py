@@ -247,7 +247,8 @@ def error_term(L, fp, fn, ji, weights=(1.0, 1.0, 1.0)):
 
 def loss_and_predictions(probs, gt):
     """Mean cross-entropy L of each map of an (n, h, w) stack, and its
-    binarized predictions: the per-block part of ``breakdown_arrays``."""
+    binarized predictions. ``gt`` holds the boolean masks or their
+    component labels (see ``lesion_counts``)."""
     probs = np.asarray(probs, dtype=np.float64)
     gt = np.asarray(gt)
     _check_same_shape(probs, gt)
@@ -258,28 +259,18 @@ def loss_and_predictions(probs, gt):
 
 
 def error_arrays(L, pred_masks, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
-    """The rest of ``breakdown_arrays``, (fp, fn, ji, E), from L and the
-    predictions; each is per image, so joined blocks keep their bits."""
+    """The other ``MetricsBreakdown`` fields, (fp, fn, ji, E), from L and
+    the predictions; per image, so joined blocks keep their bits."""
     _, fp, fn = lesion_counts(pred_masks, gt, tau)
     ji = jaccard_index(pred_masks, gt)
     return fp, fn, ji, error_term(L, fp, fn, ji, weights)
 
 
-def breakdown_arrays(probs, gt, tau=0.5, weights=(1.0, 1.0, 1.0)):
-    """The ``MetricsBreakdown`` fields of an (n, h, w) stack, as n-arrays.
-
-    Returns (L, fp, fn, ji, E). ``gt`` holds the boolean masks or their
-    component labels (see ``lesion_counts``).
-    """
-    L, pred_masks = loss_and_predictions(probs, gt)
-    return (L,) + error_arrays(L, pred_masks, gt, tau, weights)
-
-
 def evaluate_example(prob, gt_mask, tau=0.5, weights=(1.0, 1.0, 1.0)):
     """Full per-example breakdown of a probability map against its mask."""
-    arrays = breakdown_arrays(np.asarray(prob)[None],
-                              np.asarray(gt_mask, dtype=np.bool_)[None],
-                              tau, weights)
+    gt = np.asarray(gt_mask, dtype=np.bool_)[None]
+    L, pred_masks = loss_and_predictions(np.asarray(prob)[None], gt)
+    arrays = (L,) + error_arrays(L, pred_masks, gt, tau, weights)
     return MetricsBreakdown(*(a.item() for a in arrays))
 
 

@@ -4,25 +4,21 @@ Images are stored 8-bit and mapped to/from float64 [0,1]; masks use the
 two values {0, 255} and map to/from boolean arrays.
 
 A file is read at the system-call level, with no Python file object:
-``os.open``, then ``os.read`` of at most 4 KiB until end of file. On a
-2-vCPU host a 24x24 PGM (589 bytes) took 5.1 us this way against 8.1 us
-through ``open``.
+``os.open``, then ``os.read`` of at most 4 KiB until end of file, which
+costs a small file less time than ``open``.
 
 The decoder keeps the last header that parsed and passed its checks,
 with the whitespace byte that ends it. A file that starts with those
 bytes skips the header parse and is read only up to its raster's end;
 any other file is parsed in full. A stream of same-size files thus
-parses one header: ``pair`` of a 24x24 image and mask took 12-14 us
-against 16-17 us with a parse of every header (2-vCPU host).
+parses one header.
 
 ``pair_blocks`` decodes a stream of pairs a block at a time, as
 ``iem eval`` does: the same reader, with every check, returns each
 file's raster bytes, and the rasters of up to 16 same-shape pairs are
 joined and converted once. Both conversions, a divide by 255 and
 ``>= 128``, work element by element, so the stacks are ``pair``'s arrays
-stacked, bit for bit. Over 320 24x24 pairs it took 7.7-8.0 us a pair,
-5.8-6.1 of them the reads, against 13.2-13.9 us for ``pair`` and a
-re-stack of each block (min of 15 rounds, 2-vCPU host).
+stacked, bit for bit.
 """
 
 import os
@@ -41,7 +37,7 @@ from .kernels import shape_blocks
 # quantifiers); one \s per repeat, since \s+ would try every split.
 _HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*(?!\S))" * 4)
 
-# bytes per os.read; a 64 KiB read buffer raised peak memory by 0.7 MB
+# bytes per os.read; a larger read buffer raises peak memory
 _READ_SIZE = 4096
 
 # (header bytes through the whitespace byte that ends them, w, h) of the

@@ -21,9 +21,12 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import _STACK, _STACK_ON, label_components, shape_blocks
+from .kernels import _BLOCK, label_components, shape_blocks
 
 POOL_FORMAT = "iem-pool/1"
+LABELS = ("positive", "negative")
+# images per stack of blocks whose lesions error_terms counts at once
+_STACK = 128
 
 _RECORD_KEYS = ("id", "image_ref", "mask_ref", "label", "chunk", "E", "C",
                 "dropped")
@@ -36,14 +39,14 @@ class ExampleRecord:
     id: str
     image_ref: str
     mask_ref: str
-    label: str  # "positive" or "negative"
+    label: str  # one of LABELS
     chunk_index: int = 0
     E: float = 0.0
     C: int = 0
     dropped: bool = False
 
     def __post_init__(self):
-        if self.label not in ("positive", "negative"):
+        if self.label not in LABELS:
             raise ValueError(f"record {self.id}: bad label {self.label!r}")
 
     def drops_on_update(self, d):
@@ -170,7 +173,7 @@ def error_terms(items, predict, cfg):
         block_on = int(np.add.reduce(preds, axis=None))
         if stack and not (gt[0].shape == shape
                           and size + len(block) <= _STACK
-                          and on + block_on <= _STACK_ON * preds[0].size):
+                          and on + block_on <= _BLOCK * preds[0].size):
             yield from scored(stack)
             stack, size, on = [], 0, 0
         stack.append((block, L, preds, gt))
@@ -284,7 +287,7 @@ def load_state(path):
         if rid in ids:
             raise DataError(f"{path}:{lineno}: duplicate id {rid!r}")
         ids.add(rid)
-        if label not in ("positive", "negative"):
+        if label not in LABELS:
             raise DataError(f"{path}:{lineno}: bad label {label!r}")
         try:
             chunk_index = int(values[4])

@@ -15,13 +15,12 @@ import numpy as np
 
 from .errors import DataError, read_lines
 from .pgm import write_mask_pgm, write_pgm
-from .pool import ExampleRecord
+from .pool import LABELS, ExampleRecord
 
 MANIFEST_NAME = "manifest.tsv"
 _BACKGROUND_BASE = 0.2
 _BACKGROUND_NOISE_SIGMA = 0.02
 _BLOB_INTENSITY_DELTA = 0.5
-_LABELS = ("positive", "negative")
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def read_manifest(path):
             raise DataError(f"{path}:{lineno}: example id {example_id!r} "
                             f"repeats line {first}")
         seen.add(example_id)
-        if label not in _LABELS:
+        if label not in LABELS:
             raise DataError(f"{path}:{lineno}: bad label {label!r}")
         try:
             chunk_index = int(chunk_field)

@@ -221,8 +221,9 @@ def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
 def example_rng(seed, stage, iteration, example_id):
     """Stream used for one example's augmented error views.
 
-    Derived from stable indices only, so the errors behind any recorded E
-    can be recomputed offline from the saved model and the trace. The
+    Derived from stable indices only. The saved model and the trace
+    recompute offline only the E recorded in the last round, under the
+    final weights: no file keeps the weights behind an earlier E. The
     entropy is ``[seed, stage, iteration, crc32(example_id)]``, passed as
     a uint32 array when all four lie in [0, 2**32): numpy reads each such
     int as one 32-bit word, so the stream is the list's, without numpy's

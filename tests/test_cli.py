@@ -247,6 +247,14 @@ def test_gen_unwritable_destination(tmp_path):
     assert "error:" in out.stderr
 
 
+def test_gen_refuses_a_negative_seed(tmp_path):
+    out = run_cli("gen", "--out", tmp_path / "data", "--seed", -1)
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == [
+        "error: bad configuration: seed must be >= 0, got -1"]
+    assert not (tmp_path / "data").exists()
+
+
 # -- train / eval ----------------------------------------------------------
 
 

@@ -380,7 +380,7 @@ def test_lesion_counts_refuse_integer_masks_of_other_dtypes(dtype):
     with pytest.raises(ValueError, match=text):
         metrics.lesion_counts(pred, gt.astype(dtype))
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} "):
-        metrics.breakdown_arrays(pred.astype(float), gt.astype(dtype))
+        metrics.error_arrays(np.zeros(1), pred, gt.astype(dtype))
 
 
 # -- error term ------------------------------------------------------------

@@ -195,19 +195,21 @@ def _scored_items(rng, shape, n, flip, dtype):
      [16, 4 + 124, 128, 48]),
     ([], []),
 ])
-def test_error_terms_equal_breakdown_arrays_per_block(monkeypatch, runs,
-                                                     stacks):
-    # E compared as float hex with breakdown_arrays over the 16-image
-    # blocks that predict sees; lesions are counted once per stack
+def test_error_terms_equal_error_arrays_per_block(monkeypatch, runs, stacks):
+    # E compared as float hex with loss_and_predictions then error_arrays
+    # over the 16-image blocks that predict sees; lesions are counted once
+    # per stack
     rng = np.random.default_rng(29)
     items = [item for shape, n, flip, dtype in runs
              for item in _scored_items(rng, shape, n, flip, dtype)]
     cfg = SelectionConfig(tau=0.3, error_weights=(1.0, 2.0, 0.5))
     want = []
     for block in kernels.shape_blocks(items):
-        *_, errors = metrics.breakdown_arrays(
-            np.array([p for p, _, _ in block]),
-            np.array([m for _, m, _ in block]), cfg.tau, cfg.error_weights)
+        gt = np.array([m for _, m, _ in block])
+        L, preds = metrics.loss_and_predictions(
+            np.array([p for p, _, _ in block]), gt)
+        *_, errors = metrics.error_arrays(L, preds, gt, cfg.tau,
+                                          cfg.error_weights)
         want += zip([tag for _, _, tag in block], errors.tolist())
     real, counted = metrics.lesion_counts, []
 
@@ -246,7 +248,7 @@ def test_mining_from_zero_weights_labels_at_most_a_block_of_pixels(
     mine(pool, params, 4, 2, tiny_selcfg, TrainConfig())
     h, w = pool.labeled([pool.records[0].id])[0][0].shape
     assert len(pool) > kernels._BLOCK * 2 and params.version > 0
-    assert max(on_pixels) == kernels._STACK_ON * h * w
+    assert max(on_pixels) == kernels._BLOCK * h * w
 
 
 def test_pool_builds_and_selects_without_decoding(monkeypatch):
