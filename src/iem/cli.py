@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter
 
-from . import harness, pgm, synth
+from . import harness, pool, synth
 from .errors import DataError, NumericError, read_lines
 from .selection import ERROR_WEIGHT_NAMES, SelectionConfig
 from .trainer import TrainConfig, load_params
@@ -138,9 +138,8 @@ def cmd_eval(args):
     params = load_params(args.checkpoint)
     records = synth.read_manifest(args.test)
     selcfg, _ = make_configs(load_settings(args.config))
-    blocks = pgm.pair_blocks((rec.image_ref, rec.mask_ref) for rec in records)
     precision, recall, f1, jaccard = harness.evaluate_model(
-        params, blocks, selcfg.tau
+        params, pool.pair_blocks(records), selcfg.tau
     )
     print("precision,recall,f1,jaccard")
     print(f"{precision:.6f},{recall:.6f},{f1:.6f},{jaccard:.6f}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import shape_blocks
+from .kernels import stacked
 from .pool import PoolState, add_chunk, save_state
 from .selection import compute_partition_number
 from .synth import MANIFEST_NAME, read_manifest
@@ -110,10 +110,11 @@ def evaluate_model(params, blocks, tau):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
     ``blocks`` yields (images, masks) stacks of same-shape test pairs, as
-    ``stacked`` and ``pgm.pair_blocks`` make them; this function stacks
-    nothing. It keeps running lesion counts and the per-image Jaccard
-    values, and reads ``blocks`` once, so a decoding generator keeps no
-    image. No pairs at all is refused: there is no mean Jaccard to give.
+    ``kernels.stacked`` and ``pool.pair_blocks`` make them; this function
+    stacks nothing. It keeps running lesion counts and the per-image
+    Jaccard values, and reads ``blocks`` once, so a decoding generator
+    keeps no image. No pairs at all is refused: there is no mean Jaccard
+    to give.
     """
     tp = fp = fn = 0
     jis = []
@@ -127,14 +128,6 @@ def evaluate_model(params, blocks, tau):
     if not jis:
         raise ValueError("no test pairs to evaluate")
     return (*metrics.detection_scores(tp, fp, fn), float(np.mean(jis)))
-
-
-def stacked(pairs):
-    """(images, masks) stacks of up to 16 consecutive same-shape (image,
-    mask) pairs, in order: what ``evaluate_model`` takes."""
-    return [(np.array([img for img, _ in block]),
-             np.array([mask for _, mask in block]))
-            for block in shape_blocks(pairs)]
 
 
 def stage_budgets(train_chunks, selcfg):
@@ -226,7 +219,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
         raise ValueError(f"need nonempty training chunks; empty: {empty}")
     if not test_records:
         raise ValueError("need a nonempty test set")
-    test_blocks = stacked(rec.pair(reader) for rec in test_records)
+    test_blocks = list(stacked(rec.pair(reader) for rec in test_records))
     params, trace, rows = init_params(), [], []
     pool = PoolState() if strategy in ("baseline_hem", "iem_incremental") else None
 

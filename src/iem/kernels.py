@@ -7,19 +7,25 @@ distinct lesion-pixel count among the images of a stack. The 3x3
 stencil reads a padded stack as one flat array with row stride
 W = w + 2, so each pass is one contiguous op. Labeling visits only the
 on-pixels, since the masks it labels are mostly off. ``shape_blocks``
-cuts a sequence of images into stacks.
+cuts a sequence of images into stacks, and ``stacked`` stacks them.
 """
 
 from itertools import groupby, islice
 
 import numpy as np
 
+# np.clip's ufunc: its bits (NaN, +-inf, -0.0) in one compiled call
+try:  # numpy >= 2
+    from numpy._core.umath import clip
+except ImportError:  # numpy 1.24-1.26
+    from numpy.core.umath import clip
+
 # images per stack; 32 gains nothing measurable and takes more peak memory
 _BLOCK = 16
 
 
-def shape_blocks(items, shape=lambda item: item[0].shape):
-    """Split ``items`` into runs of at most 16 consecutive same-shape items.
+def shape_blocks(items, shape=lambda item: item[0].shape, size=_BLOCK):
+    """Split ``items`` into runs of up to ``size`` consecutive same-shape items.
 
     ``shape(item)`` is an item's shape, by default that of its first
     element, an image array; a run ends where the next item's shape
@@ -27,8 +33,15 @@ def shape_blocks(items, shape=lambda item: item[0].shape):
     iterable, lazily.
     """
     for _, run in groupby(items, shape):
-        while block := list(islice(run, _BLOCK)):
+        while block := list(islice(run, size)):
             yield block
+
+
+def stacked(pairs):
+    """(images, masks) stacks of ``shape_blocks``' blocks of pairs, lazily."""
+    for block in shape_blocks(pairs):
+        yield (np.array([img for img, _ in block]),
+               np.array([mask for _, mask in block]))
 
 
 def label_components(mask):
@@ -130,9 +143,7 @@ def cross_entropy_sum(p, y, eps):
     # by h * w: reshape cannot infer a row length for an empty stack
     rows = (p.shape[0], p.shape[1] * p.shape[2]) if p.ndim == 3 else (1, p.size)
     y = np.ascontiguousarray(y, dtype=np.bool_).reshape(rows)
-    # np.clip's values without its Python-level overhead
-    q = np.maximum(p.reshape(rows), eps)
-    np.minimum(q, 1.0 - eps, out=q)
+    q = clip(p.reshape(rows), eps, 1.0 - eps)
     logs = np.where(y, q, 1.0 - q)
     np.log(logs, out=logs)
     sums = -np.add.reduce(logs, axis=1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import _BLOCK, label_components, shape_blocks
+from .kernels import _BLOCK, label_components, shape_blocks, stacked
 
 POOL_FORMAT = "iem-pool/1"
 LABELS = ("positive", "negative")
@@ -54,13 +54,30 @@ class ExampleRecord:
         return self.C >= d
 
     def pair(self, reader=pgm):
-        """``reader.pair`` of the record's files; refuses a mask that is
-        empty on a positive record or nonempty on a negative one."""
+        """``reader.pair`` of the record's files, checked by ``check_labels``."""
         img, mask = reader.pair(self.image_ref, self.mask_ref)
-        if mask.any() != (self.label == "positive"):
-            raise DataError(f"{self.mask_ref}: {self.id}: label "
-                            f"{self.label!r} disagrees with mask content")
+        check_labels([self], mask[None])
         return img, mask
+
+
+def check_labels(records, masks):
+    """Refuse the first record whose mask in ``masks``, a stack of theirs,
+    is empty on a positive record or nonempty on a negative one."""
+    lesions = np.logical_or.reduce(masks, axis=(1, 2)).tolist()
+    for record, lesion in zip(records, lesions):
+        if lesion != (record.label == "positive"):
+            raise DataError(f"{record.mask_ref}: {record.id}: label "
+                            f"{record.label!r} disagrees with mask content")
+
+
+def pair_blocks(records):
+    """``pgm.pair_blocks`` of a list of records, each block checked by
+    ``check_labels`` before it is yielded."""
+    blocks = pgm.pair_blocks((r.image_ref, r.mask_ref) for r in records)
+    start = 0
+    for images, masks in blocks:
+        check_labels(records[start : (start := start + len(masks))], masks)
+        yield images, masks
 
 
 @dataclass
@@ -143,41 +160,41 @@ def add_chunk(pool, examples, chunk_index):
     return pool
 
 
-def error_terms(items, predict, cfg):
-    """E of each (image, mask or its labels, tag) item, in same-shape blocks.
+def error_terms(stacks, predict, cfg):
+    """E of each image of (images, masks or their labels) stacks, in order.
 
-    Yields (tag, E) in item order. ``predict`` maps an (n, h, w) image
-    stack to its probability maps; it sees blocks of up to 16 consecutive
-    same-shape images, and each item's E equals what its image and mask
-    give alone. ``metrics.loss_and_predictions`` scores each block, and
+    Each pair holds one shape. ``predict`` maps an (n, h, w) image stack
+    to its probability maps; it sees each stack in blocks of up to 16
+    images, and each image's E equals what it and its mask give alone.
+    ``metrics.loss_and_predictions`` scores each block, and
     ``metrics.error_arrays`` (lesion counts, whose per-call cost exceeds
     their pixels' at 24x24) a stack of whole same-shape blocks: at most
     128 images and 16·h·w predicted on-pixels, so lesion counting labels
     no more at once than for one block (at zero weights every pixel is
-    on). Items give all masks or all labels. Metric knobs (tau, error
+    on). Stacks give all masks or all labels. Metric knobs (tau, error
     weights) come from the selection config ``cfg``.
     """
     def scored(stack):
-        blocks, L, preds, gts = zip(*stack)
+        L, preds, gts = zip(*stack)
         *_, errors = metrics.error_arrays(
             np.concatenate(L), np.concatenate(preds), np.concatenate(gts),
             tau=cfg.tau, weights=cfg.error_weights)
-        return zip((tag for block in blocks for *_, tag in block),
-                   errors.tolist())
+        return errors.tolist()
 
     stack, shape, size, on = [], None, 0, 0
-    for block in shape_blocks(items):
-        gt = np.array([gt for _, gt, _ in block])
-        L, preds = metrics.loss_and_predictions(
-            predict(np.array([img for img, _, _ in block])), gt)
-        block_on = int(np.add.reduce(preds, axis=None))
-        if stack and not (gt[0].shape == shape
-                          and size + len(block) <= _STACK
-                          and on + block_on <= _BLOCK * preds[0].size):
-            yield from scored(stack)
-            stack, size, on = [], 0, 0
-        stack.append((block, L, preds, gt))
-        shape, size, on = gt[0].shape, size + len(block), on + block_on
+    for images, gts in stacks:
+        for start in range(0, len(images), _BLOCK):
+            gt = gts[start : start + _BLOCK]
+            L, preds = metrics.loss_and_predictions(
+                predict(images[start : start + _BLOCK]), gt)
+            block_on = int(np.add.reduce(preds, axis=None))
+            if stack and not (gt.shape[1:] == shape
+                              and size + len(gt) <= _STACK
+                              and on + block_on <= _BLOCK * preds[0].size):
+                yield from scored(stack)
+                stack, size, on = [], 0, 0
+            stack.append((L, preds, gt))
+            shape, size, on = gt.shape[1:], size + len(gt), on + block_on
     if stack:
         yield from scored(stack)
 
@@ -186,16 +203,15 @@ def refresh_errors(pool, predict, cfg):
     """Recompute E for every non-dropped record from one plain forward pass.
 
     ``predict`` maps an (n, h, w) image stack to its probability maps; it
-    sees blocks of up to 16 same-shape images in pool order, scored in
-    stacks of such blocks (see ``error_terms``). Each record is scored
-    from its kept labels (``PoolState.labeled``), so a mask is labeled at
-    most once per pool.
+    sees blocks of up to 16 same-shape images in pool order, stacked by
+    ``kernels.stacked`` and scored in stacks of such blocks (see
+    ``error_terms``). Each record is scored from its kept labels
+    (``PoolState.labeled``), so a mask is labeled at most once per pool.
     Dropped records keep E = 0.
     """
     active = [r for r in pool.records if not r.dropped]
-    items = (pair + (r,)
-             for pair, r in zip(pool.labeled([r.id for r in active]), active))
-    for record, E in error_terms(items, predict, cfg):
+    stacks = stacked(pool.labeled([r.id for r in active]))
+    for record, E in zip(active, error_terms(stacks, predict, cfg)):
         record.E = E
     return pool
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, read_lines
-from .kernels import local_mean_std, shape_blocks
+from .kernels import _BLOCK, clip, local_mean_std, shape_blocks
 from .pool import (add_chunk, error_terms, record_training_update,
                    refresh_errors)
 from .selection import compute_partition_number, select_subset
@@ -83,10 +83,9 @@ def featurize(img):
 
 
 def _sigmoid(z, out=None):
-    # np.clip's values, in place without Python-level overhead: writes
-    # into ``out`` (which may be z) when given, else never into z
-    z = np.maximum(z, -_LOGIT_CLIP, out=out)
-    np.minimum(z, _LOGIT_CLIP, out=z)
+    """Sigmoid of z clamped to [-35, 35] by ``kernels.clip``, in place:
+    into ``out`` (which may be z) when given, else never into z."""
+    z = clip(z, -_LOGIT_CLIP, _LOGIT_CLIP, out=out)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -123,12 +122,13 @@ def feature_gradient(params, feats, mask):
 
 
 def augment(img, mask, cfg, rng, j):
-    """The j-th augmented view of an image/mask pair, j >= 1.
+    """The j-th augmented view (j >= 1) of an image/mask pair or stack.
 
     Views are ordered identity, horizontal flip, vertical flip, then
     jitter when ``cfg.jitter`` > 0; j wraps modulo the view count. Flips
-    transform image and mask identically; jitter adds one rng-drawn
-    global offset to the image only, clamped to [0,1]. Identity returns
+    transform image and mask identically; jitter adds one global offset
+    per image to the image only, clamped to [0,1], drawn from ``rng``
+    (for an (n, h, w) stack, one generator per image). Identity returns
     the inputs and flips slice them, so only jitter allocates; callers
     copy a view before writing to it. ``mask`` may be the mask's
     component labels, whose views are then the view's labels.
@@ -137,12 +137,14 @@ def augment(img, mask, cfg, rng, j):
         raise ValueError(f"view index must be >= 1, got {j}")
     view = (j - 1) % cfg.n_views
     if view == 1:
-        return img[:, ::-1], mask[:, ::-1]
+        return img[..., ::-1], mask[..., ::-1]
     if view == 2:
-        return img[::-1], mask[::-1]
+        return img[..., ::-1, :], mask[..., ::-1, :]
     if view == 3:
-        delta = rng.uniform(-cfg.jitter, cfg.jitter)
-        return np.clip(img + delta, 0.0, 1.0), mask
+        delta = (rng.uniform(-cfg.jitter, cfg.jitter) if img.ndim == 2 else
+                 np.array([[[r.uniform(-cfg.jitter, cfg.jitter)]] for r in rng]))
+        jittered = img + delta
+        return clip(jittered, 0.0, 1.0, out=jittered), mask
     return img, mask
 
 
@@ -202,20 +204,29 @@ def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
     """Error terms of each pair's t augmented views under the current model.
 
     ``rngs`` holds one generator per (image, mask) pair, which draws
-    that pair's views in view order; the mask may be given as its
-    component labels (``PoolState.labeled``). Returns one list of t
-    errors per pair. The views are made one at a time as the scorer
-    reads them and scored in same-shape blocks that may span pairs.
+    that pair's jitter offsets in view order; the mask may be given as
+    its component labels (``PoolState.labeled``). Returns one list of t
+    errors per pair. Each run of up to 16 // t (at least one) consecutive
+    same-shape pairs has its views made when the scorer reaches it, as one
+    example-major stack, by one ``augment`` call per view index.
     """
-    views = (
-        augment(img, mask, traincfg, rng, j) + (n,)
-        for n, ((img, mask), rng) in enumerate(zip(pairs, rngs))
-        for j in range(1, selcfg.t + 1)
-    )
-    errors = [[] for _ in pairs]
-    for n, E in error_terms(views, lambda imgs: forward(params, imgs), selcfg):
-        errors[n].append(E)
-    return errors
+    t = selcfg.t
+
+    def view_stacks():
+        items = ((img, mask, rng) for (img, mask), rng in zip(pairs, rngs))
+        for group in shape_blocks(items, size=max(1, _BLOCK // t)):
+            imgs, masks, group_rngs = zip(*group)
+            stacks = np.array(imgs), np.array(masks)
+            views = [np.empty((len(group), t) + a.shape[1:], a.dtype)
+                     for a in stacks]
+            for j in range(1, t + 1):
+                views[0][:, j - 1], views[1][:, j - 1] = augment(
+                    *stacks, traincfg, group_rngs, j)
+            yield [v.reshape((-1,) + v.shape[2:]) for v in views]
+
+    errors = list(error_terms(view_stacks(),
+                              lambda imgs: forward(params, imgs), selcfg))
+    return [errors[n : n + t] for n in range(0, len(errors), t)]
 
 
 def example_rng(seed, stage, iteration, example_id):

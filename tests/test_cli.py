@@ -685,6 +685,31 @@ def test_train_refuses_a_bad_test_label_before_training(
     assert not (tmp_path / "runs").exists()
 
 
+def test_eval_refuses_a_test_label_that_train_refuses(
+        eval_inputs, tiny_dataset_dir, tmp_path, capsys):
+    # two positive test records labeled negative: eval and train each
+    # exit 3 naming the first, in the same words
+    checkpoint, _ = eval_inputs
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    manifest = data / "test" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    positive = [n for n, line in enumerate(lines)
+                if line.split("\t")[3] == "positive"]
+    assert len(positive) > 2
+    for n in positive[1:3]:
+        lines[n] = lines[n].replace("\tpositive\t", "\tnegative\t")
+    manifest.write_text("\n".join(lines) + "\n")
+    record = synth.read_manifest(str(manifest))[positive[1]]
+    want = (f"error: {record.mask_ref}: {record.id}: label 'negative' "
+            "disagrees with mask content\n")
+    argv = ["eval", "--checkpoint", checkpoint, "--test", str(manifest)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", want)
+    assert cli.main(_train_argv(data, tmp_path, "naive")) == 3
+    assert capsys.readouterr().err == want
+
+
 # -- compare ---------------------------------------------------------------
 
 

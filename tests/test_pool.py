@@ -163,8 +163,8 @@ def test_refresh_errors_skips_dropped(tmp_path):
     assert pool.record_for("a").E == 0.0
 
 
-def _scored_items(rng, shape, n, flip, dtype):
-    """n (probability map, mask, tag) items: each map predicts its mask
+def _scored_pairs(rng, shape, n, flip, dtype):
+    """n (probability map, mask) pairs: each map predicts its mask
     with a share ``flip`` of its pixels flipped, or, for flip=None, is
     0.5 everywhere, as at zero weights, so every pixel is predicted on."""
     masks = rng.random((n,) + shape) < 0.03
@@ -177,8 +177,7 @@ def _scored_items(rng, shape, n, flip, dtype):
                          0.5 * rng.random(masks.shape))
     if dtype != bool:
         masks = kernels.label_components(masks)[0].astype(dtype)
-    return [(prob, mask, (shape, i)) for i, (prob, mask) in
-            enumerate(zip(probs, masks))]
+    return list(zip(probs, masks))
 
 
 @pytest.mark.parametrize("runs, stacks", [
@@ -200,17 +199,15 @@ def test_error_terms_equal_error_arrays_per_block(monkeypatch, runs, stacks):
     # over the 16-image blocks that predict sees; lesions are counted once
     # per stack
     rng = np.random.default_rng(29)
-    items = [item for shape, n, flip, dtype in runs
-             for item in _scored_items(rng, shape, n, flip, dtype)]
+    pairs = [pair for shape, n, flip, dtype in runs
+             for pair in _scored_pairs(rng, shape, n, flip, dtype)]
     cfg = SelectionConfig(tau=0.3, error_weights=(1.0, 2.0, 0.5))
     want = []
-    for block in kernels.shape_blocks(items):
-        gt = np.array([m for _, m, _ in block])
-        L, preds = metrics.loss_and_predictions(
-            np.array([p for p, _, _ in block]), gt)
+    for probs, gt in kernels.stacked(pairs):
+        L, preds = metrics.loss_and_predictions(probs, gt)
         *_, errors = metrics.error_arrays(L, preds, gt, cfg.tau,
                                           cfg.error_weights)
-        want += zip([tag for _, _, tag in block], errors.tolist())
+        want += errors.tolist()
     real, counted = metrics.lesion_counts, []
 
     def counting(pred_masks, gt, tau):
@@ -219,11 +216,10 @@ def test_error_terms_equal_error_arrays_per_block(monkeypatch, runs, stacks):
 
     monkeypatch.setattr(metrics, "lesion_counts", counting)
     seen = []
-    got = list(error_terms(iter(items), lambda p: seen.append(len(p)) or p,
-                           cfg))
-    assert [(tag, E.hex()) for tag, E in got] == [
-        (tag, E.hex()) for tag, E in want]
-    assert seen == [len(block) for block in kernels.shape_blocks(items)]
+    got = list(error_terms(kernels.stacked(pairs),
+                           lambda p: seen.append(len(p)) or p, cfg))
+    assert [E.hex() for E in got] == [E.hex() for E in want]
+    assert seen == [len(block) for block in kernels.shape_blocks(pairs)]
     assert counted == stacks
 
 
@@ -312,6 +308,25 @@ def test_record_pair_refuses_a_label_its_mask_disagrees_with(
                               "disagrees with mask content")
     with pytest.raises(DataError, match="disagrees"):
         _pool(flipped).labeled(["a"])
+
+
+def test_pair_blocks_refuse_the_first_label_a_block_disagrees_with(
+        tmp_path):
+    # 20 pairs, two blocks: the second block's labels are checked with
+    # its own records, before it is yielded
+    rng = np.random.default_rng(5)
+    records = [_write_pair(tmp_path, f"r{i:02d}", rng.random((3, 4)),
+                           np.eye(3, 4, dtype=bool) * (i % 2))
+               for i in range(20)]
+    blocks = pool_module.pair_blocks(records)
+    images, masks = next(blocks)
+    assert np.array_equal(masks, [r.pair()[1] for r in records[:16]])
+    for i in (17, 18):
+        records[i].label = "negative" if i % 2 else "positive"
+    with pytest.raises(DataError) as exc:
+        next(blocks)
+    assert str(exc.value) == (f"{records[17].mask_ref}: r17: label "
+                              "'negative' disagrees with mask content")
 
 
 # -- record_training_update ------------------------------------------------

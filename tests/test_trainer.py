@@ -166,6 +166,24 @@ def test_einsum_implementation_gives_einsum_bits():
                     == np.einsum("ijk,ij->k", feats, residual).tobytes())
 
 
+def test_clip_ufunc_gives_np_clip_bits():
+    # the sigmoid, the cross-entropy and the jitter view clamp with the
+    # ufunc that np.clip calls, without its Python-level wrappers
+    assert isinstance(kernels.clip, np.ufunc)
+    assert trainer.clip is kernels.clip
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 0.5,
+               1.0, -1.0, 1e-7, 1.0 - 1e-7, 35.0, -35.0, 34.5, 1e3, -1e3]
+    rng = np.random.default_rng(37)
+    for lo, hi in ((-35.0, 35.0), (1e-7, 1.0 - 1e-7), (0.0, 1.0)):
+        for z in (np.array(special), rng.uniform(2 * lo - 1, 2 * hi + 1, 999),
+                  rng.standard_normal((3, 24, 24)) * 40.0):
+            want = np.clip(z, lo, hi)
+            assert kernels.clip(z, lo, hi).tobytes() == want.tobytes()
+            out = z.copy()
+            assert kernels.clip(out, lo, hi, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+
 def test_forward_and_sgd_step_leave_read_only_inputs_untouched():
     # the sigmoid and the residual are computed in place, in buffers of
     # their own: features, masks, labels and weights are only read
@@ -424,12 +442,17 @@ def test_train_on_subset_on_mask_labels_equals_on_masks():
     assert got[0] == got[1] and got[0][1] == 3 + 2 * len(examples)
 
 
-@pytest.mark.parametrize("t", [1, 4, 6])
-def test_augmented_error_terms_equal_per_view_scores(t):
+@pytest.mark.parametrize("t, jitter", [
+    (1, 0.2), (4, 0.2), (6, 0.2),
+    (9, 0.2),  # two jitter draws per example, one example per group
+    (17, 0.2),  # one example's views span two predict calls
+    (4, 0.0),  # view 4 wraps to the identity
+], ids=["1", "4", "6", "9", "17", "4-no-jitter"])
+def test_augmented_error_terms_equal_per_view_scores(t, jitter):
     rng = np.random.default_rng(8)
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
     selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
-    traincfg = TrainConfig(jitter=0.2)
+    traincfg = TrainConfig(jitter=jitter)
     predicted = 0
     for i, (img, mask) in enumerate(_lesion_examples(rng, [(9, 9), (1, 8)])):
         [got] = augmented_error_terms(sharp, [(img, mask)], selcfg, traincfg,
@@ -447,11 +470,17 @@ def test_augmented_error_terms_equal_per_view_scores(t):
     assert predicted > 0  # the scores cover predicted lesions
 
 
-@pytest.mark.parametrize("t", [3, 6])
-def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
-    # 18 or 36 views of one shape, then 9 or 18 of another: blocks of 16
-    # views cut examples apart and stop at the shape change; each example
-    # draws its jitter offsets from its own rng
+@pytest.mark.parametrize("t", [3, 6, 9, 17])
+def test_augmented_error_terms_blocks_span_examples_and_shapes(
+        t, monkeypatch):
+    # 6 examples of one shape, then 3 of another and 1 of the first: a
+    # group of up to 16 // t examples (at least one) gives one stack of
+    # views, which stops at a shape change; predict sees it in blocks of
+    # up to 16; each example draws its jitter offsets from its own rng
+    seen = []
+    real = trainer.forward
+    monkeypatch.setattr(trainer, "forward", lambda params, imgs: (
+        seen.append(imgs.shape), real(params, imgs))[1])
     rng = np.random.default_rng(14)
     pairs = _lesion_examples(rng, [(9, 9)] * 6 + [(7, 11)] * 3 + [(9, 9)])
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
@@ -472,6 +501,12 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(t):
             ).E)
         want.append(errors)
     assert got == want
+    group = max(1, 16 // t)
+    views = [min(group, n - start) * t for n in (6, 3, 1)
+             for start in range(0, n, group)]
+    assert [n for n, *_ in seen] == [min(16, v - start) for v in views
+                                     for start in range(0, v, 16)]
+    assert all(len(shape) == 3 and shape[0] <= 16 for shape in seen)
     assert augmented_error_terms(sharp, [], selcfg, traincfg, []) == []
 
 
@@ -752,7 +787,7 @@ def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
         add_chunk(pool, chunk, stage)
     pool.labeled([r.id for r in pool.records])
     wrappers = ("einsum", "stack", "flatnonzero", "array_equal", "nonzero",
-                "issubdtype")
+                "issubdtype", "clip")
     scopes = ((trainer, "train_on_subset"), (trainer, "augmented_error_terms"),
               (harness, "evaluate_model"))
     inside, entered, calls = [], collections.Counter(), collections.Counter()
@@ -789,7 +824,8 @@ def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
     scoped("check", lambda: [
         np.einsum("i->", np.ones(2)), np.stack([np.ones(2)]),
         np.flatnonzero(np.ones(2)), np.array_equal(np.ones(2), np.ones(2)),
-        np.nonzero(np.ones(2)), np.issubdtype(np.int32, np.integer)])()
+        np.nonzero(np.ones(2)), np.issubdtype(np.int32, np.integer),
+        np.clip(np.ones(2), 0.0, 1.0)])()
     assert sorted(key for key in calls if key[1]) == [
         (name, ("check",)) for name in sorted(wrappers)]
 
