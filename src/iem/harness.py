@@ -34,10 +34,9 @@ from itertools import islice
 
 import numpy as np
 
-from . import metrics, pgm
+from . import metrics
 from .errors import DataError, read_lines
-from .kernels import stacked
-from .pool import PoolState, add_chunk, save_state
+from .pool import PoolState, add_chunk, pair_blocks, save_state
 from .selection import compute_partition_number
 from .synth import MANIFEST_NAME, read_manifest
 from .trainer import (
@@ -110,7 +109,7 @@ def evaluate_model(params, blocks, tau):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
     ``blocks`` yields (images, masks) stacks of same-shape test pairs, as
-    ``kernels.stacked`` and ``pool.pair_blocks`` make them; this function
+    ``pool.pair_blocks`` makes them; this function
     stacks nothing. It keeps running lesion counts and the per-image
     Jaccard values, and reads ``blocks`` once, so a decoding generator
     keeps no image. No pairs at all is refused: there is no mean Jaccard
@@ -138,6 +137,11 @@ def stage_budgets(train_chunks, selcfg):
     return budgets
 
 
+def _pairs(records):
+    """Each record's (image, mask), views into ``pair_blocks``' stacks."""
+    return [pair for block in pair_blocks(records) for pair in zip(*block)]
+
+
 def _cycle(examples, rng):
     """Examples in reshuffled passes, so batches cover the set evenly."""
     while True:
@@ -145,15 +149,14 @@ def _cycle(examples, rng):
             yield examples[i]
 
 
-def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
-                reader=pgm):
+def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None):
     """One stage of a staged strategy: train params in place on ``chunk``.
 
     Stage 0 is iterations_per_step passes over the chunk. With a pool
     (iem), the chunk joins the pool, and a later stage is
     ``incremental_step``, whose rounds go to ``trace``. Without one
     (naive), a later stage is iterations_per_step batches of 4K examples
-    of the chunk. ``rec.pair(reader)`` decodes what no pool holds. Returns
+    of the chunk. ``pool.pair_blocks`` reads what no pool holds. Returns
     the size of the fixed set trained on, or None for a mining stage.
     """
     if pool is not None and stage != pool.next_stage:
@@ -161,7 +164,7 @@ def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
     if pool is not None and stage:
         incremental_step(pool, params, selcfg, traincfg, chunk, trace)
         return None
-    examples = ([rec.pair(reader) for rec in chunk] if pool is None
+    examples = (_pairs(chunk) if pool is None
                 else add_chunk(pool, chunk, 0).labeled([r.id for r in chunk]))
     rng = np.random.default_rng([selcfg.seed, stage])
     if stage:
@@ -173,8 +176,7 @@ def train_stage(params, pool, chunk, stage, selcfg, traincfg, trace=None,
     return len(chunk)
 
 
-def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None,
-                 reader=pgm):
+def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None):
     """The one stage of a pooled strategy: train params on the whole stream.
 
     It spends the summed stage budgets. With a pool (hem), every chunk
@@ -191,7 +193,7 @@ def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None,
         mine(pool, params, K, budget // (4 * K), selcfg, traincfg, trace)
         return None
     rng = np.random.default_rng([selcfg.seed, 0])
-    examples = [rec.pair(reader) for chunk in train_chunks for rec in chunk]
+    examples = _pairs([rec for chunk in train_chunks for rec in chunk])
     epochs, remainder = divmod(budget, len(examples))
     for _ in range(epochs):
         train_on_subset(params, examples, traincfg, rng)
@@ -201,16 +203,15 @@ def train_pooled(params, pool, train_chunks, selcfg, traincfg, trace=None,
     return len(examples)
 
 
-def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=pgm):
+def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg):
     """Train one strategy end to end; returns (report, params, pool, trace).
 
     ``pool`` is None for the strategies that do not mine. Each stage's
     seconds cover its training but not its evaluation, and its
-    examples_trained is the number of SGD steps it took. ``rec.pair(reader)``
-    decodes and checks the test set and the full and naive training sets
-    once per run; the test set is stacked once, and every stage evaluates
-    those stacks. An empty chunk anywhere, or an empty test set, is
-    refused before any training.
+    examples_trained is the number of SGD steps it took. ``pool.pair_blocks``
+    reads the test set and the full and naive training sets once per run,
+    as ``iem eval`` reads a test set, and every stage evaluates the test
+    set's stacks. An empty chunk or test set is refused before training.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -219,7 +220,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
         raise ValueError(f"need nonempty training chunks; empty: {empty}")
     if not test_records:
         raise ValueError("need a nonempty test set")
-    test_blocks = list(stacked(rec.pair(reader) for rec in test_records))
+    test_blocks = list(pair_blocks(test_records))
     params, trace, rows = init_params(), [], []
     pool = PoolState() if strategy in ("baseline_hem", "iem_incremental") else None
 
@@ -241,7 +242,7 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg, reader=
                   for stage, chunk in enumerate(train_chunks)]
     for stage, train in stages:
         steps, t0 = params.version, time.perf_counter()
-        set_size = train(selcfg, traincfg, trace_round, reader)
+        set_size = train(selcfg, traincfg, trace_round)
         seconds = time.perf_counter() - t0
         presented = params.version - steps
         if set_size is not None:

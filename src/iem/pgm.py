@@ -13,12 +13,12 @@ bytes skips the header parse and is read only up to its raster's end;
 any other file is parsed in full. A stream of same-size files thus
 parses one header.
 
-``pair_blocks`` decodes a stream of pairs a block at a time, as
-``iem eval`` does: the same reader, with every check, returns each
+``pair_blocks`` decodes a stream of pairs a block at a time, as every
+program read does: the same reader, with every check, returns each
 file's raster bytes, and the rasters of up to 16 same-shape pairs are
 joined and converted once. Both conversions, a divide by 255 and
-``>= 128``, work element by element, so the stacks are ``pair``'s arrays
-stacked, bit for bit.
+``>= 128``, work element by element, so the stacks are ``read_pgm``'s
+and ``read_mask_pgm``'s arrays stacked, bit for bit.
 """
 
 import os
@@ -130,13 +130,6 @@ def _same_size(image_path, mask_path, image_shape, mask_shape):
                         f"but image {image_path} is {image_shape[1]}x{image_shape[0]}")
 
 
-def pair(image_path, mask_path):
-    """``ImageCache.pair`` without the cache: decodes, keeps nothing."""
-    img, mask = read_pgm(image_path), read_mask_pgm(mask_path)
-    _same_size(image_path, mask_path, img.shape, mask.shape)
-    return img, mask
-
-
 def _pair_rasters(image_path, mask_path):
     image, shape = _read_pgm_bytes(image_path)
     mask, mask_shape = _read_pgm_bytes(mask_path)
@@ -145,14 +138,15 @@ def _pair_rasters(image_path, mask_path):
 
 
 def pair_blocks(path_pairs):
-    """``pair`` of each (image path, mask path), as (images, masks) stacks.
+    """The decoded (image path, mask path) pairs, as (images, masks) stacks.
 
     A stack holds up to 16 consecutive same-shape pairs
-    (``kernels.shape_blocks``), and equals ``pair``'s arrays stacked, bit
-    for bit. Each block's image rasters are joined and converted by one
-    ``np.frombuffer`` and one divide, and its masks' likewise, in place
-    of those calls per file. Files are read in order, none before the
-    first ``next()``, and a bad pair raises what ``pair`` does.
+    (``kernels.shape_blocks``), and equals ``read_pgm``'s and
+    ``read_mask_pgm``'s arrays stacked, bit for bit. Each block's image
+    rasters are joined and converted by one ``np.frombuffer`` and one
+    divide, and its masks' likewise, in place of those calls per file.
+    Files are read in order, none before the first ``next()``; a bad
+    file, or a mask sized unlike its image, raises naming it when met.
     """
     rasters = (_pair_rasters(*paths) for paths in path_pairs)
     for block in shape_blocks(rasters, shape=itemgetter(0)):
@@ -162,7 +156,7 @@ def pair_blocks(path_pairs):
 
 
 class ImageCache:
-    """Keeps decodes by path; no command uses it, tests share it across runs."""
+    """Keeps decodes by path; no program path uses it (tests share one)."""
 
     def __init__(self):
         self._images = {}

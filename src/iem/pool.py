@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics, pgm
 from .errors import DataError, read_lines
-from .kernels import _BLOCK, label_components, shape_blocks, stacked
+from .kernels import _BLOCK, label_components, stacked
 
 POOL_FORMAT = "iem-pool/1"
 LABELS = ("positive", "negative")
@@ -53,16 +53,10 @@ class ExampleRecord:
         """Whether one more training update takes C past dropping number d."""
         return self.C >= d
 
-    def pair(self, reader=pgm):
-        """``reader.pair`` of the record's files, checked by ``check_labels``."""
-        img, mask = reader.pair(self.image_ref, self.mask_ref)
-        check_labels([self], mask[None])
-        return img, mask
-
 
 def check_labels(records, masks):
-    """Refuse the first record whose mask in ``masks``, a stack of theirs,
-    is empty on a positive record or nonempty on a negative one."""
+    """Refuse the first of ``records`` whose mask in ``masks``, their block
+    of ``pair_blocks``, is empty on a positive or nonempty on a negative."""
     lesions = np.logical_or.reduce(masks, axis=(1, 2)).tolist()
     for record, lesion in zip(records, lesions):
         if lesion != (record.label == "positive"):
@@ -72,7 +66,8 @@ def check_labels(records, masks):
 
 def pair_blocks(records):
     """``pgm.pair_blocks`` of a list of records, each block checked by
-    ``check_labels`` before it is yielded."""
+    ``check_labels`` before it is yielded: the one way the program reads
+    examples, so ``train`` and ``eval`` refuse a bad file or label alike."""
     blocks = pgm.pair_blocks((r.image_ref, r.mask_ref) for r in records)
     start = 0
     for images, masks in blocks:
@@ -97,22 +92,22 @@ class PoolState:
     def labeled(self, example_ids):
         """Each record's (image, labels of its mask's components), kept.
 
-        A record not read yet is decoded by ``ExampleRecord.pair`` (which
-        checks its label), and its mask labeled with the other new ones in
-        same-shape stacks by ``kernels.label_components``, uint8 when the
-        counts fit; the mask is not kept. Both arrays are read-only, since
-        ``augment`` hands out views of them.
+        The records not read yet are decoded by ``pair_blocks`` (which
+        checks their labels), and each block's masks labeled by one
+        ``kernels.label_components`` call, uint8 when the counts fit; the
+        masks are not kept. Both arrays are read-only views into their
+        block's, since ``augment`` hands out views of them.
         """
-        new = (self.record_for(i).pair() + (i,)
-               for i in example_ids if i not in self._examples)
-        for block in shape_blocks(new):
-            labels, counts = label_components(np.stack([m for _, m, _ in block]))
+        new = [self.record_for(i) for i in example_ids if i not in self._examples]
+        start = 0
+        for images, masks in pair_blocks(new):
+            labels, counts = label_components(masks)
             if counts.max() <= np.iinfo(np.uint8).max:
                 labels = labels.astype(np.uint8)
-            labels.flags.writeable = False
-            for (img, _, i), mask_labels in zip(block, labels):
-                img.flags.writeable = False
-                self._examples[i] = (img, mask_labels)
+            images.flags.writeable = labels.flags.writeable = False
+            for record, img, mask_labels in zip(
+                    new[start : (start := start + len(images))], images, labels):
+                self._examples[record.id] = (img, mask_labels)
         return [self._examples[i] for i in example_ids]
 
     @property

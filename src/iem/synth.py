@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_lines
 from .pgm import write_mask_pgm, write_pgm
-from .pool import LABELS, ExampleRecord
+from .pool import LABELS, ExampleRecord, pair_blocks
 
 MANIFEST_NAME = "manifest.tsv"
 _BACKGROUND_BASE = 0.2
@@ -186,10 +186,10 @@ def read_manifest(path):
 
 
 def verify_labels(records):
-    """Check each record is labeled positive iff its mask has on-pixels
-    (``ExampleRecord.pair`` refuses any other)."""
-    for rec in records:
-        rec.pair()
+    """Check each record of a list is labeled positive iff its mask has
+    on-pixels (``pool.pair_blocks`` refuses any other)."""
+    for _ in pair_blocks(records):
+        pass
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import oracles
 import pytest
 
 from iem import cli, harness, metrics, synth
-from iem.pgm import ImageCache
 from iem.pool import ExampleRecord, PoolState
 from iem.selection import SelectionConfig, select_subset
 from iem.trainer import (ModelParams, TrainConfig, forward, gradient,
@@ -165,12 +164,11 @@ def test_criterion_5_stream_ordering(stream_datasets, capsys):
     final_ji = {name: [] for name in harness.STRATEGIES}
     for seed, data_dir in dirs.items():
         train_chunks, test_records = harness.load_dataset(data_dir)
-        cache = ImageCache()
         selcfg = SelectionConfig(seed=seed, iterations_per_step=5)
         traincfg = TrainConfig(epochs_per_iteration=3)
         for name in harness.STRATEGIES:
             report, _, _, _ = harness.run_strategy(
-                name, train_chunks, test_records, selcfg, traincfg, cache
+                name, train_chunks, test_records, selcfg, traincfg
             )
             row = report.final_row()
             final_f1[name].append(row.f1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import iem
-from iem import cli, harness, pgm, synth, trainer
+from iem import cli, harness, kernels, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
@@ -289,7 +289,7 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     cache = pgm.ImageCache()
     want = harness.evaluate_model(
         load_params(checkpoint),
-        harness.stacked(cache.pair(r.image_ref, r.mask_ref)
+        kernels.stacked(cache.pair(r.image_ref, r.mask_ref)
                         for r in synth.read_manifest(manifest)),
         make_configs({})[0].tau,
     )
@@ -708,6 +708,27 @@ def test_eval_refuses_a_test_label_that_train_refuses(
     assert capsys.readouterr() == ("", want)
     assert cli.main(_train_argv(data, tmp_path, "naive")) == 3
     assert capsys.readouterr().err == want
+
+
+def test_eval_and_train_refuse_the_same_file_of_a_bad_test_block(
+        eval_inputs, tiny_dataset_dir, tmp_path, capsys):
+    # the first test record is relabeled and a later image of its block
+    # truncated: a block's files are all read before its labels are checked
+    checkpoint, _ = eval_inputs
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    manifest = data / "test" / "manifest.tsv"
+    _flip_first_label(manifest)
+    truncated = Path(synth.read_manifest(str(manifest))[3].image_ref)
+    truncated.write_bytes(truncated.read_bytes()[:100])
+    argv = ["eval", "--checkpoint", checkpoint, "--test", str(manifest)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {truncated}: raster truncated ")
+    for strategy in harness.STRATEGIES:
+        assert cli.main(_train_argv(data, tmp_path, strategy)) == 3
+        assert capsys.readouterr().err == err
+    assert not (tmp_path / "runs").exists()
 
 
 # -- compare ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iem import harness, metrics
+from iem import harness, metrics, pgm
 from iem.errors import DataError
 from iem.harness import (
     STRATEGIES,
@@ -17,14 +17,15 @@ from iem.harness import (
     read_report_fragment,
     read_timings,
     run_strategy,
-    stacked,
     stage_budgets,
     train_stage,
     write_report_fragment,
     write_strategy_outputs,
     write_timings,
 )
-from iem.pgm import ImageCache, pair, pair_blocks, write_mask_pgm, write_pgm
+from iem.kernels import stacked
+from iem.pgm import (ImageCache, pair_blocks, read_mask_pgm, read_pgm,
+                     write_mask_pgm, write_pgm)
 from iem.pool import ExampleRecord, PoolState, load_state, save_state
 from iem.selection import SelectionConfig
 from iem.trainer import (ModelParams, TrainConfig, forward, init_params,
@@ -84,26 +85,30 @@ def test_run_strategy_validates_inputs(tiny_dataset, tiny_selcfg, tiny_traincfg)
         run_strategy("baseline_full", [], test_records, tiny_selcfg, tiny_traincfg)
 
 
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Fail any read of an image or mask file."""
+    def read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(pgm, "_read_pgm_bytes", read)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_run_strategy_refuses_an_empty_test_set_before_training(
-        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg):
+        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg, no_reads):
     chunks, _ = tiny_dataset
     with pytest.raises(ValueError, match=r"^need a nonempty test set$"):
-        run_strategy(strategy, chunks, [], tiny_selcfg, tiny_traincfg, _NoReads())
-
-
-class _NoReads:
-    def pair(self, image_ref, mask_ref):
-        raise AssertionError(f"decoded {image_ref}")
+        run_strategy(strategy, chunks, [], tiny_selcfg, tiny_traincfg)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_run_strategy_refuses_an_empty_chunk_before_training(
-        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg):
+        strategy, tiny_dataset, tiny_selcfg, tiny_traincfg, no_reads):
     chunks, test_records = tiny_dataset
     with pytest.raises(ValueError, match=r"nonempty training chunks; empty: \[1\]$"):
         run_strategy(strategy, [chunks[0], [], chunks[1]], test_records,
-                     tiny_selcfg, tiny_traincfg, _NoReads())
+                     tiny_selcfg, tiny_traincfg)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -224,7 +229,7 @@ def test_hem_run_leaves_pool_pixels_as_decoded(tiny_dataset, tiny_selcfg,
     assert len(pool) == sum(len(chunk) for chunk in chunks)
     for rec in pool.records:
         [(img, labels)] = pool.labeled([rec.id])
-        want_img, want_mask = pair(rec.image_ref, rec.mask_ref)
+        want_img, want_mask = read_pgm(rec.image_ref), read_mask_pgm(rec.mask_ref)
         assert np.array_equal(img, want_img)
         assert np.array_equal(labels != 0, want_mask)
 

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from iem import pgm
 from iem.errors import DataError
-from iem.pgm import (ImageCache, pair, read_mask_pgm, read_pgm, write_mask_pgm,
+from iem.pgm import (ImageCache, read_mask_pgm, read_pgm, write_mask_pgm,
                      write_pgm)
 
 
@@ -319,8 +319,9 @@ def test_cache_returns_same_arrays(tmp_path):
     assert mask.all()
 
 
-@pytest.mark.parametrize("read_pair", [pair, lambda i, m: ImageCache().pair(i, m)],
-                         ids=["pgm.pair", "ImageCache.pair"])
+@pytest.mark.parametrize("read_pair", [lambda i, m: next(pgm.pair_blocks([(i, m)])),
+                                       lambda i, m: ImageCache().pair(i, m)],
+                         ids=["pgm.pair_blocks", "ImageCache.pair"])
 def test_pair_refuses_a_mask_of_another_size(tmp_path, read_pair):
     img_path, mask_path = tmp_path / "i.pgm", tmp_path / "m.pgm"
     write_pgm(img_path, np.full((24, 24), 0.4))
@@ -343,10 +344,9 @@ def _write_pairs(directory, sizes, rng):
 
 
 def _pair_stacks(paths):
-    """``pair``'s arrays of ``paths``, stacked."""
-    pairs = [pair(*p) for p in paths]
-    return (np.array([img for img, _ in pairs]),
-            np.array([mask for _, mask in pairs]))
+    """``read_pgm``'s and ``read_mask_pgm``'s arrays of ``paths``, stacked."""
+    return (np.array([read_pgm(image) for image, _ in paths]),
+            np.array([read_mask_pgm(mask) for _, mask in paths]))
 
 
 def test_pair_blocks_equal_pair_stacked_bit_for_bit(tmp_path, monkeypatch,
@@ -396,7 +396,7 @@ def test_pair_blocks_raise_what_pair_does_for_the_first_bad_pair(
         write_mask_pgm(mask, np.zeros((16, 20), dtype=bool))
     os.remove(paths[18][0])
     with pytest.raises(DataError) as want:
-        pair(image, mask)
+        ImageCache().pair(image, mask)
     with pytest.raises(DataError) as got:
         list(pgm.pair_blocks(paths))
     assert str(got.value) == str(want.value)

@@ -9,7 +9,7 @@ import pytest
 from iem import harness, kernels, metrics, pgm
 from iem import pool as pool_module
 from iem.errors import DataError
-from iem.pgm import write_mask_pgm, write_pgm
+from iem.pgm import read_mask_pgm, read_pgm, write_mask_pgm, write_pgm
 from iem.pool import (
     ExampleRecord,
     PoolState,
@@ -248,10 +248,10 @@ def test_mining_from_zero_weights_labels_at_most_a_block_of_pixels(
 
 
 def test_pool_builds_and_selects_without_decoding(monkeypatch):
-    def no_decode(image_ref, mask_ref):
-        raise AssertionError(f"decoded {image_ref}")
+    def no_decode(path):
+        raise AssertionError(f"decoded {path}")
 
-    monkeypatch.setattr(pgm, "pair", no_decode)
+    monkeypatch.setattr(pgm, "_read_pgm_bytes", no_decode)
     pool = _pool(*(_rec(f"p{i}", E=float(i)) for i in range(3)),
                  *(_rec(f"n{i}", "negative", E=float(i)) for i in range(3)))
     assert len(select_subset(pool, 1, np.random.default_rng(0))) == 4
@@ -267,15 +267,15 @@ def test_pool_labels_each_record_once_into_read_only_arrays(tmp_path,
     records = [_write_pair(tmp_path, rid, np.full(mask.shape, 0.4), mask)
                for rid, mask in zip("abc", masks)]
     pool = _pool(*records)
-    calls, decode = [], pgm.pair
-    monkeypatch.setattr(pgm, "pair",
-                        lambda *refs: calls.append(refs) or decode(*refs))
+    calls, decode = [], pgm._read_pgm_bytes
+    monkeypatch.setattr(pgm, "_read_pgm_bytes",
+                        lambda path: calls.append(path) or decode(path))
     first = pool.labeled(["a", "b"])
     again = pool.labeled(["c", "b", "a"])
-    assert len(calls) == 3
+    assert calls == [ref for r in records for ref in (r.image_ref, r.mask_ref)]
     assert all(x is y for x, y in zip(first[0] + first[1], again[2] + again[1]))
     for (img, labels), rec in zip(again, records[::-1]):
-        want_img, want_mask = decode(rec.image_ref, rec.mask_ref)
+        want_img, want_mask = read_pgm(rec.image_ref), read_mask_pgm(rec.mask_ref)
         assert img.dtype == np.float64 and np.array_equal(img, want_img)
         assert np.array_equal(labels != 0, want_mask)
         with pytest.raises(ValueError, match="read-only"):
@@ -289,21 +289,51 @@ def test_pool_labels_each_record_once_into_read_only_arrays(tmp_path,
         pool.labeled(["a", "zz"])
 
 
+def test_pool_reads_new_records_in_blocks_as_their_files_decode(
+        tmp_path, monkeypatch):
+    # two shapes, interleaved, with runs longer than one 16-image block
+    rng = np.random.default_rng(8)
+    shapes = [(24, 24)] * 18 + [(13, 17)] * 3 + [(24, 24)] * 4 + [(13, 17)] * 19
+    records = [_write_pair(tmp_path, f"r{i:02d}", rng.random(shape),
+                           rng.random(shape) < 0.05 * (i % 3))
+               for i, shape in enumerate(shapes)]
+    pool = _pool(*records)
+    reads, decode = [], pgm._read_pgm_bytes
+    monkeypatch.setattr(pgm, "_read_pgm_bytes",
+                        lambda path: reads.append(path) or decode(path))
+    # the second call reads only the ids the first did not
+    ids = [r.id for r in records]
+    got = dict(zip(ids[:25], pool.labeled(ids[:25])))
+    got.update(zip(ids[::-1], pool.labeled(ids[::-1])))
+    assert reads == [ref for r in records[:25] + records[:24:-1]
+                     for ref in (r.image_ref, r.mask_ref)]
+    monkeypatch.setattr(pgm, "_read_pgm_bytes", decode)
+    for rec in records:
+        img, labels = got[rec.id]
+        want_labels, count = kernels.label_components(read_mask_pgm(rec.mask_ref))
+        assert count <= np.iinfo(np.uint8).max and labels.dtype == np.uint8
+        assert np.array_equal(labels, want_labels)
+        assert img.dtype == np.float64
+        assert img.tobytes() == read_pgm(rec.image_ref).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            img[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0, 0] = 0
+
+
 @pytest.mark.parametrize("mask", [np.zeros((3, 4), bool),
                                   np.eye(3, 4, dtype=bool)],
                          ids=["empty", "nonempty"])
-@pytest.mark.parametrize("reader", [pgm, pgm.ImageCache()],
-                         ids=["pgm", "cache"])
-def test_record_pair_refuses_a_label_its_mask_disagrees_with(
-        tmp_path, mask, reader):
+def test_one_record_block_refuses_a_label_its_mask_disagrees_with(
+        tmp_path, mask):
     rec = _write_pair(tmp_path, "a", np.full((3, 4), 0.4), mask)
-    img, got = rec.pair(reader)
-    assert np.array_equal(got, mask) and img.shape == mask.shape
+    [(images, got)] = pool_module.pair_blocks([rec])
+    assert np.array_equal(got, mask[None]) and images.shape == got.shape
     flipped = ExampleRecord(
         id="a", image_ref=rec.image_ref, mask_ref=rec.mask_ref,
         label="negative" if rec.label == "positive" else "positive")
     with pytest.raises(DataError) as exc:
-        flipped.pair(reader)
+        next(pool_module.pair_blocks([flipped]))
     assert str(exc.value) == (f"{rec.mask_ref}: a: label {flipped.label!r} "
                               "disagrees with mask content")
     with pytest.raises(DataError, match="disagrees"):
@@ -320,7 +350,7 @@ def test_pair_blocks_refuse_the_first_label_a_block_disagrees_with(
                for i in range(20)]
     blocks = pool_module.pair_blocks(records)
     images, masks = next(blocks)
-    assert np.array_equal(masks, [r.pair()[1] for r in records[:16]])
+    assert np.array_equal(masks, [read_mask_pgm(r.mask_ref) for r in records[:16]])
     for i in (17, 18):
         records[i].label = "negative" if i % 2 else "positive"
     with pytest.raises(DataError) as exc:

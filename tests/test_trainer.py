@@ -11,7 +11,8 @@ import oracles
 from iem import harness, kernels, metrics, pgm, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
-from iem.pgm import ImageCache, write_mask_pgm, write_pgm
+from iem.pgm import (ImageCache, read_mask_pgm, read_pgm, write_mask_pgm,
+                     write_pgm)
 from iem.pool import (ExampleRecord, PoolState, add_chunk, load_state,
                       refresh_errors, save_state)
 from iem.selection import SelectionConfig, compute_partition_number
@@ -525,7 +526,8 @@ def test_views_scored_from_kept_labels_equal_evaluate_example(tiny_dataset):
                                 [example_rng(4, 0, 0, i) for i in ids])
     want, differ = [], 0
     for example_id in ids:
-        img, mask = pool.record_for(example_id).pair()
+        record = pool.record_for(example_id)
+        img, mask = read_pgm(record.image_ref), read_mask_pgm(record.mask_ref)
         views = example_rng(4, 0, 0, example_id)
         errors = []
         for j in range(1, selcfg.t + 1):
