@@ -36,6 +36,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DataError, read_lines
+from .pgm import to_image
 from .pool import PoolState, add_chunk, pair_blocks, save_state
 from .selection import compute_partition_number
 from .synth import MANIFEST_NAME, read_manifest
@@ -108,17 +109,18 @@ class StrategyReport:
 def evaluate_model(params, blocks, tau):
     """Lesion-level precision/recall/F1 at tau plus mean pixel Jaccard.
 
-    ``blocks`` yields (images, masks) stacks of same-shape test pairs, as
-    ``pool.pair_blocks`` makes them; this function
-    stacks nothing. It keeps running lesion counts and the per-image
-    Jaccard values, and reads ``blocks`` once, so a decoding generator
-    keeps no image. No pairs at all is refused: there is no mean Jaccard
-    to give.
+    ``blocks`` yields (rasters, masks) stacks of same-shape test pairs,
+    uint8 rasters as ``pool.pair_blocks`` makes them; this function
+    stacks nothing, and converts each raster stack by one
+    ``pgm.to_image`` just before its forward pass. It keeps running
+    lesion counts and the per-image Jaccard values, and reads ``blocks``
+    once, so a decoding generator keeps no image. No pairs at all is
+    refused: there is no mean Jaccard to give.
     """
     tp = fp = fn = 0
     jis = []
-    for images, masks in blocks:
-        preds = metrics.binarize(forward(params, images))
+    for rasters, masks in blocks:
+        preds = metrics.binarize(forward(params, to_image(rasters)))
         matched, false_pos, false_neg = metrics.lesion_counts(preds, masks, tau)
         tp += int(np.add.reduce(matched))
         fp += int(np.add.reduce(false_pos))
@@ -138,7 +140,7 @@ def stage_budgets(train_chunks, selcfg):
 
 
 def _pairs(records):
-    """Each record's (image, mask), views into ``pair_blocks``' stacks."""
+    """Each record's (raster, mask), views into ``pair_blocks``' stacks."""
     return [pair for block in pair_blocks(records) for pair in zip(*block)]
 
 
@@ -211,7 +213,8 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg):
     examples_trained is the number of SGD steps it took. ``pool.pair_blocks``
     reads the test set and the full and naive training sets once per run,
     as ``iem eval`` reads a test set, and every stage evaluates the test
-    set's stacks. An empty chunk or test set is refused before training.
+    set's raster stacks. An empty chunk or test set is refused before
+    training.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,7 +1,9 @@
 """Binary PGM (P5) reading and writing, plus a small in-process read cache.
 
-Images are stored 8-bit and mapped to/from float64 [0,1]; masks use the
-two values {0, 255} and map to/from boolean arrays.
+Images are stored 8-bit. The program keeps each image as its decoded
+uint8 raster, 1 byte a pixel, and ``to_image`` maps a raster or a stack
+of them to float64 [0,1] when a stack is featurized; masks use the two
+values {0, 255} and map to/from boolean arrays.
 
 A file is read at the system-call level, with no Python file object:
 ``os.open``, then ``os.read`` of at most 4 KiB until end of file, which
@@ -16,9 +18,10 @@ parses one header.
 ``pair_blocks`` decodes a stream of pairs a block at a time, as every
 program read does: the same reader, with every check, returns each
 file's raster bytes, and the rasters of up to 16 same-shape pairs are
-joined and converted once. Both conversions, a divide by 255 and
-``>= 128``, work element by element, so the stacks are ``read_pgm``'s
-and ``read_mask_pgm``'s arrays stacked, bit for bit.
+joined into one uint8 stack, their masks' into one boolean stack. Both
+conversions, ``to_image``'s divide by 255 and ``>= 128``, work element
+by element, so ``to_image`` of a raster stack and the mask stack are
+``read_pgm``'s and ``read_mask_pgm``'s arrays stacked, bit for bit.
 """
 
 import os
@@ -106,17 +109,27 @@ def _read_pgm_bytes(path):
     return raster, (h, w)
 
 
-def _image(raster, shape):
-    return np.divide(np.frombuffer(raster, dtype=np.uint8).reshape(shape), 255.0)
+def _raster(data, shape):
+    return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
 
-def _mask(raster, shape):
-    return np.frombuffer(raster, dtype=np.uint8).reshape(shape) >= 128
+def _mask(data, shape):
+    return _raster(data, shape) >= 128
+
+
+def to_image(raster):
+    """A uint8 raster, or a stack of them, as float64 in [0,1]: byte / 255.
+
+    Refuses any other dtype, so an image is never converted twice.
+    """
+    if raster.dtype != np.uint8:
+        raise ValueError(f"to_image takes a uint8 raster, got {raster.dtype}")
+    return np.divide(raster, 255.0)
 
 
 def read_pgm(path):
     """Read an 8-bit PGM as a float64 array in [0,1]."""
-    return _image(*_read_pgm_bytes(path))
+    return to_image(_raster(*_read_pgm_bytes(path)))
 
 
 def read_mask_pgm(path):
@@ -138,20 +151,21 @@ def _pair_rasters(image_path, mask_path):
 
 
 def pair_blocks(path_pairs):
-    """The decoded (image path, mask path) pairs, as (images, masks) stacks.
+    """The decoded (image path, mask path) pairs, as (rasters, masks) stacks.
 
     A stack holds up to 16 consecutive same-shape pairs
-    (``kernels.shape_blocks``), and equals ``read_pgm``'s and
-    ``read_mask_pgm``'s arrays stacked, bit for bit. Each block's image
-    rasters are joined and converted by one ``np.frombuffer`` and one
-    divide, and its masks' likewise, in place of those calls per file.
-    Files are read in order, none before the first ``next()``; a bad
-    file, or a mask sized unlike its image, raises naming it when met.
+    (``kernels.shape_blocks``): a read-only uint8 stack of the images'
+    rasters, whose ``to_image`` is ``read_pgm``'s arrays stacked, bit for
+    bit, and ``read_mask_pgm``'s arrays stacked. Each block's image
+    rasters are joined by one ``np.frombuffer``, and its masks' converted
+    by one ``>= 128``, in place of those calls per file. Files are read
+    in order, none before the first ``next()``; a bad file, or a mask
+    sized unlike its image, raises naming it when met.
     """
     rasters = (_pair_rasters(*paths) for paths in path_pairs)
     for block in shape_blocks(rasters, shape=itemgetter(0)):
         shape = (len(block), *block[0][0])
-        yield (_image(b"".join([image for _, image, _ in block]), shape),
+        yield (_raster(b"".join([image for _, image, _ in block]), shape),
                _mask(b"".join([mask for _, _, mask in block]), shape))
 
 

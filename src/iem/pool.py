@@ -6,8 +6,9 @@ outlier: its E is zeroed and it is excluded from every later selection and
 refresh (exclusion is permanent).
 
 SGD and scoring read each example in one form, kept by the pool: its
-decoded image and its mask's component labels, whose nonzero pixels are
-the mask. A mask never changes, so it is decoded and labeled once.
+decoded uint8 raster and its mask's component labels, whose nonzero
+pixels are the mask. A mask never changes, so it is decoded and labeled
+once; a raster becomes float64 only in the stack that is featurized.
 
 Pool state persists as a line-delimited text file: a header line carrying
 the format version, config fingerprint, stage and record count, then one
@@ -70,9 +71,9 @@ def pair_blocks(records):
     examples, so ``train`` and ``eval`` refuse a bad file or label alike."""
     blocks = pgm.pair_blocks((r.image_ref, r.mask_ref) for r in records)
     start = 0
-    for images, masks in blocks:
+    for rasters, masks in blocks:
         check_labels(records[start : (start := start + len(masks))], masks)
-        yield images, masks
+        yield rasters, masks
 
 
 @dataclass
@@ -90,24 +91,26 @@ class PoolState:
         self._examples = {}
 
     def labeled(self, example_ids):
-        """Each record's (image, labels of its mask's components), kept.
+        """Each record's (raster, labels of its mask's components), kept.
 
         The records not read yet are decoded by ``pair_blocks`` (which
         checks their labels), and each block's masks labeled by one
         ``kernels.label_components`` call, uint8 when the counts fit; the
-        masks are not kept. Both arrays are read-only views into their
-        block's, since ``augment`` hands out views of them.
+        masks are not kept. The raster is the decoded uint8 image, h·w
+        bytes, which ``pgm.to_image`` converts in each stack that is
+        featurized. Both arrays are read-only views into their block's,
+        since the view stacks read slices of them.
         """
         new = [self.record_for(i) for i in example_ids if i not in self._examples]
         start = 0
-        for images, masks in pair_blocks(new):
+        for rasters, masks in pair_blocks(new):
             labels, counts = label_components(masks)
             if counts.max() <= np.iinfo(np.uint8).max:
                 labels = labels.astype(np.uint8)
-            images.flags.writeable = labels.flags.writeable = False
-            for record, img, mask_labels in zip(
-                    new[start : (start := start + len(images))], images, labels):
-                self._examples[record.id] = (img, mask_labels)
+            rasters.flags.writeable = labels.flags.writeable = False
+            for record, raster, mask_labels in zip(
+                    new[start : (start := start + len(rasters))], rasters, labels):
+                self._examples[record.id] = (raster, mask_labels)
         return [self._examples[i] for i in example_ids]
 
     @property
@@ -197,15 +200,17 @@ def error_terms(stacks, predict, cfg):
 def refresh_errors(pool, predict, cfg):
     """Recompute E for every non-dropped record from one plain forward pass.
 
-    ``predict`` maps an (n, h, w) image stack to its probability maps; it
-    sees blocks of up to 16 same-shape images in pool order, stacked by
-    ``kernels.stacked`` and scored in stacks of such blocks (see
-    ``error_terms``). Each record is scored from its kept labels
-    (``PoolState.labeled``), so a mask is labeled at most once per pool.
-    Dropped records keep E = 0.
+    ``predict`` maps an (n, h, w) float image stack to its probability
+    maps; it sees blocks of up to 16 same-shape images in pool order,
+    stacked by ``kernels.stacked`` from the kept rasters, each stack
+    converted by one ``pgm.to_image``, and scored in stacks of such
+    blocks (see ``error_terms``). Each record is scored from its kept
+    labels (``PoolState.labeled``), so a mask is labeled at most once
+    per pool. Dropped records keep E = 0.
     """
     active = [r for r in pool.records if not r.dropped]
-    stacks = stacked(pool.labeled([r.id for r in active]))
+    stacks = ((pgm.to_image(rasters), labels) for rasters, labels
+              in stacked(pool.labeled([r.id for r in active])))
     for record, E in zip(active, error_terms(stacks, predict, cfg)):
         record.E = E
     return pool

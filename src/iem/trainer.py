@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, read_lines
 from .kernels import _BLOCK, clip, local_mean_std, shape_blocks
+from .pgm import to_image
 from .pool import (add_chunk, error_terms, record_training_update,
                    refresh_errors)
 from .selection import compute_partition_number, select_subset
@@ -27,6 +28,12 @@ N_FEATURES = 4
 
 # keeps sigmoid output strictly inside (0,1) in float64
 _LOGIT_CLIP = 35.0
+
+# the slice of an image or stack, and of its mask, for each view_of
+# number: identity, horizontal flip, vertical flip, jitter (unflipped)
+_VIEW_SLICES = ((...,), (..., slice(None, None, -1)),
+                (..., slice(None, None, -1), slice(None)), (...,))
+_JITTER = 3
 
 # np.einsum without the Python-level array-function dispatch it pays on
 # every SGD step; the same kernel, so the same bits
@@ -70,8 +77,13 @@ class TrainConfig:
 def featurize(img):
     """Per-pixel features (..., H, W, 4): raw, 3x3 mean, 3x3 std, constant 1.
 
-    Takes one (H, W) image or an (n, H, W) stack of them.
+    Takes one (H, W) image or an (n, H, W) stack of them, in [0,1]; an
+    integer one, such as a raster not yet converted, is refused.
     """
+    img = np.asarray(img)
+    if img.dtype.kind in "iu":
+        raise ValueError(f"featurize takes a float image, got {img.dtype}; "
+                         "convert a raster with pgm.to_image")
     img = np.asarray(img, dtype=np.float64)
     mean, std = local_mean_std(img)
     feats = np.empty(img.shape + (N_FEATURES,))
@@ -121,42 +133,61 @@ def feature_gradient(params, feats, mask):
     return _einsum("ijk,ij->k", feats, residual) / residual.size
 
 
-def augment(img, mask, cfg, rng, j):
-    """The j-th augmented view (j >= 1) of an image/mask pair or stack.
+def view_of(j, cfg):
+    """The view rule: the number of an example's j-th view (j >= 1).
 
-    Views are ordered identity, horizontal flip, vertical flip, then
-    jitter when ``cfg.jitter`` > 0; j wraps modulo the view count. Flips
-    transform image and mask identically; jitter adds one global offset
-    per image to the image only, clamped to [0,1], drawn from ``rng``
-    (for an (n, h, w) stack, one generator per image). Identity returns
-    the inputs and flips slice them, so only jitter allocates; callers
-    copy a view before writing to it. ``mask`` may be the mask's
-    component labels, whose views are then the view's labels.
+    Views are numbered identity (0), horizontal flip (1), vertical flip
+    (2), then jitter (3) when ``cfg.jitter`` > 0; j wraps modulo the view
+    count. Flips transform image and mask identically; jitter adds one
+    global offset per image to the image only, clamped to [0,1].
     """
     if j < 1:
         raise ValueError(f"view index must be >= 1, got {j}")
-    view = (j - 1) % cfg.n_views
-    if view == 1:
-        return img[..., ::-1], mask[..., ::-1]
-    if view == 2:
-        return img[..., ::-1, :], mask[..., ::-1, :]
-    if view == 3:
-        delta = (rng.uniform(-cfg.jitter, cfg.jitter) if img.ndim == 2 else
-                 np.array([[[r.uniform(-cfg.jitter, cfg.jitter)]] for r in rng]))
-        jittered = img + delta
-        return clip(jittered, 0.0, 1.0, out=jittered), mask
-    return img, mask
+    return (j - 1) % cfg.n_views
+
+
+def jitter_offset(view, cfg, rng):
+    """The offset ``view`` draws from ``rng``: jitter alone draws one."""
+    return rng.uniform(-cfg.jitter, cfg.jitter) if view == _JITTER else None
+
+
+def view_stack(slots):
+    """The float image stack of each slot's view, and its mask's views.
+
+    A slot is (rasters, masks, view, offset): a uint8 raster and its mask
+    (or its component labels, whose views are then the view's labels),
+    or same-shape (n, h, w) stacks of them, seen as ``view_of``'s
+    ``view``; ``offset``, its ``jitter_offset`` (a float, or a list of
+    one per image), is read by the jitter view alone. The slots' uint8
+    slices are stacked and converted by one ``pgm.to_image``, and each
+    jitter slot has its offset added in place and is clamped to [0,1] by
+    ``kernels.clip``: each pixel is its byte's divide, then for jitter
+    the add and clamp, as for its image alone. Returns the (m, h, w) or
+    (m, n, h, w) image stack of m slots and the list of their mask
+    views, slices and not copies.
+    """
+    images = to_image(np.array([rasters[_VIEW_SLICES[view]]
+                                for rasters, _, view, _ in slots]))
+    for k, (_, _, view, offset) in enumerate(slots):
+        if view == _JITTER:
+            jittered = images[k]
+            jittered += np.array(offset)[..., None, None]
+            clip(jittered, 0.0, 1.0, out=jittered)
+    return images, [masks[_VIEW_SLICES[view]] for _, masks, view, _ in slots]
 
 
 def train_on_subset(params, examples, cfg, rng):
-    """SGD over (image, mask) pairs, one rng-chosen view per example per epoch.
+    """SGD over (raster, mask) pairs, one rng-chosen view per example per epoch.
 
-    A mask may be given as its component labels, whose nonzero pixels are
-    the mask; ``feature_gradient`` casts each step's view to bool.
-    Examples are visited in a fresh shuffled order each epoch. The views
-    of up to 16 consecutive same-shape steps are drawn in step order and
-    featurized as one stack, then the steps run one by one; SGD draws
-    nothing from the rng, so the draws are those of one view at a time.
+    An image is its uint8 raster (``PoolState.labeled``), and a mask may
+    be given as its component labels, whose nonzero pixels are the mask;
+    ``feature_gradient`` casts each step's view to bool. Examples are
+    visited in a fresh shuffled order each epoch. Each of up to 16
+    consecutive same-shape steps draws its view index, then its jitter
+    offset, in step order; ``view_stack`` builds their views as one
+    stack, converted once, which is featurized at once, then the steps
+    run one by one. SGD draws nothing from the rng, so the draws are
+    those of one view at a time.
     Raises NumericError if an update would produce non-finite weights
     (learning rate too high for the data); params then keep the last
     finite weights and their version. A non-finite weight stays
@@ -170,18 +201,19 @@ def train_on_subset(params, examples, cfg, rng):
     for _ in range(cfg.epochs_per_iteration):
         order = rng.permutation(len(examples))
         for block in shape_blocks(examples[i] for i in order):
-            views = [
-                augment(img, mask, cfg, rng,
-                        int(rng.integers(1, n_views + 1)))
-                for img, mask in block
-            ]
-            feats = featurize(np.array([img for img, _ in views]))
+            # each step draws its view index, then its offset
+            images, masks = view_stack([
+                (raster, mask,
+                 view := view_of(int(rng.integers(1, n_views + 1)), cfg),
+                 jitter_offset(view, cfg, rng))
+                for raster, mask in block])
+            feats = featurize(images)
             steps = [params.weights]
             # From finite weights a step makes no NaN without an overflow
             # first, which still warns; only steps after the block turned
             # non-finite, whose weights are discarded, raise "invalid".
             with np.errstate(invalid="ignore"):
-                for view_feats, (_, mask) in zip(feats, views):
+                for view_feats, mask in zip(feats, masks):
                     params.weights = (params.weights - cfg.learning_rate
                                       * feature_gradient(params, view_feats,
                                                          mask))
@@ -203,30 +235,40 @@ def train_on_subset(params, examples, cfg, rng):
 def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
     """Error terms of each pair's t augmented views under the current model.
 
-    ``rngs`` holds one generator per (image, mask) pair, which draws
-    that pair's jitter offsets in view order; the mask may be given as
-    its component labels (``PoolState.labeled``). Returns one list of t
-    errors per pair. Each run of up to 16 // t (at least one) consecutive
-    same-shape pairs has its views made when the scorer reaches it, as one
-    example-major stack, by one ``augment`` call per view index.
+    ``rngs`` holds one generator per (raster, mask) pair, which draws
+    that pair's jitter offsets in view order; the image is its uint8
+    raster and the mask may be given as its component labels
+    (``PoolState.labeled``). Returns one list of t errors per pair. Each
+    run of up to 16 // t (at least one) consecutive same-shape pairs has
+    its views made when the scorer reaches it, as one view-major stack:
+    ``view_stack`` of one slot per view index, each slot the run's
+    raster and mask stacks, converted once.
     """
     t = selcfg.t
+    sizes = []
 
     def view_stacks():
-        items = ((img, mask, rng) for (img, mask), rng in zip(pairs, rngs))
+        items = ((raster, mask, rng)
+                 for (raster, mask), rng in zip(pairs, rngs))
         for group in shape_blocks(items, size=max(1, _BLOCK // t)):
-            imgs, masks, group_rngs = zip(*group)
-            stacks = np.array(imgs), np.array(masks)
-            views = [np.empty((len(group), t) + a.shape[1:], a.dtype)
-                     for a in stacks]
-            for j in range(1, t + 1):
-                views[0][:, j - 1], views[1][:, j - 1] = augment(
-                    *stacks, traincfg, group_rngs, j)
-            yield [v.reshape((-1,) + v.shape[2:]) for v in views]
+            rasters, masks, group_rngs = zip(*group)
+            stacks = np.array(rasters), np.array(masks)
+            images, view_masks = view_stack([
+                (*stacks, view, [jitter_offset(view, traincfg, rng)
+                                 for rng in group_rngs])
+                for view in (view_of(j, traincfg) for j in range(1, t + 1))])
+            sizes.append(len(group))
+            flat = (-1, *images.shape[-2:])
+            yield images.reshape(flat), np.array(view_masks).reshape(flat)
 
     errors = list(error_terms(view_stacks(),
                               lambda imgs: forward(params, imgs), selcfg))
-    return [errors[n : n + t] for n in range(0, len(errors), t)]
+    # a group's errors are view major: pair i's are every n-th from i
+    by_pair, start = [], 0
+    for n in sizes:
+        by_pair += [errors[start + i : start + n * t : n] for i in range(n)]
+        start += n * t
+    return by_pair
 
 
 def example_rng(seed, stage, iteration, example_id):
@@ -254,7 +296,8 @@ def mine(pool, params, K, rounds, selcfg, traincfg, trace=None):
     updates commit in id order. An update that drops its record zeroes
     E, so that record's t views are not scored; each example draws its
     views from its own ``example_rng``, so no other E moves. SGD and
-    scoring read the pool's kept labels (``PoolState.labeled``). A round
+    scoring read the pool's kept rasters and labels
+    (``PoolState.labeled``). A round
     whose selection is empty trains nothing. ``trace``, when given, is
     called with (stage, iteration, subset) after each round.
     """

@@ -10,8 +10,10 @@ import re
 import numpy as np
 
 from iem.metrics import evaluate_example
+from iem.pgm import to_image
 from iem.pool import record_training_update
-from iem.trainer import augment, example_rng, forward, gradient
+from iem.trainer import (example_rng, forward, gradient, jitter_offset,
+                         view_of, view_stack)
 
 
 def flood_components(mask):
@@ -145,7 +147,8 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
     index and jitter draw), and re-scores each selected id's t views from
     ``example_rng``, committing in id order. Returns the rounds' subsets.
     A mask is read as the pool's kept labels, which ``evaluate_example``
-    and ``gradient`` cast to the mask.
+    and ``gradient`` cast to the mask, and an image as its kept raster,
+    converted by ``to_image`` or taken as one view by ``one_view``.
     """
     stage = pool.stage
 
@@ -155,7 +158,8 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
 
     for record in pool.records:
         if not record.dropped:
-            record.E = error(*pool.labeled([record.id])[0])
+            raster, mask = pool.labeled([record.id])[0]
+            record.E = error(to_image(raster), mask)
     rng = np.random.default_rng([selcfg.seed, stage])
     subsets = []
     for iteration in range(rounds):
@@ -165,19 +169,35 @@ def mine_reference(pool, params, K, rounds, selcfg, traincfg):
             continue
         for _ in range(traincfg.epochs_per_iteration):
             for i in rng.permutation(len(ids)):
-                img, mask = pool.labeled([ids[i]])[0]
+                raster, mask = pool.labeled([ids[i]])[0]
                 j = int(rng.integers(1, traincfg.n_views + 1))
-                view, view_mask = augment(img, mask, traincfg, rng, j)
+                view, view_mask = one_view(raster, mask, traincfg, rng, j)
                 params.weights = (params.weights - traincfg.learning_rate
                                   * gradient(params, view, view_mask))
                 params.version += 1
         for example_id in sorted(ids):
-            img, mask = pool.labeled([example_id])[0]
+            raster, mask = pool.labeled([example_id])[0]
             views = example_rng(selcfg.seed, stage, iteration, example_id)
-            errors = [error(*augment(img, mask, traincfg, views, j))
+            errors = [error(*one_view(raster, mask, traincfg, views, j))
                       for j in range(1, selcfg.t + 1)]
             record_training_update(pool, example_id, errors, selcfg.d)
     return subsets
+
+
+def to_raster(image):
+    """The uint8 raster that ``to_image`` maps to ``image``, an array of
+    byte / 255 values: each value times 255, rounded to the byte."""
+    return np.rint(np.asarray(image) * 255.0).astype(np.uint8)
+
+
+def one_view(raster, mask, cfg, rng, j):
+    """The j-th view of one raster and its mask (or labels), as a float
+    image and a mask: ``view_stack`` of one slot, whose jitter offset is
+    drawn from ``rng`` after the view index, as an SGD step draws it."""
+    view = view_of(j, cfg)
+    [image], [view_mask] = view_stack(
+        [(raster, mask, view, jitter_offset(view, cfg, rng))])
+    return image, view_mask
 
 
 def fd_gradient(loss, weights, h=1e-6):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import iem
+import oracles
 from iem import cli, harness, kernels, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
@@ -289,8 +290,9 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     cache = pgm.ImageCache()
     want = harness.evaluate_model(
         load_params(checkpoint),
-        kernels.stacked(cache.pair(r.image_ref, r.mask_ref)
-                        for r in synth.read_manifest(manifest)),
+        kernels.stacked((oracles.to_raster(img), mask) for img, mask in (
+            cache.pair(r.image_ref, r.mask_ref)
+            for r in synth.read_manifest(manifest))),
         make_configs({})[0].tau,
     )
     assert line == ",".join(f"{v:.6f}" for v in want)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from iem import harness, metrics, pgm
 from iem.errors import DataError
 from iem.harness import (
@@ -25,7 +26,7 @@ from iem.harness import (
 )
 from iem.kernels import stacked
 from iem.pgm import (ImageCache, pair_blocks, read_mask_pgm, read_pgm,
-                     write_mask_pgm, write_pgm)
+                     to_image, write_mask_pgm, write_pgm)
 from iem.pool import ExampleRecord, PoolState, load_state, save_state
 from iem.selection import SelectionConfig
 from iem.trainer import (ModelParams, TrainConfig, forward, init_params,
@@ -221,6 +222,37 @@ def _one_of_each_label(tmp_path, name):
     return records
 
 
+def test_every_kept_image_is_its_read_only_raster(tiny_dataset, tiny_selcfg,
+                                                 tiny_traincfg, monkeypatch):
+    # the pool, the fixed training sets and the test blocks keep each
+    # image as its decoded uint8 raster, h*w bytes, until a stack of
+    # views or of test images is converted
+    chunks, test_records = tiny_dataset
+    trained, tested = [], []
+    real_train, real_eval = harness.train_on_subset, harness.evaluate_model
+    monkeypatch.setattr(harness, "train_on_subset", lambda params, examples,
+                        *args: (trained.append(examples),
+                                real_train(params, examples, *args))[1])
+    monkeypatch.setattr(harness, "evaluate_model", lambda params, blocks,
+                        tau: (tested.append(blocks),
+                              real_eval(params, blocks, tau))[1])
+    pools = []
+    for strategy in ("baseline_full", "naive_finetune", "iem_incremental"):
+        pools.append(run_strategy(strategy, chunks, test_records,
+                                  tiny_selcfg, tiny_traincfg)[2])
+    pool = pools[-1]
+    kept = pool.labeled([r.id for r in pool.records])
+    assert len(kept) == sum(len(chunk) for chunk in chunks)
+    h, w = kept[0][0].shape
+    assert [img.nbytes for img, _ in kept] == [h * w] * len(kept)
+    fixed = [pair for examples in trained for pair in examples]
+    assert len(trained) > 2 and len(tested) == 1 + 2 * len(chunks)
+    test_images = [images for blocks in tested for images, _ in blocks]
+    for img in [img for img, _ in kept + fixed] + test_images:
+        assert img.dtype == np.uint8 and not img.flags.writeable
+    assert [r.id for r in pool.records] == [r.id for c in chunks for r in c]
+
+
 def test_hem_run_leaves_pool_pixels_as_decoded(tiny_dataset, tiny_selcfg,
                                               tiny_traincfg):
     chunks, test_records = tiny_dataset
@@ -230,7 +262,7 @@ def test_hem_run_leaves_pool_pixels_as_decoded(tiny_dataset, tiny_selcfg,
     for rec in pool.records:
         [(img, labels)] = pool.labeled([rec.id])
         want_img, want_mask = read_pgm(rec.image_ref), read_mask_pgm(rec.mask_ref)
-        assert np.array_equal(img, want_img)
+        assert np.array_equal(to_image(img), want_img)
         assert np.array_equal(labels != 0, want_mask)
 
 
@@ -334,8 +366,8 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
     want = (*metrics.evaluate_detection(preds, gts, selcfg.tau),
             float(np.mean(jis)))
     assert want[0] > 0 and want[1] > 0
-    blocks = stacked(cache.pair(rec.image_ref, rec.mask_ref)
-                     for rec in test_records)
+    blocks = stacked((oracles.to_raster(img), mask) for img, mask in (
+        cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records))
     assert evaluate_model(params, blocks, selcfg.tau) == want
 
 

@@ -316,7 +316,7 @@ def test_lesion_counts_follow_the_greedy_order_on_ties(tau, want):
 
 @pytest.mark.parametrize("shape", [(24, 24), (7, 13), (1, 30), (30, 1)])
 def test_lesion_counts_given_labels_equal_given_masks(shape, monkeypatch):
-    # a mask's labels, flipped as augment flips them, stand in for the
+    # a mask's labels, flipped as view_stack flips them, stand in for the
     # mask: the same counts, as int32 or uint8; tau=0.3 takes the
     # shared-component branch
     real = metrics.match_lesions

@@ -374,10 +374,28 @@ def test_pair_blocks_equal_pair_stacked_bit_for_bit(tmp_path, monkeypatch,
     for images, masks in blocks:
         want_images, want_masks = _pair_stacks(paths[start : start + len(images)])
         start += len(images)
-        assert images.dtype == np.float64 and masks.dtype == np.bool_
+        assert images.dtype == np.uint8 and masks.dtype == np.bool_
         assert images.shape == want_images.shape == masks.shape
-        assert images.tobytes() == want_images.tobytes()
+        assert pgm.to_image(images).tobytes() == want_images.tobytes()
         assert masks.tobytes() == want_masks.tobytes()
+
+
+def test_pair_blocks_keep_read_only_rasters_of_interleaved_shapes(tmp_path):
+    # each block holds its images' bytes, 1 a pixel; to_image of it is
+    # read_pgm's arrays, across shape changes and short blocks
+    shapes = [(24, 24)] * 18 + [(13, 17)] * 3 + [(24, 24)] * 4 + [(13, 17)] * 19
+    paths = _write_pairs(tmp_path, shapes, np.random.default_rng(17))
+    blocks = list(pgm.pair_blocks(paths))
+    assert [len(images) for images, _ in blocks] == [16, 2, 3, 4, 16, 3]
+    start = 0
+    for images, masks in blocks:
+        block = paths[start : (start := start + len(images))]
+        want_images, want_masks = _pair_stacks(block)
+        assert images.dtype == np.uint8 and not images.flags.writeable
+        assert images.nbytes == images.size == want_images.size
+        assert pgm.to_image(images).tobytes() == want_images.tobytes()
+        assert masks.tobytes() == want_masks.tobytes()
+    assert start == len(paths)
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "magic", "size"])

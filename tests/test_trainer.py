@@ -11,8 +11,8 @@ import oracles
 from iem import harness, kernels, metrics, pgm, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
-from iem.pgm import (ImageCache, read_mask_pgm, read_pgm, write_mask_pgm,
-                     write_pgm)
+from iem.pgm import (ImageCache, read_mask_pgm, read_pgm, to_image,
+                     write_mask_pgm, write_pgm)
 from iem.pool import (ExampleRecord, PoolState, add_chunk, load_state,
                       refresh_errors, save_state)
 from iem.selection import SelectionConfig, compute_partition_number
@@ -20,7 +20,6 @@ from test_golden import mixed_dataset_dir  # noqa: F401 (a fixture)
 from iem.trainer import (
     ModelParams,
     TrainConfig,
-    augment,
     augmented_error_terms,
     example_rng,
     featurize,
@@ -31,6 +30,7 @@ from iem.trainer import (
     load_params,
     save_params,
     train_on_subset,
+    view_of,
 )
 
 
@@ -185,6 +185,54 @@ def test_clip_ufunc_gives_np_clip_bits():
             assert out.tobytes() == want.tobytes()
 
 
+def test_featurize_refuses_an_integer_image_or_stack(tiny_dataset):
+    # a raster featurized unconverted would read 0-255 as intensities;
+    # every program path converts it with pgm.to_image first
+    chunks, _ = tiny_dataset
+    pool = PoolState()
+    add_chunk(pool, chunks[0], 0)
+    [(raster, _)] = pool.labeled([chunks[0][0].id])
+    for image in (raster, raster[None], raster.astype(np.int64),
+                  np.ones((2, 3, 3), dtype=np.int32)):
+        for call in (featurize, lambda img: forward(init_params(), img)):
+            with pytest.raises(ValueError, match=r"pgm\.to_image"):
+                call(image)
+    assert np.array_equal(featurize(to_image(raster)),
+                          featurize(read_pgm(chunks[0][0].image_ref)))
+    with pytest.raises(ValueError, match="uint8"):
+        to_image(to_image(raster))
+
+
+def test_flip_views_predict_and_score_as_their_image():
+    # what scoring only an example's distinct views would rest on: under
+    # this model a flipped image's map is the flipped map up to rounding
+    # (the 3x3 sums add in another order), and lesion counts and Jaccard
+    # are the same for flipped predictions and masks or labels
+    rng = np.random.default_rng(41)
+    pairs = _lesion_examples(rng, [(13, 17)] * 12)
+    rasters = np.array([raster for raster, _ in pairs])
+    masks = np.array([mask for _, mask in pairs])
+    labels = kernels.label_components(masks)[0].astype(np.uint8)
+    # the 3x3 mean joins some lesion pixels and drops others
+    blur = ModelParams(weights=np.array([20.0, 30.0, 0.0, -15.0]))
+    probs = forward(blur, to_image(rasters))
+    preds = metrics.binarize(probs)
+    flips = (lambda a: a[..., ::-1], lambda a: a[..., ::-1, :])
+    for flip in flips:
+        got = forward(blur, to_image(np.ascontiguousarray(flip(rasters))))
+        np.testing.assert_allclose(got, flip(probs), rtol=1e-12, atol=0)
+        for tau in (0.3, 0.5):
+            for gts in (masks, labels):
+                want = metrics.lesion_counts(preds, gts, tau)
+                flipped = metrics.lesion_counts(flip(preds), flip(gts), tau)
+                assert [a.tolist() for a in flipped] == [a.tolist()
+                                                         for a in want]
+        assert (metrics.jaccard_index(flip(preds), flip(masks)).tolist()
+                == metrics.jaccard_index(preds, masks).tolist())
+    # the maps differ from the masks, and the counts see several lesions
+    assert (preds != masks).any() and labels.max(axis=(1, 2)).max() > 1
+
+
 def test_forward_and_sgd_step_leave_read_only_inputs_untouched():
     # the sigmoid and the residual are computed in place, in buffers of
     # their own: features, masks, labels and weights are only read
@@ -214,63 +262,67 @@ def test_forward_and_sgd_step_leave_read_only_inputs_untouched():
 
 
 def _blob_pair():
-    img = np.zeros((4, 6))
-    img[1, 2] = 1.0
-    mask = img > 0.5
-    return img, mask
+    """A raster with one bright pixel, and its mask."""
+    raster = np.zeros((4, 6), dtype=np.uint8)
+    raster[1, 2] = 255
+    mask = raster > 127
+    return raster, mask
 
 
 def test_augment_views_cycle_in_order():
-    img, mask = _blob_pair()
+    raster, mask = _blob_pair()
+    img = to_image(raster)
     cfg = TrainConfig()
     rng = np.random.default_rng(0)
-    ident_img, ident_mask = augment(img, mask, cfg, rng, 1)
+    ident_img, ident_mask = oracles.one_view(raster, mask, cfg, rng, 1)
     assert np.array_equal(ident_img, img) and np.array_equal(ident_mask, mask)
-    h_img, h_mask = augment(img, mask, cfg, rng, 2)
+    h_img, h_mask = oracles.one_view(raster, mask, cfg, rng, 2)
     assert np.array_equal(h_img, np.fliplr(img))
     assert np.array_equal(h_mask, np.fliplr(mask))
-    v_img, v_mask = augment(img, mask, cfg, rng, 3)
+    v_img, v_mask = oracles.one_view(raster, mask, cfg, rng, 3)
     assert np.array_equal(v_img, np.flipud(img))
     assert np.array_equal(v_mask, np.flipud(mask))
     # j wraps modulo the view count: view 5 is identity again
-    w_img, _ = augment(img, mask, cfg, rng, 5)
+    w_img, _ = oracles.one_view(raster, mask, cfg, rng, 5)
     assert np.array_equal(w_img, img)
     # without jitter the three flip views remain, so view 4 is identity
     cfg = TrainConfig(jitter=0.0)
     want = [(img, mask), (np.fliplr(img), np.fliplr(mask)),
             (np.flipud(img), np.flipud(mask)), (img, mask)]
     for j, (want_img, want_mask) in enumerate(want, start=1):
-        got_img, got_mask = augment(img, mask, cfg, rng, j)
+        got_img, got_mask = oracles.one_view(raster, mask, cfg, rng, j)
         assert np.array_equal(got_img, want_img), j
         assert np.array_equal(got_mask, want_mask), j
 
 
 def test_augment_flip_is_involution():
-    img, mask = _blob_pair()
+    raster, mask = _blob_pair()
     cfg = TrainConfig(jitter=0.0)
-    once_img, once_mask = augment(img, mask, cfg, np.random.default_rng(0), 2)
-    twice_img, twice_mask = augment(once_img, once_mask, cfg,
-                                    np.random.default_rng(0), 2)
-    assert np.array_equal(twice_img, img) and np.array_equal(twice_mask, mask)
+    once_img, once_mask = oracles.one_view(raster, mask, cfg,
+                                           np.random.default_rng(0), 2)
+    twice_img, twice_mask = oracles.one_view(
+        oracles.to_raster(once_img), once_mask, cfg, np.random.default_rng(0), 2)
+    assert (np.array_equal(twice_img, to_image(raster))
+            and np.array_equal(twice_mask, mask))
 
 
 def test_augment_jitter_shifts_image_only():
-    img = np.full((3, 3), 0.5)
+    raster = np.full((3, 3), 128, dtype=np.uint8)
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 1] = True
     cfg = TrainConfig(jitter=0.2)
-    j_img, j_mask = augment(img, mask, cfg, np.random.default_rng(3), 4)
+    j_img, j_mask = oracles.one_view(raster, mask, cfg,
+                                     np.random.default_rng(3), 4)
     assert np.array_equal(j_mask, mask)
-    delta = j_img[0, 0] - 0.5
+    delta = j_img[0, 0] - 128 / 255
     assert abs(delta) <= 0.2
-    assert np.allclose(j_img, 0.5 + delta)
+    assert np.allclose(j_img, 128 / 255 + delta)
     assert j_img.min() >= 0.0 and j_img.max() <= 1.0
 
 
 def test_augment_rejects_bad_view_index():
-    img, mask = _blob_pair()
     with pytest.raises(ValueError, match=">= 1"):
-        augment(img, mask, TrainConfig(), np.random.default_rng(0), 0)
+        view_of(0, TrainConfig())
 
 
 def test_recipe_validation_and_view_count():
@@ -311,10 +363,12 @@ def test_train_reduces_loss_and_counts_steps():
     img = rng.random((8, 8)) * 0.3
     img[2:5, 2:5] += 0.6
     mask = img > 0.5
+    raster = oracles.to_raster(img)
+    img = to_image(raster)
     params = init_params()
     before = metrics.mean_cross_entropy(forward(params, img), mask)
     cfg = TrainConfig(learning_rate=0.5, epochs_per_iteration=5, jitter=0.0)
-    train_on_subset(params, [(img, mask)], cfg, np.random.default_rng(0))
+    train_on_subset(params, [(raster, mask)], cfg, np.random.default_rng(0))
     after = metrics.mean_cross_entropy(forward(params, img), mask)
     assert after < before
     assert params.version == 5
@@ -325,7 +379,7 @@ def test_train_is_deterministic():
     examples = []
     for _ in range(4):
         img = rng.random((6, 6))
-        examples.append((img, img > 0.6))
+        examples.append((oracles.to_raster(img), img > 0.6))
     first = init_params()
     train_on_subset(first, examples, TrainConfig(), np.random.default_rng(9))
     second = init_params()
@@ -392,12 +446,14 @@ def test_non_finite_mid_block_raises_no_warning_of_later_steps(monkeypatch):
 
 
 def _lesion_examples(rng, shapes):
-    """Mask pixels at about 0.7 on a 0.2 background: a sharp model finds them."""
+    """(raster, mask) pairs: mask pixels at about 0.7 on a 0.2 background,
+    which a sharp model finds."""
     examples = []
     for h, w in shapes:
         img = 0.2 + 0.02 * rng.standard_normal((h, w))
         mask = rng.random((h, w)) < 0.15
-        examples.append((np.clip(img + 0.5 * mask, 0.0, 1.0), mask))
+        examples.append((oracles.to_raster(np.clip(img + 0.5 * mask, 0.0, 1.0)),
+                         mask))
     return examples
 
 
@@ -415,7 +471,7 @@ def test_train_on_subset_equals_one_step_at_a_time():
     for _ in range(cfg.epochs_per_iteration):
         for idx in ref.permutation(len(examples)):
             j = int(ref.integers(1, cfg.n_views + 1))
-            view, mask = augment(*examples[idx], cfg, ref, j)
+            view, mask = oracles.one_view(*examples[idx], cfg, ref, j)
             weights = weights - cfg.learning_rate * gradient(
                 ModelParams(weights=weights), view, mask)
     assert np.array_equal(params.weights, weights)
@@ -461,13 +517,13 @@ def test_augmented_error_terms_equal_per_view_scores(t, jitter):
         views = example_rng(1, 0, 0, f"ex{i}")
         want = []
         for j in range(1, t + 1):
-            view, view_mask = augment(img, mask, traincfg, views, j)
+            view, view_mask = oracles.one_view(img, mask, traincfg, views, j)
             want.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
                 weights=selcfg.error_weights,
             ).E)
         assert got == want
-        predicted += int((forward(sharp, img) >= 0.5).sum())
+        predicted += int((forward(sharp, to_image(img)) >= 0.5).sum())
     assert predicted > 0  # the scores cover predicted lesions
 
 
@@ -495,7 +551,7 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(
         views = example_rng(2, 1, 0, example_id)
         errors = []
         for j in range(1, t + 1):
-            view, view_mask = augment(img, mask, traincfg, views, j)
+            view, view_mask = oracles.one_view(img, mask, traincfg, views, j)
             errors.append(metrics.evaluate_example(
                 forward(sharp, view), view_mask, tau=selcfg.tau,
                 weights=selcfg.error_weights,
@@ -531,7 +587,8 @@ def test_views_scored_from_kept_labels_equal_evaluate_example(tiny_dataset):
         views = example_rng(4, 0, 0, example_id)
         errors = []
         for j in range(1, selcfg.t + 1):
-            view, view_mask = augment(img, mask, traincfg, views, j)
+            view, view_mask = oracles.one_view(oracles.to_raster(img), mask,
+                                               traincfg, views, j)
             prob = forward(sharp, view)
             differ += int(((prob >= 0.5) != view_mask).any())
             errors.append(metrics.evaluate_example(
@@ -678,7 +735,7 @@ def test_incremental_step_error_audit(tmp_path):
         record = pool.record_for(rid)
         img, mask = cache.pair(record.image_ref, record.mask_ref)
         [errors] = augmented_error_terms(
-            params, [(img, mask)], selcfg, traincfg,
+            params, [(oracles.to_raster(img), mask)], selcfg, traincfg,
             [example_rng(selcfg.seed, 0, 0, rid)],
         )
         assert record.E == pytest.approx(sum(errors) / len(errors), abs=1e-12)
