@@ -113,9 +113,9 @@ def evaluate_model(params, blocks, tau):
     uint8 rasters as ``pool.pair_blocks`` makes them; this function
     stacks nothing, and converts each raster stack by one
     ``pgm.to_image`` just before its forward pass. It keeps running
-    lesion counts and the per-image Jaccard values, and reads ``blocks``
-    once, so a decoding generator keeps no image. No pairs at all is
-    refused: there is no mean Jaccard to give.
+    lesion counts and one array of per-image Jaccard values a block,
+    and reads ``blocks`` once, so a decoding generator keeps no image.
+    No pairs at all is refused: there is no mean Jaccard to give.
     """
     tp = fp = fn = 0
     jis = []
@@ -125,10 +125,11 @@ def evaluate_model(params, blocks, tau):
         tp += int(np.add.reduce(matched))
         fp += int(np.add.reduce(false_pos))
         fn += int(np.add.reduce(false_neg))
-        jis.extend(metrics.jaccard_index(preds, masks).tolist())
+        jis.append(metrics.jaccard_index(preds, masks))
     if not jis:
         raise ValueError("no test pairs to evaluate")
-    return (*metrics.detection_scores(tp, fp, fn), float(np.mean(jis)))
+    return (*metrics.detection_scores(tp, fp, fn),
+            float(np.mean(np.concatenate(jis))))
 
 
 def stage_budgets(train_chunks, selcfg):

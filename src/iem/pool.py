@@ -33,9 +33,10 @@ _RECORD_KEYS = ("id", "image_ref", "mask_ref", "label", "chunk", "E", "C",
                 "dropped")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExampleRecord:
-    """One pool entry; E/C/dropped start at their ingestion values."""
+    """One pool entry, slotted, whose label is the ``LABELS`` string
+    itself; E/C/dropped start at their ingestion values."""
 
     id: str
     image_ref: str
@@ -49,6 +50,7 @@ class ExampleRecord:
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"record {self.id}: bad label {self.label!r}")
+        self.label = LABELS[LABELS.index(self.label)]
 
     def drops_on_update(self, d):
         """Whether one more training update takes C past dropping number d."""

@@ -147,18 +147,21 @@ def read_manifest(path):
     """Parse a manifest back into records.
 
     A manifest must list at least one example, referenced files must
-    exist, and each example id may appear once.
+    exist, and each example id may appear once. Each line is freed once
+    it is split, so the parse never holds every line beside every record.
     """
     base = os.path.dirname(os.path.abspath(path))
+    lines = read_lines(path, "manifest")
+    lines.reverse()  # popped in file order
     records = []
     seen = set()
-    for lineno, line in enumerate(read_lines(path, "manifest"), start=1):
-        fields = line.split("\t")
+    while lines:
+        lineno = len(records) + 1  # every earlier line made one record
+        fields = lines.pop().split("\t")
         if len(fields) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         example_id, image_ref, mask_ref, label, chunk_field = fields
         if example_id in seen:
-            # every earlier line made one record
             first = 1 + [r.id for r in records].index(example_id)
             raise DataError(f"{path}:{lineno}: example id {example_id!r} "
                             f"repeats line {first}")

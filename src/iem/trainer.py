@@ -193,10 +193,13 @@ def train_on_subset(params, examples, cfg, rng):
     finite weights and their version. A non-finite weight stays
     non-finite under later steps, so finiteness is checked once per
     block, on its last weights, and the block's kept steps name the
-    first bad one.
+    first bad one. Non-finite starting weights have no such step and
+    raise ValueError before any draw, leaving params and rng untouched.
     """
     if not examples:
         raise ValueError("training subset must be nonempty")
+    if not np.isfinite(params.weights).all():
+        raise ValueError(f"non-finite starting weights {params.weights}")
     n_views = cfg.n_views
     for _ in range(cfg.epochs_per_iteration):
         order = rng.permutation(len(examples))

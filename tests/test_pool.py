@@ -41,6 +41,20 @@ def test_record_rejects_bad_label():
         _rec("a", label="maybe")
 
 
+def test_records_have_no_dict_and_hold_the_labels_strings(tmp_path):
+    # labels made at run time: equal to LABELS' strings, not the same objects
+    made = [_rec("a", label="".join(("posi", "tive"))),
+            _rec("b", label="".join(("nega", "tive")))]
+    pool = _pool()
+    add_chunk(pool, made, 0)
+    path = tmp_path / "pool.tsv"
+    save_state(pool, path)
+    for records in (made, pool.records, load_state(path).records):
+        for record, label in zip(records, pool_module.LABELS, strict=True):
+            assert not hasattr(record, "__dict__")
+            assert record.label is label
+
+
 def test_pool_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         _pool(_rec("a"), _rec("a"))

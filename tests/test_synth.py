@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iem import metrics
+from iem import metrics, pool
 from iem.errors import DataError
 from iem.pgm import read_mask_pgm
 from iem.synth import (
@@ -196,6 +198,57 @@ def test_read_manifest_rejects_a_repeated_id(tmp_path):
         read_manifest(str(path))
     assert str(exc.value) == (f"{path}:4: example id 'chunk0-0001' "
                               "repeats line 2")
+
+
+def _long_manifest(tmp_path, n_lines):
+    """A manifest of ``n_lines`` ids x00000.., each naming one chunk's pair."""
+    generate_chunk(_spec(n_images=1, positive_fraction=1.0), str(tmp_path))
+    path = tmp_path / "manifest.tsv"
+    pair = path.read_text().split("\t", 1)[1]
+    path.write_text("".join(f"x{i:05d}\t{pair}" for i in range(n_lines)))
+    return path
+
+
+@pytest.mark.parametrize("last, complaint", [
+    ("x03000\tchunk0-0000.pgm\tchunk0-0000-mask.pgm\todd\t0",
+     "3001: bad label 'odd'"),
+    ("x01234\tchunk0-0000.pgm\tchunk0-0000-mask.pgm\tpositive\t0",
+     "3001: example id 'x01234' repeats line 1235"),
+], ids=["bad_label", "repeated_id"])
+def test_read_manifest_names_the_last_line_of_a_long_manifest(
+        tmp_path, last, complaint):
+    path = _long_manifest(tmp_path, 3000)
+    path.write_text(path.read_text() + last + "\n")
+    with pytest.raises(DataError) as exc:
+        read_manifest(str(path))
+    assert str(exc.value) == f"{path}:{complaint}"
+
+
+def test_read_manifest_records_have_no_dict_and_hold_the_labels_strings(
+        tmp_path):
+    made = generate_chunk(_spec(n_images=4, positive_fraction=0.5),
+                          str(tmp_path))
+    back = read_manifest(str(tmp_path / "manifest.tsv"))
+    for record in made + back:
+        assert not hasattr(record, "__dict__")
+        assert record.label is pool.LABELS[record.label == "negative"]
+
+
+def test_read_manifest_retains_no_label_or_dict_per_record(tmp_path):
+    # a slotted record is 96 B and its list slot 8; an instance dict or
+    # a label string of its own would add about 160 B
+    n_lines = 3000
+    path = _long_manifest(tmp_path, n_lines)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = read_manifest(str(path))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    strings = sum(sys.getsizeof(text) for r in records
+                  for text in (r.id, r.image_ref, r.mask_ref))
+    assert (retained - strings) / n_lines < 128
 
 
 def test_read_manifest_missing_file(tmp_path):

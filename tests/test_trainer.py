@@ -420,6 +420,17 @@ def test_numeric_error_keeps_last_finite_weights(monkeypatch):
     assert params.version == 7
 
 
+def test_non_finite_starting_weights_are_refused_before_any_draw():
+    img, mask = _blob_pair()
+    weights = np.array([np.nan, 0.0, 0.0, 0.0])
+    params = ModelParams(weights=weights, version=7)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"non-finite starting weights \[nan"):
+        train_on_subset(params, [(img, mask)], TrainConfig(), rng)
+    assert params.weights is weights and params.version == 7
+    assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+
+
 def test_non_finite_mid_block_raises_no_warning_of_later_steps(monkeypatch):
     # step 2 of a 4-step block turns the weights to (+inf, -inf, ...);
     # steps 3 and 4 then run on them (their matmul meets inf - inf), but
