@@ -24,8 +24,8 @@ except ImportError:  # numpy 1.24-1.26
 _BLOCK = 16
 
 
-def shape_blocks(items, shape=lambda item: item[0].shape, size=_BLOCK):
-    """Split ``items`` into runs of up to ``size`` consecutive same-shape items.
+def shape_blocks(items, shape=lambda item: item[0].shape):
+    """Split ``items`` into runs of up to 16 consecutive same-shape items.
 
     ``shape(item)`` is an item's shape, by default that of its first
     element, an image array; a run ends where the next item's shape
@@ -33,7 +33,7 @@ def shape_blocks(items, shape=lambda item: item[0].shape, size=_BLOCK):
     iterable, lazily.
     """
     for _, run in groupby(items, shape):
-        while block := list(islice(run, size)):
+        while block := list(islice(run, _BLOCK)):
             yield block
 
 

@@ -160,18 +160,18 @@ def add_chunk(pool, examples, chunk_index):
     return pool
 
 
-def error_terms(stacks, predict, cfg):
-    """E of each image of (images, masks or their labels) stacks, in order.
+def error_terms(blocks, predict, cfg):
+    """E of each image of (images, masks or their labels) blocks, in order.
 
-    Each pair holds one shape. ``predict`` maps an (n, h, w) image stack
-    to its probability maps; it sees each stack in blocks of up to 16
-    images, and each image's E equals what it and its mask give alone.
-    ``metrics.loss_and_predictions`` scores each block, and
+    Each block holds up to 16 same-shape images (``kernels.shape_blocks``).
+    ``predict`` maps each block's (n, h, w) image stack to its
+    probability maps; each image's E equals what it and its mask give
+    alone. ``metrics.loss_and_predictions`` scores each block, and
     ``metrics.error_arrays`` (lesion counts, whose per-call cost exceeds
     their pixels' at 24x24) a stack of whole same-shape blocks: at most
     128 images and 16·h·w predicted on-pixels, so lesion counting labels
     no more at once than for one block (at zero weights every pixel is
-    on). Stacks give all masks or all labels. Metric knobs (tau, error
+    on). Blocks give all masks or all labels. Metric knobs (tau, error
     weights) come from the selection config ``cfg``.
     """
     def scored(stack):
@@ -182,19 +182,16 @@ def error_terms(stacks, predict, cfg):
         return errors.tolist()
 
     stack, shape, size, on = [], None, 0, 0
-    for images, gts in stacks:
-        for start in range(0, len(images), _BLOCK):
-            gt = gts[start : start + _BLOCK]
-            L, preds = metrics.loss_and_predictions(
-                predict(images[start : start + _BLOCK]), gt)
-            block_on = int(np.add.reduce(preds, axis=None))
-            if stack and not (gt.shape[1:] == shape
-                              and size + len(gt) <= _STACK
-                              and on + block_on <= _BLOCK * preds[0].size):
-                yield from scored(stack)
-                stack, size, on = [], 0, 0
-            stack.append((L, preds, gt))
-            shape, size, on = gt.shape[1:], size + len(gt), on + block_on
+    for images, gt in blocks:
+        L, preds = metrics.loss_and_predictions(predict(images), gt)
+        block_on = int(np.add.reduce(preds, axis=None))
+        if stack and not (gt.shape[1:] == shape
+                          and size + len(gt) <= _STACK
+                          and on + block_on <= _BLOCK * preds[0].size):
+            yield from scored(stack)
+            stack, size, on = [], 0, 0
+        stack.append((L, preds, gt))
+        shape, size, on = gt.shape[1:], size + len(gt), on + block_on
     if stack:
         yield from scored(stack)
 
@@ -211,9 +208,9 @@ def refresh_errors(pool, predict, cfg):
     per pool. Dropped records keep E = 0.
     """
     active = [r for r in pool.records if not r.dropped]
-    stacks = ((pgm.to_image(rasters), labels) for rasters, labels
+    blocks = ((pgm.to_image(rasters), labels) for rasters, labels
               in stacked(pool.labeled([r.id for r in active])))
-    for record, E in zip(active, error_terms(stacks, predict, cfg)):
+    for record, E in zip(active, error_terms(blocks, predict, cfg)):
         record.E = E
     return pool
 

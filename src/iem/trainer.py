@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, read_lines
-from .kernels import _BLOCK, clip, local_mean_std, shape_blocks
+from .kernels import clip, local_mean_std, shape_blocks
 from .pgm import to_image
 from .pool import (add_chunk, error_terms, record_training_update,
                    refresh_errors)
@@ -29,7 +29,7 @@ N_FEATURES = 4
 # keeps sigmoid output strictly inside (0,1) in float64
 _LOGIT_CLIP = 35.0
 
-# the slice of an image or stack, and of its mask, for each view_of
+# the slice of an image and of its mask for each view_of
 # number: identity, horizontal flip, vertical flip, jitter (unflipped)
 _VIEW_SLICES = ((...,), (..., slice(None, None, -1)),
                 (..., slice(None, None, -1), slice(None)), (...,))
@@ -154,26 +154,23 @@ def jitter_offset(view, cfg, rng):
 def view_stack(slots):
     """The float image stack of each slot's view, and its mask's views.
 
-    A slot is (rasters, masks, view, offset): a uint8 raster and its mask
+    A slot is (raster, mask, view, offset): a uint8 raster and its mask
     (or its component labels, whose views are then the view's labels),
-    or same-shape (n, h, w) stacks of them, seen as ``view_of``'s
-    ``view``; ``offset``, its ``jitter_offset`` (a float, or a list of
-    one per image), is read by the jitter view alone. The slots' uint8
-    slices are stacked and converted by one ``pgm.to_image``, and each
-    jitter slot has its offset added in place and is clamped to [0,1] by
-    ``kernels.clip``: each pixel is its byte's divide, then for jitter
-    the add and clamp, as for its image alone. Returns the (m, h, w) or
-    (m, n, h, w) image stack of m slots and the list of their mask
-    views, slices and not copies.
+    seen as ``view_of``'s ``view``; ``offset``, its ``jitter_offset``, is
+    read by the jitter view alone. The slots' uint8 slices are stacked
+    and converted by one ``pgm.to_image``, and each jitter image has its
+    offset added in place and is clamped to [0,1] by ``kernels.clip``:
+    each pixel is its byte's divide, then for jitter the add and clamp,
+    as for its image alone. Returns the (m, h, w) image stack of m slots
+    and the list of their mask views, slices and not copies.
     """
-    images = to_image(np.array([rasters[_VIEW_SLICES[view]]
-                                for rasters, _, view, _ in slots]))
-    for k, (_, _, view, offset) in enumerate(slots):
+    images = to_image(np.array([raster[_VIEW_SLICES[view]]
+                                for raster, _, view, _ in slots]))
+    for image, (_, _, view, offset) in zip(images, slots):
         if view == _JITTER:
-            jittered = images[k]
-            jittered += np.array(offset)[..., None, None]
-            clip(jittered, 0.0, 1.0, out=jittered)
-    return images, [masks[_VIEW_SLICES[view]] for _, masks, view, _ in slots]
+            image += offset
+            clip(image, 0.0, 1.0, out=image)
+    return images, [mask[_VIEW_SLICES[view]] for _, mask, view, _ in slots]
 
 
 def train_on_subset(params, examples, cfg, rng):
@@ -241,37 +238,20 @@ def augmented_error_terms(params, pairs, selcfg, traincfg, rngs):
     ``rngs`` holds one generator per (raster, mask) pair, which draws
     that pair's jitter offsets in view order; the image is its uint8
     raster and the mask may be given as its component labels
-    (``PoolState.labeled``). Returns one list of t errors per pair. Each
-    run of up to 16 // t (at least one) consecutive same-shape pairs has
-    its views made when the scorer reaches it, as one view-major stack:
-    ``view_stack`` of one slot per view index, each slot the run's
-    raster and mask stacks, converted once.
+    (``PoolState.labeled``). Returns one list of t errors per pair. The
+    views are one slot each, pair by pair and view by view, built as SGD
+    builds its steps': ``view_stack`` of each block of up to 16
+    consecutive same-shape slots, made when the scorer reaches it.
     """
     t = selcfg.t
-    sizes = []
-
-    def view_stacks():
-        items = ((raster, mask, rng)
-                 for (raster, mask), rng in zip(pairs, rngs))
-        for group in shape_blocks(items, size=max(1, _BLOCK // t)):
-            rasters, masks, group_rngs = zip(*group)
-            stacks = np.array(rasters), np.array(masks)
-            images, view_masks = view_stack([
-                (*stacks, view, [jitter_offset(view, traincfg, rng)
-                                 for rng in group_rngs])
-                for view in (view_of(j, traincfg) for j in range(1, t + 1))])
-            sizes.append(len(group))
-            flat = (-1, *images.shape[-2:])
-            yield images.reshape(flat), np.array(view_masks).reshape(flat)
-
-    errors = list(error_terms(view_stacks(),
-                              lambda imgs: forward(params, imgs), selcfg))
-    # a group's errors are view major: pair i's are every n-th from i
-    by_pair, start = [], 0
-    for n in sizes:
-        by_pair += [errors[start + i : start + n * t : n] for i in range(n)]
-        start += n * t
-    return by_pair
+    views = [view_of(j, traincfg) for j in range(1, t + 1)]
+    slots = ((raster, mask, view, jitter_offset(view, traincfg, rng))
+             for (raster, mask), rng in zip(pairs, rngs) for view in views)
+    blocks = ((images, np.array(masks))
+              for images, masks in map(view_stack, shape_blocks(slots)))
+    errors = list(error_terms(blocks, lambda imgs: forward(params, imgs),
+                              selcfg))
+    return [errors[i * t : (i + 1) * t] for i in range(len(pairs))]
 
 
 def example_rng(seed, stage, iteration, example_id):

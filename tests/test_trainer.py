@@ -541,10 +541,10 @@ def test_augmented_error_terms_equal_per_view_scores(t, jitter):
 @pytest.mark.parametrize("t", [3, 6, 9, 17])
 def test_augmented_error_terms_blocks_span_examples_and_shapes(
         t, monkeypatch):
-    # 6 examples of one shape, then 3 of another and 1 of the first: a
-    # group of up to 16 // t examples (at least one) gives one stack of
-    # views, which stops at a shape change; predict sees it in blocks of
-    # up to 16; each example draws its jitter offsets from its own rng
+    # 6 examples of one shape, then 3 of another and 1 of the first: the
+    # views are one slot per (example, view), cut into blocks of up to 16
+    # same-shape slots, so a block spans examples and stops at a shape
+    # change; each example draws its jitter offsets from its own rng
     seen = []
     real = trainer.forward
     monkeypatch.setattr(trainer, "forward", lambda params, imgs: (
@@ -569,11 +569,9 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(
             ).E)
         want.append(errors)
     assert got == want
-    group = max(1, 16 // t)
-    views = [min(group, n - start) * t for n in (6, 3, 1)
-             for start in range(0, n, group)]
-    assert [n for n, *_ in seen] == [min(16, v - start) for v in views
-                                     for start in range(0, v, 16)]
+    assert [n for n, *_ in seen] == [min(16, n - start)
+                                     for n in (6 * t, 3 * t, t)
+                                     for start in range(0, n, 16)]
     assert all(len(shape) == 3 and shape[0] <= 16 for shape in seen)
     assert augmented_error_terms(sharp, [], selcfg, traincfg, []) == []
 
