@@ -6,12 +6,11 @@ or function docstring, ranges from ``ast``), then, outside those, blank
 (the rest). The four parts sum to the file's line count, as ``wc -l``
 reads it.
 
-Usage: ``python3 tools/count_lines.py [FILE ...]``; with no arguments it
-counts the repository's ``src/iem/*.py``.
+Usage: ``python3 tools/count_lines.py``; it counts the repository's
+``src/iem/*.py``.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 KINDS = ("code", "docstring", "comment", "blank")
@@ -47,8 +46,8 @@ def count(source):
     return counts
 
 
-def main(argv):
-    paths = [Path(a) for a in argv] or sorted(
+def main():
+    paths = sorted(
         (Path(__file__).resolve().parent.parent / "src" / "iem").glob("*.py"))
     rows = [(path.name, count(path.read_text(encoding="utf-8")))
             for path in paths]
@@ -60,4 +59,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
