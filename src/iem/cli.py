@@ -36,13 +36,6 @@ CONFIG_KEYS = {
 CONFIG_KEYS.update(
     {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
 
-# the error weights replaced the variant key: what each value is now
-_VARIANT_HINTS = {
-    "full": "; variant=full needs no line, it is the default",
-    "loss_ji": "; variant=loss_ji is error_weight_fp=0 and error_weight_fn=0",
-}
-
-
 def read_config_file(path):
     """Parse a key=value config file into typed settings."""
     values = {}
@@ -55,21 +48,13 @@ def read_config_file(path):
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in CONFIG_KEYS:
-            hint = _VARIANT_HINTS.get(value, "") if key == "variant" else ""
-            raise DataError(f"{path}:{lineno}: unknown config key {key!r}{hint}")
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise DataError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
-
-
-def load_settings(config_path, seed=None):
-    values = read_config_file(config_path) if config_path else {}
-    if seed is not None:
-        values["seed"] = seed
     return values
 
 
@@ -109,7 +94,9 @@ def cmd_gen(args):
 
 def cmd_train(args):
     strategy = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
-    settings = load_settings(args.config, args.seed)
+    settings = read_config_file(args.config) if args.config else {}
+    if args.seed is not None:  # --seed over the file's value
+        settings["seed"] = args.seed
     selcfg, traincfg = make_configs(settings)
     train_chunks, test_records = harness.load_dataset(args.data)
     report, params, pool, trace = harness.run_strategy(
@@ -137,7 +124,7 @@ def cmd_train(args):
 def cmd_eval(args):
     params = load_params(args.checkpoint)
     records = synth.read_manifest(args.test)
-    selcfg, _ = make_configs(load_settings(args.config))
+    selcfg, _ = make_configs(read_config_file(args.config) if args.config else {})
     precision, recall, f1, jaccard = harness.evaluate_model(
         params, pool.pair_blocks(records), selcfg.tau
     )

@@ -51,10 +51,6 @@ from .trainer import (
 
 STRATEGIES = ("baseline_full", "baseline_hem", "iem_incremental", "naive_finetune")
 
-REPORT_HEADER = "strategy,stage,precision,recall,f1,jaccard,examples_trained"
-TIMINGS_HEADER = "strategy,stage,seconds"
-FULL_HEADER = "strategy,stage,precision,recall,f1,jaccard,seconds,examples_trained"
-
 REPORT_NAME = "report.csv"
 TIMINGS_NAME = "timings.csv"
 TRACE_NAME = "trace.txt"
@@ -86,6 +82,11 @@ class StageResult:
 
 # the type of each report column but the first, which names the strategy
 _COLUMN_TYPES = {f.name: f.type for f in fields(StageResult)}
+FULL_HEADER = ",".join(["strategy", *_COLUMN_TYPES])
+# wall seconds are kept apart, so reruns give byte-identical reports
+REPORT_HEADER = FULL_HEADER.replace(",seconds", "")
+# the key columns, strategy and stage, then the seconds
+TIMINGS_HEADER = ",".join([*FULL_HEADER.split(",")[:2], "seconds"])
 
 
 @dataclass(frozen=True)
@@ -265,15 +266,37 @@ def run_strategy(strategy, train_chunks, test_records, selcfg, traincfg):
 
 
 def write_strategy_outputs(out_dir, report, params, pool, trace):
-    """Write checkpoint, report fragment, timings, trace, and pool state."""
+    """Write report fragment, timings, trace, pool state (None for the
+    strategies that do not mine) and checkpoint as one set.
+
+    Each file is written under a ``.partial`` name in ``out_dir``, then
+    each is renamed into place, the checkpoint last. A write that raises
+    removes the partial files and leaves the previous set unchanged. A
+    process killed between two renames can still leave a mixed set.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    save_params(params, os.path.join(out_dir, CHECKPOINT_NAME))
-    write_report_fragment(report, os.path.join(out_dir, REPORT_NAME))
-    write_timings(report, os.path.join(out_dir, TIMINGS_NAME))
-    with open(os.path.join(out_dir, TRACE_NAME), "w", encoding="utf-8") as fh:
+    files = [(os.path.join(out_dir, name), write, obj) for name, write, obj in (
+        (REPORT_NAME, write_report_fragment, report),
+        (TIMINGS_NAME, write_timings, report),
+        (TRACE_NAME, _write_trace, trace),
+        (POOL_NAME, save_state, pool),
+        (CHECKPOINT_NAME, save_params, params),
+    ) if obj is not None]
+    try:
+        for path, write, obj in files:
+            write(obj, path + ".partial")
+    except BaseException:
+        for path, _, _ in files:
+            if os.path.exists(path + ".partial"):
+                os.remove(path + ".partial")
+        raise
+    for path, _, _ in files:
+        os.replace(path + ".partial", path)
+
+
+def _write_trace(trace, path):
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(trace) + ("\n" if trace else ""))
-    if pool is not None:
-        save_state(pool, os.path.join(out_dir, POOL_NAME))
 
 
 def _csv_text(header, reports):

@@ -16,7 +16,8 @@ tab-separated key=value record per line.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,9 +29,6 @@ POOL_FORMAT = "iem-pool/1"
 LABELS = ("positive", "negative")
 # images per stack of blocks whose lesions error_terms counts at once
 _STACK = 128
-
-_RECORD_KEYS = ("id", "image_ref", "mask_ref", "label", "chunk", "E", "C",
-                "dropped")
 
 
 @dataclass(slots=True)
@@ -55,6 +53,18 @@ class ExampleRecord:
     def drops_on_update(self, d):
         """Whether one more training update takes C past dropping number d."""
         return self.C >= d
+
+
+# pool.tsv's (key, ExampleRecord field) of each record, in field order
+_RECORD_FIELDS = tuple(("chunk" if f.name == "chunk_index" else f.name, f)
+                       for f in fields(ExampleRecord))
+# the format of each field type: E keeps 17 significant digits, so load
+# is bit-exact, and dropped is written 0 or 1
+_FORMATS = {str: "%s", int: "%d", float: "%.17g", bool: "%d"}
+_RECORD_LINE = "\t".join(f"{key}={_FORMATS[f.type]}" for key, f in _RECORD_FIELDS)
+_RECORD_VALUES = attrgetter(*(f.name for _, f in _RECORD_FIELDS))
+_PARSERS = {str: str, int: int, float: float,
+            bool: {"0": False, "1": True}.__getitem__}
 
 
 def check_labels(records, masks):
@@ -238,22 +248,12 @@ def record_training_update(pool, example_id, per_augmentation_errors, d):
 
 
 def save_state(pool, path):
-    """Write pool state; E keeps 17 significant digits so load is bit-exact."""
+    """Write pool state: the header, then one ``_RECORD_LINE`` a record."""
     lines = [
         f"{POOL_FORMAT}\tconfig={pool.config_hash}\tstage={pool.stage}"
         f"\trecords={len(pool.records)}"
     ]
-    for r in pool.records:
-        lines.append("\t".join((
-            f"id={r.id}",
-            f"image_ref={r.image_ref}",
-            f"mask_ref={r.mask_ref}",
-            f"label={r.label}",
-            f"chunk={r.chunk_index}",
-            f"E={r.E:.17g}",
-            f"C={r.C}",
-            f"dropped={1 if r.dropped else 0}",
-        )))
+    lines.extend(_RECORD_LINE % _RECORD_VALUES(r) for r in pool.records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -289,41 +289,33 @@ def load_state(path):
     ids = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
-        if len(parts) != len(_RECORD_KEYS):
+        if len(parts) != len(_RECORD_FIELDS):
             raise DataError(
-                f"{path}:{lineno}: expected {len(_RECORD_KEYS)} fields, "
+                f"{path}:{lineno}: expected {len(_RECORD_FIELDS)} fields, "
                 f"got {len(parts)}"
             )
-        values = [
-            _parse_kv(part, key, path, lineno)
-            for part, key in zip(parts, _RECORD_KEYS)
-        ]
-        rid, image_ref, mask_ref, label = values[:4]
-        if rid in ids:
-            raise DataError(f"{path}:{lineno}: duplicate id {rid!r}")
-        ids.add(rid)
-        if label not in LABELS:
-            raise DataError(f"{path}:{lineno}: bad label {label!r}")
+        values = {f.name: _parse_kv(part, key, path, lineno)
+                  for part, (key, f) in zip(parts, _RECORD_FIELDS)}
+        if values["id"] in ids:
+            raise DataError(f"{path}:{lineno}: duplicate id {values['id']!r}")
+        ids.add(values["id"])
+        if values["label"] not in LABELS:
+            raise DataError(f"{path}:{lineno}: bad label {values['label']!r}")
         try:
-            chunk_index = int(values[4])
-            e_value = float(values[5])
-            c_value = int(values[6])
-            dropped = {"0": False, "1": True}[values[7]]
+            r = ExampleRecord(**{f.name: _PARSERS[f.type](values[f.name])
+                                 for _, f in _RECORD_FIELDS})
         except (ValueError, KeyError) as exc:
             raise DataError(f"{path}:{lineno}: bad field value") from exc
-        if not 0 <= chunk_index <= stage:
-            raise DataError(f"{path}:{lineno}: chunk {chunk_index} outside "
+        if not 0 <= r.chunk_index <= stage:
+            raise DataError(f"{path}:{lineno}: chunk {r.chunk_index} outside "
                             f"stages 0..{stage}")
-        if not math.isfinite(e_value) or c_value < 0:
+        if not math.isfinite(r.E) or r.C < 0:
             raise DataError(f"{path}:{lineno}: E must be finite and C >= 0")
-        if e_value < 0:  # E is a sum of non-negative terms
-            raise DataError(f"{path}:{lineno}: negative E {values[5]}")
-        if dropped and e_value != 0.0:
+        if r.E < 0:  # E is a sum of non-negative terms
+            raise DataError(f"{path}:{lineno}: negative E {values['E']}")
+        if r.dropped and r.E != 0.0:
             raise DataError(f"{path}:{lineno}: dropped record with E != 0")
-        records.append(ExampleRecord(
-            id=rid, image_ref=image_ref, mask_ref=mask_ref, label=label,
-            chunk_index=chunk_index, E=e_value, C=c_value, dropped=dropped,
-        ))
+        records.append(r)
     if len(records) != count:
         raise DataError(
             f"{path}: truncated state ({len(records)} of {count} records)"

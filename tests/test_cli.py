@@ -101,21 +101,6 @@ def test_config_file_rejects(tmp_path, text, complaint):
         read_config_file(str(path))
 
 
-@pytest.mark.parametrize("value, replacement", [
-    ("loss_ji", "variant=loss_ji is error_weight_fp=0 and error_weight_fn=0"),
-    ("full", "variant=full needs no line, it is the default"),
-], ids=["loss_ji", "full"])
-def test_a_variant_line_names_what_replaces_it(tmp_path, capsys, value,
-                                               replacement):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"d=3\nvariant={value}\n")
-    argv = ["train", "--strategy", "iem", "--data", str(tmp_path / "data"),
-            "--out", str(tmp_path / "out"), "--config", str(path)]
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert f"run.cfg:2: unknown config key 'variant'; {replacement}" in err
-
-
 def test_config_file_names_the_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"d=3\n# caf\xe9\n")
@@ -435,6 +420,31 @@ def test_train_numeric_abort_exit_code(tiny_dataset_dir, tmp_path,
                         lambda params, feats, mask: np.full(4, np.inf))
     assert cli.main(args) == 4
     assert "learning rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("writer", ["save_state", "save_params"])
+def test_a_failed_write_leaves_the_previous_run_files_whole(
+        tiny_dataset_dir, tmp_path, monkeypatch, capsys, writer):
+    config = tmp_path / "fast.cfg"
+    config.write_text(FAST_CONFIG)
+    argv = ["train", "--strategy", "iem", "--data", tiny_dataset_dir,
+            "--out", str(tmp_path / "runs"), "--config", str(config)]
+    assert cli.main([*argv, "--seed", "0"]) == 0
+    run = tmp_path / "runs" / "iem_incremental"
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert sorted(before) == sorted([
+        harness.REPORT_NAME, harness.TIMINGS_NAME, harness.TRACE_NAME,
+        harness.POOL_NAME, harness.CHECKPOINT_NAME])  # no partial name left
+
+    def half_written(obj, path):
+        Path(path).write_text("half")
+        raise OSError(f"{path}: no space left on device")
+
+    # the pool is written before the checkpoint, the checkpoint last
+    monkeypatch.setattr(harness, writer, half_written)
+    assert cli.main([*argv, "--seed", "1"]) == 3
+    assert "no space left on device" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 @pytest.mark.parametrize("line", [

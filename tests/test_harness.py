@@ -515,6 +515,15 @@ def test_report_reader_joins_its_own_strategy_timings(tmp_path):
     assert [row.seconds for row in back.rows] == [0.0, 9.75, 0.0]
 
 
+def test_headers_follow_the_stage_result_fields():
+    # the headers are built from StageResult's fields: a reorder shows here
+    assert harness.FULL_HEADER == (
+        "strategy,stage,precision,recall,f1,jaccard,seconds,examples_trained")
+    assert harness.REPORT_HEADER == (
+        "strategy,stage,precision,recall,f1,jaccard,examples_trained")
+    assert harness.TIMINGS_HEADER == "strategy,stage,seconds"
+
+
 def test_report_timings_and_comparison_bytes(tmp_path):
     # a float field prints 6 decimals even for an int value (1, 0), an int
     # field prints as is; 0.1234565 and 5e-07 sit just below a half step

@@ -475,6 +475,20 @@ def test_save_load_is_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_save_spells_each_record_field_in_field_order(tmp_path):
+    # the fields are written from ExampleRecord's: a reorder shows here
+    pool = _pool(_rec("a", E=0.1 + 0.2, C=2),
+                 _rec("b", label="negative", chunk_index=1, C=11, dropped=True),
+                 stage=1, config_hash="ff")
+    save_state(pool, tmp_path / "pool.tsv")
+    assert (tmp_path / "pool.tsv").read_text() == (
+        "iem-pool/1\tconfig=ff\tstage=1\trecords=2\n"
+        "id=a\timage_ref=a.pgm\tmask_ref=a-mask.pgm\tlabel=positive\tchunk=0"
+        "\tE=0.30000000000000004\tC=2\tdropped=0\n"
+        "id=b\timage_ref=b.pgm\tmask_ref=b-mask.pgm\tlabel=negative\tchunk=1"
+        "\tE=0\tC=11\tdropped=1\n")
+
+
 @pytest.mark.parametrize(
     "mangle, complaint",
     [

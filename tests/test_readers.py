@@ -1,0 +1,139 @@
+"""The bad-input contract of the run-file readers, under seeded mutations.
+
+Each valid file is mutated many times: a line deleted or repeated, a
+byte flipped, the file truncated, one field copied from the same field
+of another line, or one field set to a value no writer gives. Each reader must then either raise ``DataError`` whose message
+starts with the file's path, or return a value that meets its type's
+invariants. No other exception may escape.
+
+Readers covered: ``pool.load_state``, ``harness.read_report_fragment``
+and ``harness.read_timings``.
+"""
+
+import math
+import random
+import re
+
+import pytest
+
+from iem import harness, pool
+from iem.errors import DataError
+
+MUTATIONS = 1000
+BAD_FIELDS = ("nan", "inf", "-1", "", "\0", "1e400")
+
+
+def _mutant(data, rng, sep):
+    """One seeded mutation of the bytes ``data``, whose lines hold fields
+    split by ``sep``."""
+    lines = data.split(b"\n")
+    kind = rng.randrange(6)
+    i = rng.randrange(len(lines))
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        return bytes(flipped)
+    elif kind == 3:
+        return data[:rng.randrange(len(data))]
+    else:
+        fields = lines[i].split(sep)
+        j = rng.randrange(len(fields))
+        donor = rng.choice(lines).split(sep)
+        if kind == 4 and j < len(donor):  # the same field of another line
+            fields[j] = donor[j]
+        else:
+            key, eq, _ = fields[j].partition(b"=")
+            bad = rng.choice(BAD_FIELDS).encode()
+            fields[j] = key + eq + bad if eq else bad  # keep a key= prefix
+        lines[i] = sep.join(fields)
+    return b"\n".join(lines)
+
+
+def _pool_ok(state):
+    assert state.stage >= 0
+    ids = [r.id for r in state.records]
+    assert len(set(ids)) == len(ids)
+    for r in state.records:
+        assert math.isfinite(r.E) and r.E >= 0 and r.C >= 0
+        assert r.label in pool.LABELS
+        assert 0 <= r.chunk_index <= state.stage
+        assert r.E == 0 or not r.dropped
+
+
+def _report_ok(report):
+    assert report.strategy in harness.STRATEGIES
+    stages = [row.stage for row in report.rows]
+    assert stages == sorted(set(stages)) and stages[0] >= 0
+    for row in report.rows:
+        assert all(0 <= v <= 1 for v in (row.precision, row.recall, row.f1,
+                                           row.jaccard))
+        assert math.isfinite(row.seconds) and row.seconds >= 0
+        assert row.examples_trained >= 0
+
+
+def _timings_ok(timings):
+    for (strategy, stage), seconds in timings.items():
+        assert isinstance(strategy, str) and isinstance(stage, int)
+        assert math.isfinite(seconds) and seconds >= 0
+
+
+def _write_pool(path):
+    # every other record dropped, so a copied field can break the rule
+    # that a dropped record has E = 0
+    records = [pool.ExampleRecord(f"ex{i}", f"ex{i}.pgm", f"ex{i}-mask.pgm",
+                                  pool.LABELS[i % 3 % 2], chunk_index=i // 4,
+                                  E=0.0 if i % 2 else (0.1 + 0.2) * i, C=i,
+                                  dropped=bool(i % 2))
+               for i in range(8)]
+    pool.save_state(pool.PoolState(records=records, stage=1,
+                                   config_hash="e47f77e1728a"), path)
+
+
+def _report():
+    rows = tuple(harness.StageResult(stage, 0.5, 0.25, 1 / 3, 0.75,
+                                     0.5 + stage, 40 * stage)
+                 for stage in range(3))
+    return harness.StrategyReport("iem_incremental", 3, "e47f77e1728a", rows)
+
+
+def _write_report(path):
+    harness.write_report_fragment(_report(), path)
+    harness.write_timings(_report(), path.parent / harness.TIMINGS_NAME)
+
+
+def _write_timings(path):
+    harness.write_timings(_report(), path)
+
+
+@pytest.mark.parametrize("name, write, read, sep, ok", [
+    (harness.POOL_NAME, _write_pool, pool.load_state, b"\t", _pool_ok),
+    (harness.REPORT_NAME, _write_report, harness.read_report_fragment, b",",
+     _report_ok),
+    (harness.TIMINGS_NAME, _write_timings, harness.read_timings, b",",
+     _timings_ok),
+], ids=["pool", "report", "timings"])
+def test_a_mutated_file_is_refused_by_name_or_read_whole(tmp_path, name,
+                                                         write, read, sep, ok):
+    path = tmp_path / name
+    write(path)
+    data = path.read_bytes()
+    ok(read(str(path)))
+    rng = random.Random(f"{name}-mutations")
+    refused = 0
+    for _ in range(MUTATIONS):
+        mutant = _mutant(data, rng, sep)
+        path.write_bytes(mutant)
+        try:
+            value = read(str(path))
+        except DataError as exc:
+            # read_lines names what it read before the path
+            assert re.match(rf"(cannot read [a-z ]+ )?{re.escape(str(path))}",
+                            str(exc)), (mutant, exc)
+            refused += 1
+            continue
+        ok(value)
+    assert refused > MUTATIONS // 2  # most mutations break the file
