@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from . import harness, pool, synth
-from .errors import DataError, NumericError, read_lines
+from .errors import DataError, NumericError, read_lines, write_lines
 from .selection import ERROR_WEIGHT_NAMES, SelectionConfig
 from .trainer import TrainConfig, load_params
 
@@ -144,14 +144,12 @@ def cmd_compare(args):
     note = harness.uneven_totals(merged)
     if note:
         print(note)
-    csv_text = harness.comparison_csv(merged)
+    lines = harness.comparison_csv(merged)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        write_lines(lines, args.out)
         print(f"full comparison written to {args.out}")
-    else:
-        print()
-        print(csv_text, end="")
+    else:  # a blank line, then the CSV
+        print("", *lines, sep="\n")
     return 0
 
 

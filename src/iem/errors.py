@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one text-file reader."""
+"""Exception types shared across the package, and the one text-file
+reader and writer."""
 
 
 class IEMError(Exception):
@@ -30,3 +31,13 @@ def read_lines(path, what):
         # it after any byte-order mark, which holds no newline
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"cannot read {what} {path}:{lineno}: {exc}") from exc
+
+
+def write_lines(lines, path):
+    """Write ``lines`` to ``path`` as UTF-8 text, each ended by a newline.
+
+    No lines gives an empty file. Every text file the package writes is
+    written here.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)

@@ -35,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from . import metrics
-from .errors import DataError, read_lines
+from .errors import DataError, read_lines, write_lines
 from .pgm import to_image
 from .pool import PoolState, add_chunk, pair_blocks, save_state
 from .selection import compute_partition_number
@@ -278,7 +278,7 @@ def write_strategy_outputs(out_dir, report, params, pool, trace):
     files = [(os.path.join(out_dir, name), write, obj) for name, write, obj in (
         (REPORT_NAME, write_report_fragment, report),
         (TIMINGS_NAME, write_timings, report),
-        (TRACE_NAME, _write_trace, trace),
+        (TRACE_NAME, write_lines, trace),
         (POOL_NAME, save_state, pool),
         (CHECKPOINT_NAME, save_params, params),
     ) if obj is not None]
@@ -294,12 +294,7 @@ def write_strategy_outputs(out_dir, report, params, pool, trace):
         os.replace(path + ".partial", path)
 
 
-def _write_trace(trace, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trace) + ("\n" if trace else ""))
-
-
-def _csv_text(header, reports):
+def _csv_lines(header, reports):
     """``header``, then a line per row of each report with the header's
     columns: a float field to 6 decimals, an int field as is."""
     names = header.split(",")[1:]
@@ -309,18 +304,16 @@ def _csv_text(header, reports):
             lines.append(",".join([report.strategy, *(
                 f"{getattr(row, name):.6f}" if _COLUMN_TYPES[name] is float
                 else str(getattr(row, name)) for name in names)]))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def write_report_fragment(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={report.seed}\n# config={report.config_hash}\n"
-                 + _csv_text(REPORT_HEADER, [report]))
+    write_lines([f"# seed={report.seed}", f"# config={report.config_hash}",
+                 *_csv_lines(REPORT_HEADER, [report])], path)
 
 
 def write_timings(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(TIMINGS_HEADER, [report]))
+    write_lines(_csv_lines(TIMINGS_HEADER, [report]), path)
 
 
 def _check_header(path, lineno, got, expected):
@@ -434,7 +427,8 @@ def merge_reports(reports, paths=None):
 
 
 def comparison_csv(reports):
-    return _csv_text(FULL_HEADER, reports)
+    """The full comparison's CSV lines: each report's every row."""
+    return _csv_lines(FULL_HEADER, reports)
 
 
 def final_stage_table(reports):

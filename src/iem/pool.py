@@ -22,7 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import metrics, pgm
-from .errors import DataError, read_lines
+from .errors import DataError, read_lines, write_lines
 from .kernels import _BLOCK, label_components, stacked
 
 POOL_FORMAT = "iem-pool/1"
@@ -249,13 +249,10 @@ def record_training_update(pool, example_id, per_augmentation_errors, d):
 
 def save_state(pool, path):
     """Write pool state: the header, then one ``_RECORD_LINE`` a record."""
-    lines = [
-        f"{POOL_FORMAT}\tconfig={pool.config_hash}\tstage={pool.stage}"
-        f"\trecords={len(pool.records)}"
-    ]
-    lines.extend(_RECORD_LINE % _RECORD_VALUES(r) for r in pool.records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = (f"{POOL_FORMAT}\tconfig={pool.config_hash}\tstage={pool.stage}"
+              f"\trecords={len(pool.records)}")
+    write_lines([header, *(_RECORD_LINE % _RECORD_VALUES(r)
+                           for r in pool.records)], path)
 
 
 def _parse_kv(part, expected_key, path, lineno):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, read_lines
+from .errors import DataError, read_lines, write_lines
 from .pgm import write_mask_pgm, write_pgm
 from .pool import LABELS, ExampleRecord, pair_blocks
 
@@ -127,18 +127,15 @@ def write_manifest(records, path):
     can be moved wholesale.
     """
     base = os.path.dirname(os.path.abspath(path))
-    lines = []
-    for rec in records:
-        lines.append("\t".join([
-            rec.id,
-            os.path.relpath(os.path.abspath(rec.image_ref), base),
-            os.path.relpath(os.path.abspath(rec.mask_ref), base),
-            rec.label,
-            str(rec.chunk_index),
-        ]))
+    lines = ["\t".join([
+        rec.id,
+        os.path.relpath(os.path.abspath(rec.image_ref), base),
+        os.path.relpath(os.path.abspath(rec.mask_ref), base),
+        rec.label,
+        str(rec.chunk_index),
+    ]) for rec in records]
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        write_lines(lines, path)
     except OSError as exc:
         raise DataError(f"cannot write manifest {path}: {exc}") from exc
 

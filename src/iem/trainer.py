@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, read_lines
+from .errors import DataError, NumericError, read_lines, write_lines
 from .kernels import clip, local_mean_std, shape_blocks
 from .pgm import to_image
 from .pool import (add_chunk, error_terms, record_training_update,
@@ -320,10 +320,8 @@ def incremental_step(pool, params, selcfg, traincfg, new_chunk, trace=None):
 
 
 def save_params(params, path):
-    lines = [MODEL_FORMAT, str(len(params.weights))]
-    lines.extend(f"{w:.17g}" for w in params.weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines([MODEL_FORMAT, str(len(params.weights)),
+                 *(f"{w:.17g}" for w in params.weights)], path)
 
 
 def load_params(path):

@@ -836,9 +836,9 @@ def test_compare_prints_no_note_when_every_total_agrees(tmp_path, capsys):
     paths = _four_fragments(tmp_path, 9000)
     merged = [harness.read_report_fragment(path) for path in paths]
     assert cli.main(["compare", *paths]) == 0
-    table, csv_text = (harness.final_stage_table(merged),
-                       harness.comparison_csv(merged))
-    assert capsys.readouterr().out == f"{table}\n\n{csv_text}"
+    table, csv_lines = (harness.final_stage_table(merged),
+                        harness.comparison_csv(merged))
+    assert capsys.readouterr().out == "\n".join([table, "", *csv_lines, ""])
 
 
 def test_compare_names_a_strategy_whose_total_differs(tmp_path, capsys):

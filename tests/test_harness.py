@@ -549,11 +549,11 @@ def test_report_timings_and_comparison_bytes(tmp_path):
     assert (tmp_path / "naive_finetune.timings.csv").read_bytes() == (
         b"strategy,stage,seconds\n"
         b"naive_finetune,0,0.000000\nnaive_finetune,4,0.250000\n")
-    assert comparison_csv([full, naive]) == (
-        "strategy,stage,precision,recall,f1,jaccard,seconds,examples_trained\n"
-        "baseline_full,4,1.000000,0.000000,0.666667,1.000000,12.500000,1200\n"
-        "naive_finetune,0,0.500000,0.250000,0.333333,1.000000,0.000000,0\n"
-        "naive_finetune,4,0.000000,1.000000,0.123456,0.000000,0.250000,200\n")
+    assert comparison_csv([full, naive]) == [
+        "strategy,stage,precision,recall,f1,jaccard,seconds,examples_trained",
+        "baseline_full,4,1.000000,0.000000,0.666667,1.000000,12.500000,1200",
+        "naive_finetune,0,0.500000,0.250000,0.333333,1.000000,0.000000,0",
+        "naive_finetune,4,0.000000,1.000000,0.123456,0.000000,0.250000,200"]
 
 
 # -- merging ---------------------------------------------------------------
@@ -591,8 +591,7 @@ def test_comparison_csv_and_table():
     merged = merge_reports(
         [_report(strategy=s, stages=(0, 1)) for s in STRATEGIES]
     )
-    csv_text = comparison_csv(merged)
-    lines = csv_text.splitlines()
+    lines = comparison_csv(merged)
     assert lines[0] == harness.FULL_HEADER
     assert len(lines) == 1 + len(STRATEGIES) * 2
 
