@@ -37,7 +37,12 @@ CONFIG_KEYS.update(
     {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
 
 def read_config_file(path):
-    """Parse a key=value config file into typed settings."""
+    """Parse a key=value config file into typed settings.
+
+    Each value is checked on its own by ``make_configs``; every config
+    check tests one field, so a file is refused, naming the line, exactly
+    when its settings are.
+    """
     values = {}
     for lineno, raw in enumerate(read_lines(path, "config"), start=1):
         line = raw.strip()
@@ -55,6 +60,10 @@ def read_config_file(path):
             values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        try:
+            make_configs({key: values[key]})
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 

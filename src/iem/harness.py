@@ -397,6 +397,10 @@ def read_timings(path):
             key, seconds = (values[0], int(values[1])), float(values[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value ({exc})") from exc
+        if key[0] not in STRATEGIES:
+            raise DataError(f"{path}:{lineno}: unknown strategy {key[0]!r}")
+        if key[1] < 0:
+            raise DataError(f"{path}:{lineno}: negative stage {key[1]}")
         if not math.isfinite(seconds) or seconds < 0:
             raise DataError(f"{path}:{lineno}: seconds must be finite and >= 0")
         if key in out:

@@ -144,8 +144,9 @@ def read_manifest(path):
     """Parse a manifest back into records.
 
     A manifest must list at least one example, referenced files must
-    exist, and each example id may appear once. Each line is freed once
-    it is split, so the parse never holds every line beside every record.
+    exist, and each example id must be nonempty, hold no comma and
+    appear once. Each line is freed once it is split, so the parse never
+    holds every line beside every record.
     """
     base = os.path.dirname(os.path.abspath(path))
     lines = read_lines(path, "manifest")
@@ -158,6 +159,8 @@ def read_manifest(path):
         if len(fields) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         example_id, image_ref, mask_ref, label, chunk_field = fields
+        if not example_id or "," in example_id:  # trace.txt joins ids by ","
+            raise DataError(f"{path}:{lineno}: bad example id {example_id!r}")
         if example_id in seen:
             first = 1 + [r.id for r in records].index(example_id)
             raise DataError(f"{path}:{lineno}: example id {example_id!r} "

@@ -1,5 +1,6 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
+import ast
 import ctypes
 import dataclasses
 import glob
@@ -577,6 +578,36 @@ def _negative_examples(data, tmp_path):
     return argv, other / "report.csv"
 
 
+def _negative_timings_stage(data, tmp_path):
+    argv, other = _compare_with(tmp_path, 1, 1.0)
+    with open(other / "timings.csv", "a") as fh:
+        fh.write("baseline_full,-1,0.5\n")
+    return argv, f"{other / 'timings.csv'}:3"
+
+
+def _config_value_out_of_range(data, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("t=1\ntau=2\n")
+    return _train_argv(data, tmp_path, "iem", "--config", str(path)), f"{path}:2"
+
+
+def _set_first_id(data, example_id):
+    """Set the id of chunk1's first record; return its manifest and line."""
+    path = data / "chunk1" / "manifest.tsv"
+    lines = path.read_text().splitlines()
+    lines[0] = example_id + lines[0][lines[0].index("\t"):]
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:1"
+
+
+def _empty_example_id(data, tmp_path):
+    return _train_argv(data, tmp_path), _set_first_id(data, "")
+
+
+def _example_id_with_a_comma(data, tmp_path):
+    return _train_argv(data, tmp_path), _set_first_id(data, "chunk1-0000,x")
+
+
 def _repeated_id(data, tmp_path):
     path = data / "chunk1" / "manifest.tsv"
     lines = path.read_text().splitlines()
@@ -620,7 +651,8 @@ def _last_chunk_without_its_manifest(data, tmp_path):
     _non_utf8_config, _non_utf8_manifest, _non_utf8_checkpoint,
     _non_utf8_report, _nan_seconds, _negative_examples, _repeated_id,
     _mask_of_another_size, _flipped_label, _chunk_after_a_gap,
-    _last_chunk_without_its_manifest,
+    _last_chunk_without_its_manifest, _negative_timings_stage,
+    _config_value_out_of_range, _empty_example_id, _example_id_with_a_comma,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_bad_input_file_exits_3_naming_it(tiny_dataset_dir, tmp_path, capsys,
                                          make_case):
@@ -876,6 +908,45 @@ def test_cli_import_loads_neither_scipy_nor_numba():
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _opens_for_writing(tree):
+    """(function, mode) of each ``open`` call in ``tree`` whose mode may
+    write, a literal mode holding w, a, x or + or any other mode but
+    ``os.O_RDONLY``; and each ``write_text`` or ``write_bytes`` call."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = getattr(node, "func", None)
+        name = getattr(name, "attr", getattr(name, "id", None))
+        if name in ("write_text", "write_bytes"):
+            found.append((function, name))
+        elif name == "open":
+            modes = [k.value for k in node.keywords if k.arg in ("mode", "flags")]
+            mode = (modes or node.args[1:2] or [None])[0]
+            if isinstance(mode, ast.Constant):
+                writes = bool(set(str(mode.value)) & set("wax+"))
+            else:  # os.open flags, or a mode only known at run time
+                writes = mode is not None and ast.unparse(mode) != "os.O_RDONLY"
+            if writes:
+                found.append((function, ast.unparse(mode)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_text_writer_and_one_binary_writer_open_files():
+    # every text file goes through errors.write_lines, as read_lines reads
+    # them, and every PGM through write_pgm
+    package = Path(iem.__file__).parent
+    found = [(module.name, *site) for module in sorted(package.glob("*.py"))
+             for site in _opens_for_writing(ast.parse(module.read_text()))]
+    assert found == [("errors.py", "write_lines", "'w'"),
+                     ("pgm.py", "write_pgm", "'wb'")]
 
 
 @pytest.mark.parametrize("module", ["iem.pgm", "iem.synth"])

@@ -6,17 +6,20 @@ of another line, or one field set to a value no writer gives. Each reader must t
 starts with the file's path, or return a value that meets its type's
 invariants. No other exception may escape.
 
-Readers covered: ``pool.load_state``, ``harness.read_report_fragment``
-and ``harness.read_timings``.
+Readers covered: ``pool.load_state``, ``harness.read_report_fragment``,
+``harness.read_timings``, ``trainer.load_params``, ``synth.read_manifest``
+and ``cli.read_config_file``.
 """
 
 import math
+import os
 import random
 import re
 
+import numpy as np
 import pytest
 
-from iem import harness, pool
+from iem import cli, harness, pool, synth, trainer
 from iem.errors import DataError
 
 MUTATIONS = 1000
@@ -78,7 +81,28 @@ def _report_ok(report):
 def _timings_ok(timings):
     for (strategy, stage), seconds in timings.items():
         assert isinstance(strategy, str) and isinstance(stage, int)
+        assert strategy in harness.STRATEGIES and stage >= 0
         assert math.isfinite(seconds) and seconds >= 0
+
+
+def _checkpoint_ok(params):
+    assert params.weights.shape == (trainer.N_FEATURES,)
+    assert np.isfinite(params.weights).all()
+
+
+def _manifest_ok(records):
+    ids = [r.id for r in records]
+    assert len(set(ids)) == len(ids)
+    for r in records:
+        assert r.id and "," not in r.id  # trace.txt joins ids by ","
+        assert r.label in pool.LABELS and r.chunk_index >= 0
+        assert os.path.isfile(r.image_ref) and os.path.isfile(r.mask_ref)
+
+
+def _config_ok(values):
+    for key, value in values.items():
+        assert type(value) is cli.CONFIG_KEYS[key]
+    cli.make_configs(values)  # every file that reads builds both configs
 
 
 def _write_pool(path):
@@ -109,13 +133,39 @@ def _write_timings(path):
     harness.write_timings(_report(), path)
 
 
+def _write_checkpoint(path):
+    trainer.save_params(trainer.ModelParams(
+        weights=np.array([0.5, -1.25, 3e-5, 0.1 + 0.2]), version=3), path)
+
+
+def _write_manifest(path):
+    records = []
+    for i in range(6):
+        refs = [path.parent / f"ex{i}{end}.pgm" for end in ("", "-mask")]
+        for ref in refs:
+            ref.touch()  # read_manifest checks only that each file exists
+        records.append(pool.ExampleRecord(f"ex{i}", str(refs[0]), str(refs[1]),
+                                          pool.LABELS[i % 2], chunk_index=i // 2))
+    synth.write_manifest(records, str(path))
+
+
+def _write_config(path):
+    path.write_text("# a run\nseed=7\nt=3\n\ntau=0.5\nlearning_rate=0.05\n"
+                    "error_weight_fp=0.25\njitter=0.5\n")
+
+
 @pytest.mark.parametrize("name, write, read, sep, ok", [
     (harness.POOL_NAME, _write_pool, pool.load_state, b"\t", _pool_ok),
     (harness.REPORT_NAME, _write_report, harness.read_report_fragment, b",",
      _report_ok),
     (harness.TIMINGS_NAME, _write_timings, harness.read_timings, b",",
      _timings_ok),
-], ids=["pool", "report", "timings"])
+    (harness.CHECKPOINT_NAME, _write_checkpoint, trainer.load_params, b"\t",
+     _checkpoint_ok),
+    (synth.MANIFEST_NAME, _write_manifest, synth.read_manifest, b"\t",
+     _manifest_ok),
+    ("run.cfg", _write_config, cli.read_config_file, b"=", _config_ok),
+], ids=["pool", "report", "timings", "checkpoint", "manifest", "config"])
 def test_a_mutated_file_is_refused_by_name_or_read_whole(tmp_path, name,
                                                          write, read, sep, ok):
     path = tmp_path / name
