@@ -912,8 +912,8 @@ def test_cli_import_loads_neither_scipy_nor_numba():
 
 def _opens_for_writing(tree):
     """(function, mode) of each ``open`` call in ``tree`` whose mode may
-    write, a literal mode holding w, a, x or + or any other mode but
-    ``os.O_RDONLY``; and each ``write_text`` or ``write_bytes`` call."""
+    write (a literal holding w, a, x or +, or any other mode but
+    ``os.O_RDONLY``), and of each ``write_text`` or ``write_bytes`` call."""
     found = []
 
     def visit(node, function):
