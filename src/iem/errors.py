@@ -7,7 +7,8 @@ class IEMError(Exception):
 
 
 class DataError(IEMError):
-    """A file, manifest, or serialized state is missing or malformed."""
+    """A file, manifest, or serialized state is missing or malformed, or a
+    file cannot be written."""
 
 
 class NumericError(IEMError):
@@ -37,7 +38,11 @@ def write_lines(lines, path):
     """Write ``lines`` to ``path`` as UTF-8 text, each ended by a newline.
 
     No lines gives an empty file. Every text file the package writes is
-    written here.
+    written here. A file that cannot be written raises ``DataError``
+    naming it.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc

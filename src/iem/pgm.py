@@ -6,14 +6,15 @@ of them to float64 [0,1] when a stack is featurized; masks use the two
 values {0, 255} and map to/from boolean arrays.
 
 A file is read at the system-call level, with no Python file object:
-``os.open``, then ``os.read`` of at most 4 KiB until end of file, which
-costs a small file less time than ``open``.
+``os.open``, then one ``os.read`` of 4 KiB, which costs a small file
+less time than ``open``. The read goes on, 4 KiB at a time, to end of
+file only when that first read is not a whole file of the known layout.
 
 The decoder keeps the last header that parsed and passed its checks,
-with the whitespace byte that ends it. A file that starts with those
-bytes skips the header parse and is read only up to its raster's end;
-any other file is parsed in full. A stream of same-size files thus
-parses one header.
+with the whitespace byte that ends it: the known layout. A file that
+starts with those bytes skips the header parse, and is one ``os.read``
+when its raster ends within it; any other file is parsed in full. A
+stream of same-size files thus parses one header.
 
 ``pair_blocks`` decodes a stream of pairs a block at a time, as every
 program read does: the same reader, with every check, returns each
@@ -49,13 +50,19 @@ _known_header = ()
 
 
 def write_pgm(path, img):
-    """Write a float image in [0,1] as an 8-bit binary PGM."""
+    """Write a float image, clamped to [0,1], as an 8-bit binary PGM.
+
+    A file that cannot be written raises ``DataError`` naming it.
+    """
     img = np.asarray(img, dtype=np.float64)
     data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(data.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n%d %d\n255\n" % (w, h))
+            fh.write(data.tobytes())
+    except OSError as exc:
+        raise DataError(f"cannot write image file {path}: {exc}") from exc
 
 
 def write_mask_pgm(path, mask):
@@ -68,23 +75,18 @@ def _read_pgm_bytes(path):
     """The raster bytes of a binary PGM file and its (h, w) shape."""
     global _known_header
     header, w, h = _known_header or (None, 0, 0)
-    chunks = []
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            size = 0
-            while chunk := os.read(fd, _READ_SIZE):
-                chunks.append(chunk)
-                size += len(chunk)
-                # a file with the known header is whole at its raster's end
-                if (header is not None and size >= len(header) + w * h
-                        and chunks[0].startswith(header)):
-                    break
+            data = os.read(fd, _READ_SIZE)
+            # a file with the known header is whole at its raster's end
+            if not (header is not None and data.startswith(header)
+                    and len(data) >= len(header) + w * h):
+                data += b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
         finally:
             os.close(fd)
     except OSError as exc:
         raise DataError(f"cannot read image file {path}: {exc}") from exc
-    data = b"".join(chunks)
 
     if header is not None and data.startswith(header):
         start = len(header)

@@ -97,21 +97,15 @@ def generate_chunk(spec, out_dir, chunk_index=0):
 
     Files are named after the example id, masks with a ``-mask`` suffix.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create {out_dir}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     images, masks, labels = render_chunk(spec)
     records = []
     for i, (img, mask, label) in enumerate(zip(images, masks, labels)):
         example_id = f"chunk{chunk_index}-{i:04d}"
         image_path = os.path.join(out_dir, f"{example_id}.pgm")
         mask_path = os.path.join(out_dir, f"{example_id}-mask.pgm")
-        try:
-            write_pgm(image_path, np.clip(img, 0.0, 1.0))
-            write_mask_pgm(mask_path, mask)
-        except OSError as exc:
-            raise DataError(f"cannot write {out_dir}: {exc}") from exc
+        write_pgm(image_path, img)
+        write_mask_pgm(mask_path, mask)
         records.append(ExampleRecord(
             id=example_id, image_ref=image_path, mask_ref=mask_path,
             label=label, chunk_index=chunk_index,
@@ -134,10 +128,7 @@ def write_manifest(records, path):
         rec.label,
         str(rec.chunk_index),
     ]) for rec in records]
-    try:
-        write_lines(lines, path)
-    except OSError as exc:
-        raise DataError(f"cannot write manifest {path}: {exc}") from exc
+    write_lines(lines, path)
 
 
 def read_manifest(path):
