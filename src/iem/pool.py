@@ -33,8 +33,9 @@ _STACK = 128
 
 @dataclass(slots=True)
 class ExampleRecord:
-    """One pool entry, slotted, whose label is the ``LABELS`` string
-    itself; E/C/dropped start at their ingestion values."""
+    """One pool entry, slotted, whose id is nonempty and holds no comma
+    and whose label is the ``LABELS`` string itself; E/C/dropped start at
+    their ingestion values."""
 
     id: str
     image_ref: str
@@ -46,8 +47,10 @@ class ExampleRecord:
     dropped: bool = False
 
     def __post_init__(self):
+        if not self.id or "," in self.id:  # trace.txt joins ids by ","
+            raise ValueError(f"bad example id {self.id!r}")
         if self.label not in LABELS:
-            raise ValueError(f"record {self.id}: bad label {self.label!r}")
+            raise ValueError(f"bad label {self.label!r}")
         self.label = LABELS[LABELS.index(self.label)]
 
     def drops_on_update(self, d):
@@ -296,13 +299,11 @@ def load_state(path):
         if values["id"] in ids:
             raise DataError(f"{path}:{lineno}: duplicate id {values['id']!r}")
         ids.add(values["id"])
-        if values["label"] not in LABELS:
-            raise DataError(f"{path}:{lineno}: bad label {values['label']!r}")
         try:
             r = ExampleRecord(**{f.name: _PARSERS[f.type](values[f.name])
                                  for _, f in _RECORD_FIELDS})
         except (ValueError, KeyError) as exc:
-            raise DataError(f"{path}:{lineno}: bad field value") from exc
+            raise DataError(f"{path}:{lineno}: bad field value ({exc})") from exc
         if not 0 <= r.chunk_index <= stage:
             raise DataError(f"{path}:{lineno}: chunk {r.chunk_index} outside "
                             f"stages 0..{stage}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_lines, write_lines
 from .pgm import write_mask_pgm, write_pgm
-from .pool import LABELS, ExampleRecord, pair_blocks
+from .pool import ExampleRecord, pair_blocks
 
 MANIFEST_NAME = "manifest.tsv"
 _BACKGROUND_BASE = 0.2
@@ -150,30 +150,28 @@ def read_manifest(path):
         if len(fields) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         example_id, image_ref, mask_ref, label, chunk_field = fields
-        if not example_id or "," in example_id:  # trace.txt joins ids by ","
-            raise DataError(f"{path}:{lineno}: bad example id {example_id!r}")
         if example_id in seen:
             first = 1 + [r.id for r in records].index(example_id)
             raise DataError(f"{path}:{lineno}: example id {example_id!r} "
                             f"repeats line {first}")
         seen.add(example_id)
-        if label not in LABELS:
-            raise DataError(f"{path}:{lineno}: bad label {label!r}")
         try:
             chunk_index = int(chunk_field)
         except ValueError:
             chunk_index = -1
         if chunk_index < 0:
             raise DataError(f"{path}:{lineno}: bad chunk index {chunk_field!r}")
-        image_path = os.path.join(base, image_ref)
-        mask_path = os.path.join(base, mask_ref)
-        for p in (image_path, mask_path):
+        try:  # the record checks its id and label
+            record = ExampleRecord(
+                id=example_id, image_ref=os.path.join(base, image_ref),
+                mask_ref=os.path.join(base, mask_ref), label=label,
+                chunk_index=chunk_index)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        for p in (record.image_ref, record.mask_ref):
             if not os.path.isfile(p):
                 raise DataError(f"{path}:{lineno}: missing file {p}")
-        records.append(ExampleRecord(
-            id=example_id, image_ref=image_path, mask_ref=mask_path,
-            label=label, chunk_index=chunk_index,
-        ))
+        records.append(record)
     if not records:
         raise DataError(f"{path}: empty manifest")
     return records

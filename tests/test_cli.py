@@ -1,9 +1,12 @@
 """End-to-end command-line flows and exit codes, run as subprocesses."""
 
 import ast
+import builtins
 import ctypes
 import dataclasses
+import errno
 import glob
+import importlib
 import os
 import platform
 import re
@@ -17,7 +20,7 @@ import pytest
 
 import iem
 import oracles
-from iem import cli, harness, kernels, pgm, synth, trainer
+from iem import cli, errors, harness, kernels, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
 from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
@@ -446,6 +449,81 @@ def test_a_failed_write_leaves_the_previous_run_files_whole(
     assert cli.main([*argv, "--seed", "1"]) == 3
     assert "no space left on device" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+class _FullDisk:
+    """A file opened on a full disk: it opens, and each write raises
+    ``ENOSPC`` naming no file, as a write to ``/dev/full`` does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Give the modules passed a full disk: each ``open`` of theirs in a
+    write mode returns a ``_FullDisk``; reads are untouched."""
+    def fill(*modules):
+        def full_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return _FullDisk(fh) if set(mode) & set("wax+") else fh
+        for module in modules:
+            monkeypatch.setattr(module, "open", full_open, raising=False)
+    return fill
+
+
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def test_a_failed_run_file_write_names_it_and_keeps_the_run(
+        tiny_dataset_dir, tmp_path, capsys, full_disk):
+    config = tmp_path / "fast.cfg"
+    config.write_text(FAST_CONFIG)
+    argv = ["train", "--strategy", "iem", "--data", tiny_dataset_dir,
+            "--out", str(tmp_path / "runs"), "--config", str(config)]
+    assert cli.main([*argv, "--seed", "0"]) == 0
+    run = tmp_path / "runs" / "iem_incremental"
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    capsys.readouterr()
+    full_disk(errors, pgm)
+    assert cli.main([*argv, "--seed", "1"]) == 3
+    # the report is the first file of the set written
+    assert capsys.readouterr().err == (
+        f"error: cannot write {run / harness.REPORT_NAME}.partial: {ENOSPC}\n")
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+def test_a_failed_compare_out_write_names_it(trained, tmp_path, capsys,
+                                             full_disk):
+    out = tmp_path / "merged.csv"
+    full_disk(errors, pgm)
+    assert cli.main(["compare", *(str(trained / "runs" / name / "report.csv")
+                                  for name in ("iem_incremental", "naive_finetune")),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: {ENOSPC}\n"
+
+
+@pytest.mark.parametrize("module, what, name", [
+    (pgm, "image file ", "chunk0-0000.pgm"),  # the first file gen writes
+    (errors, "", "manifest.tsv"),
+], ids=["image", "manifest"])
+def test_a_failed_gen_write_names_its_file(tmp_path, capsys, full_disk,
+                                           module, what, name):
+    full_disk(module)
+    assert cli.main(["gen", "--out", str(tmp_path), "--seed", "0"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot write {what}{tmp_path / 'chunk0' / name}: {ENOSPC}\n")
 
 
 @pytest.mark.parametrize("line", [
@@ -947,6 +1025,46 @@ def test_one_text_writer_and_one_binary_writer_open_files():
              for site in _opens_for_writing(ast.parse(module.read_text()))]
     assert found == [("errors.py", "write_lines", "'w'"),
                      ("pgm.py", "write_pgm", "'wb'")]
+
+
+def _os_error_handlers(module):
+    """(function, types) of each ``except`` clause in the ``iem`` source
+    file ``module`` whose types, looked up in the module's namespace,
+    include ``OSError`` or a subclass of it."""
+    namespace = (vars(builtins) if module.stem == "__main__"  # runs on import
+                 else vars(importlib.import_module(f"iem.{module.stem}")))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = eval(ast.unparse(node.type), dict(namespace))
+            if any(issubclass(cls, OSError) for cls in
+                   (caught if isinstance(caught, tuple) else (caught,))):
+                found.append((function, ast.unparse(node.type)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(module.read_text()), None)
+    return found
+
+
+def test_only_the_file_functions_and_main_handle_os_errors():
+    # the two readers and two writers turn a file-system error into a
+    # DataError naming the file; main exits 3 on what else raises OSError
+    # (os.makedirs, os.replace, os.listdir name their path), and the
+    # mallopt probe runs where there is no C library to load
+    package = Path(iem.__file__).parent
+    found = [(module.name, function)
+             for module in sorted(package.glob("*.py"))
+             for function, _ in _os_error_handlers(module)]
+    assert found == [("cli.py", "_keep_freed_arrays_in_heap"),
+                     ("cli.py", "main"),
+                     ("errors.py", "read_lines"),
+                     ("errors.py", "write_lines"),
+                     ("pgm.py", "write_pgm"),
+                     ("pgm.py", "_read_pgm_bytes")]
 
 
 @pytest.mark.parametrize("module", ["iem.pgm", "iem.synth"])

@@ -507,6 +507,10 @@ def test_save_spells_each_record_field_in_field_order(tmp_path):
          "2: E must be finite"),
         (lambda lines: [lines[0], lines[1].replace("C=0", "C=-1")],
          "2: E must be finite and C >= 0"),
+        (lambda lines: [lines[0], lines[1].replace("id=a", "id=")],
+         "2: bad field value \\(bad example id ''\\)"),
+        (lambda lines: [lines[0], lines[1].replace("id=a", "id=a,b")],
+         "2: bad field value \\(bad example id 'a,b'\\)"),
     ],
 )
 def test_load_rejects_malformed(tmp_path, mangle, complaint):

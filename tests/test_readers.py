@@ -8,7 +8,9 @@ invariants. No other exception may escape.
 
 Readers covered: ``pool.load_state``, ``harness.read_report_fragment``,
 ``harness.read_timings``, ``trainer.load_params``, ``synth.read_manifest``
-and ``cli.read_config_file``.
+and ``cli.read_config_file``; and ``pool.pair_blocks`` of PGM pairs, one
+file of which has a byte flipped, is cut short, gains bytes or has a
+header token replaced.
 """
 
 import math
@@ -19,7 +21,7 @@ import re
 import numpy as np
 import pytest
 
-from iem import cli, harness, pool, synth, trainer
+from iem import cli, harness, pgm, pool, synth, trainer
 from iem.errors import DataError
 
 MUTATIONS = 1000
@@ -61,6 +63,7 @@ def _pool_ok(state):
     ids = [r.id for r in state.records]
     assert len(set(ids)) == len(ids)
     for r in state.records:
+        assert r.id and "," not in r.id  # trace.txt joins ids by ","
         assert math.isfinite(r.E) and r.E >= 0 and r.C >= 0
         assert r.label in pool.LABELS
         assert 0 <= r.chunk_index <= state.stage
@@ -187,3 +190,85 @@ def test_a_mutated_file_is_refused_by_name_or_read_whole(tmp_path, name,
             continue
         ok(value)
     assert refused > MUTATIONS // 2  # most mutations break the file
+
+
+PGM_SHAPE = (6, 5)  # (h, w)
+# "4" is a size whose raster the file holds: a pair of two valid sizes
+PGM_TOKENS = (b"0", b"-1", b"4", b"65535", b"P2", b"#", b"#c\n")
+
+
+def _pgm_mutant(data, rng):
+    """One seeded mutation of a PGM ``data`` written by ``pgm.write_pgm``
+    at ``PGM_SHAPE``: a byte flipped, the file cut short or extended, or
+    a header token replaced, a comment ended by a newline put before it."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        return bytes(flipped)
+    if kind == 1:
+        return data[:rng.randrange(len(data))]
+    if kind == 2:
+        return data + rng.randbytes(rng.randrange(1, 40))
+    h, w = PGM_SHAPE
+    tokens = [b"P5", b"%d" % w, b"%d" % h, b"255"]
+    raster = data[len(b"P5\n%d %d\n255\n" % (w, h)):]
+    j = rng.randrange(4)
+    token = rng.choice(PGM_TOKENS)
+    tokens[j] = token + tokens[j] if token.endswith(b"\n") else token
+    return b"%s\n%s %s\n%s\n" % tuple(tokens) + raster
+
+
+def _pgm_records(tmp_path):
+    """Six records of mixed labels, each with its image and mask PGM."""
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(6):
+        mask = np.zeros(PGM_SHAPE, dtype=bool)
+        mask[1:3, 2:4] = i % 2 == 0  # LABELS[0] is positive
+        refs = [str(tmp_path / f"ex{i}{end}.pgm") for end in ("", "-mask")]
+        pgm.write_pgm(refs[0], rng.random(PGM_SHAPE))
+        pgm.write_mask_pgm(refs[1], mask)
+        records.append(pool.ExampleRecord(f"ex{i}", *refs, pool.LABELS[i % 2]))
+    return records
+
+
+def _blocks_ok(blocks, records):
+    assert sum(len(masks) for _, masks in blocks) == len(records)
+    labels = iter(records)
+    for rasters, masks in blocks:
+        assert rasters.dtype == np.uint8 and masks.dtype == np.bool_
+        assert rasters.shape == masks.shape and rasters.ndim == 3
+        for mask in masks:
+            assert mask.any() == (next(labels).label == "positive")
+
+
+@pytest.mark.parametrize("keep_header", [False, True],
+                         ids=["header-reset", "header-kept"])
+def test_a_mutated_pgm_is_refused_by_name_or_read_whole(tmp_path, monkeypatch,
+                                                        keep_header):
+    monkeypatch.setattr(pgm, "_known_header", ())  # restored afterwards
+    records = _pgm_records(tmp_path)
+    _blocks_ok(list(pool.pair_blocks(records)), records)
+    rng = random.Random("pgm-mutations")
+    refused = 0
+    for _ in range(MUTATIONS):
+        record = rng.choice(records)
+        path = rng.choice([record.image_ref, record.mask_ref])
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(_pgm_mutant(data, rng))
+        if not keep_header:
+            pgm._known_header = ()
+        try:
+            _blocks_ok(list(pool.pair_blocks(records)), records)
+        except DataError as exc:
+            pair = "|".join(re.escape(p) for p in (record.image_ref,
+                                                   record.mask_ref))
+            assert re.match(rf"(cannot read image file )?({pair}): ",
+                            str(exc)), exc
+            refused += 1
+        with open(path, "wb") as fh:
+            fh.write(data)
+    assert 0 < refused < MUTATIONS
