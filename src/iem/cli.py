@@ -1,7 +1,8 @@
 """Command-line entry points: gen, train, eval, compare.
 
 Exit codes: 0 success, 2 usage error, 3 data error (missing or malformed
-files, bad config values), 4 numeric abort during training.
+files, a file that cannot be written, bad config values), 4 numeric
+abort during training.
 
 Configuration files are UTF-8 ``key=value`` lines; a leading byte-order
 mark, blank lines and lines starting with ``#`` are ignored; unknown keys

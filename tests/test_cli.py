@@ -451,33 +451,22 @@ def test_a_failed_write_leaves_the_previous_run_files_whole(
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
-class _FullDisk:
-    """A file opened on a full disk: it opens, and each write raises
-    ``ENOSPC`` naming no file, as a write to ``/dev/full`` does."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._fh.close()
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    writelines = write
+def _no_space(data):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Give the modules passed a full disk: each ``open`` of theirs in a
-    write mode returns a ``_FullDisk``; reads are untouched."""
+    """Give the modules passed a full disk: a file they open to write
+    opens, and each write raises ``ENOSPC`` naming no file, as a write to
+    ``/dev/full`` does; reads are untouched."""
+    def full_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if set(mode) & set("wax+"):
+            fh.write = fh.writelines = _no_space
+        return fh
+
     def fill(*modules):
-        def full_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            return _FullDisk(fh) if set(mode) & set("wax+") else fh
         for module in modules:
             monkeypatch.setattr(module, "open", full_open, raising=False)
     return fill
