@@ -17,6 +17,7 @@ import math
 import os
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,11 +255,9 @@ def test_a_mutated_pgm_is_refused_by_name_or_read_whole(tmp_path, monkeypatch,
     refused = 0
     for _ in range(MUTATIONS):
         record = rng.choice(records)
-        path = rng.choice([record.image_ref, record.mask_ref])
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(_pgm_mutant(data, rng))
+        path = Path(rng.choice([record.image_ref, record.mask_ref]))
+        data = path.read_bytes()
+        path.write_bytes(_pgm_mutant(data, rng))
         if not keep_header:
             pgm._known_header = ()
         try:
@@ -269,6 +268,5 @@ def test_a_mutated_pgm_is_refused_by_name_or_read_whole(tmp_path, monkeypatch,
             assert re.match(rf"(cannot read image file )?({pair}): ",
                             str(exc)), exc
             refused += 1
-        with open(path, "wb") as fh:
-            fh.write(data)
+        path.write_bytes(data)
     assert 0 < refused < MUTATIONS
