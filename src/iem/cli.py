@@ -18,7 +18,7 @@ from collections import Counter
 
 from . import harness, pool, synth
 from .errors import DataError, NumericError, read_lines, write_lines
-from .selection import ERROR_WEIGHT_NAMES, SelectionConfig
+from .selection import SelectionConfig
 from .trainer import TrainConfig, load_params
 
 _STRATEGY_ALIASES = {
@@ -28,14 +28,9 @@ _STRATEGY_ALIASES = {
     "naive": "naive_finetune",
 }
 
-# every int or float field of the two configs is a key
-CONFIG_KEYS = {
-    f.name: f.type
-    for cls in (SelectionConfig, TrainConfig)
-    for f in dataclasses.fields(cls) if f.type in (int, float)
-}
-CONFIG_KEYS.update(
-    {f"error_weight_{name}": float for name in ERROR_WEIGHT_NAMES})
+# every field of the two configs is a key
+CONFIG_KEYS = {f.name: f.type for cls in (SelectionConfig, TrainConfig)
+               for f in dataclasses.fields(cls)}
 
 def read_config_file(path):
     """Parse a key=value config file into typed settings.
@@ -68,32 +63,20 @@ def read_config_file(path):
     return values
 
 
-def _from_values(cls, values, **fixed):
-    """``cls`` from the settings named after its fields; the rest keep
-    their dataclass defaults."""
-    given = {f.name: values[f.name] for f in dataclasses.fields(cls)
-             if f.name in values}
-    return cls(**given, **fixed)
-
-
 def make_configs(values):
-    """Build (SelectionConfig, TrainConfig) from typed settings."""
-    weights = tuple(
-        values.get(f"error_weight_{name}", default)
-        for name, default in zip(ERROR_WEIGHT_NAMES,
-                                 SelectionConfig.error_weights)
-    )
+    """Build (SelectionConfig, TrainConfig) from typed settings: each class
+    takes the settings named after its fields, and the rest keep their
+    dataclass defaults."""
     try:
-        selcfg = _from_values(SelectionConfig, values, error_weights=weights)
-        traincfg = _from_values(TrainConfig, values)
+        return tuple(cls(**{f.name: values[f.name]
+                            for f in dataclasses.fields(cls) if f.name in values})
+                     for cls in (SelectionConfig, TrainConfig))
     except ValueError as exc:
         raise DataError(f"bad configuration: {exc}") from exc
-    return selcfg, traincfg
 
 
 def cmd_gen(args):
-    if args.seed < 0:  # refused before anything is written, as train does
-        raise DataError(f"bad configuration: seed must be >= 0, got {args.seed}")
+    make_configs({"seed": args.seed})  # refused before anything is written
     scenario = synth.default_scenario(args.seed)
     train_chunks, test_records = synth.generate_scenario(scenario, args.out)
     sizes = [len(chunk) for chunk in train_chunks]
@@ -150,16 +133,16 @@ def cmd_compare(args):
     merged = harness.merge_reports(
         [harness.read_report_fragment(path) for path in args.reports],
         args.reports)
+    lines = harness.comparison_csv(merged)
+    tail = ["", *lines]  # a blank line, then the CSV
+    if args.out:  # written first, so a failed write prints nothing
+        write_lines(lines, args.out)
+        tail = [f"full comparison written to {args.out}"]
     print(harness.final_stage_table(merged))
     note = harness.uneven_totals(merged)
     if note:
         print(note)
-    lines = harness.comparison_csv(merged)
-    if args.out:
-        write_lines(lines, args.out)
-        print(f"full comparison written to {args.out}")
-    else:  # a blank line, then the CSV
-        print("", *lines, sep="\n")
+    print(*tail, sep="\n")
     return 0
 
 

@@ -271,7 +271,8 @@ def write_strategy_outputs(out_dir, report, params, pool, trace):
 
     Each file is written under a ``.partial`` name in ``out_dir``, then
     each is renamed into place, the checkpoint last. A write that raises
-    removes the partial files and leaves the previous set unchanged. A
+    removes the partial files and leaves the previous set unchanged; a
+    failed write's ``DataError`` names the run file, not its partial. A
     process killed between two renames can still leave a mixed set.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -285,10 +286,13 @@ def write_strategy_outputs(out_dir, report, params, pool, trace):
     try:
         for path, write, obj in files:
             write(obj, path + ".partial")
-    except BaseException:
-        for path, _, _ in files:
-            if os.path.exists(path + ".partial"):
-                os.remove(path + ".partial")
+    except BaseException as exc:
+        for other, _, _ in files:
+            if os.path.exists(other + ".partial"):
+                os.remove(other + ".partial")
+        if isinstance(exc, DataError):  # name the run file, not its partial
+            raise DataError(
+                f"cannot write {path}: {exc.__cause__}") from exc.__cause__
         raise
     for path, _, _ in files:
         os.replace(path + ".partial", path)

@@ -12,9 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-# the error_weights entries, in order; config key error_weight_<name>
-ERROR_WEIGHT_NAMES = ("fp", "fn", "ji")
-
 # deleted fields at their old values, hashed before the field each one
 # preceded, so the digests of earlier reports hold
 _RETIRED = {"d": "K=0|", "seed": "variant='full'|binarize_threshold=0.5|"}
@@ -31,7 +28,8 @@ class SelectionConfig:
     iterations_per_step   selection/training rounds per incremental stage
     tau     IoU threshold for lesion matching
     seed    base seed for all derived random streams
-    error_weights         (fp, fn, 1-ji) weights in the error term
+    error_weight_fp, error_weight_fn, error_weight_ji
+            weights of FP, FN and 1 - JI in the error term
     """
 
     d: int = 10
@@ -39,27 +37,37 @@ class SelectionConfig:
     iterations_per_step: int = 10
     tau: float = 0.5
     seed: int = 0
-    error_weights: tuple = (1.0, 1.0, 1.0)
+    error_weight_fp: float = 1.0
+    error_weight_fn: float = 1.0
+    error_weight_ji: float = 1.0
 
     def __post_init__(self):
         if self.d < 1 or self.t < 1 or self.iterations_per_step < 1:
             raise ValueError("d, t and iterations_per_step must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0,1], got {self.tau}")
-        if len(self.error_weights) != len(ERROR_WEIGHT_NAMES):
-            raise ValueError("error_weights must have three entries")
-        for name, weight in zip(ERROR_WEIGHT_NAMES, self.error_weights):
+        for name, weight in zip(("fp", "fn", "ji"), self.error_weights):
             if not math.isfinite(weight) or weight < 0:
                 raise ValueError(f"error_weight_{name} must be a finite "
                                  f"number >= 0, got {weight}")
 
+    @property
+    def error_weights(self):
+        """The (fp, fn, ji) weights, in the order the error term takes them."""
+        return self.error_weight_fp, self.error_weight_fn, self.error_weight_ji
+
     def fingerprint(self):
-        """Short stable digest of the configuration."""
-        text = "|".join(_RETIRED.get(f.name, "")
-                        + f"{f.name}={getattr(self, f.name)!r}"
-                        for f in fields(self))
+        """Short stable digest of the configuration.
+
+        The three weights, the last fields, hash as the one
+        ``error_weights`` tuple they replaced, so the digests of earlier
+        reports hold.
+        """
+        names = [f.name for f in fields(self)[:-3]] + ["error_weights"]
+        text = "|".join(_RETIRED.get(name, "")
+                        + f"{name}={getattr(self, name)!r}" for name in names)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

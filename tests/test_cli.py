@@ -23,7 +23,7 @@ import oracles
 from iem import cli, errors, harness, kernels, pgm, synth, trainer
 from iem.cli import CONFIG_KEYS, make_configs, read_config_file
 from iem.errors import DataError
-from iem.selection import ERROR_WEIGHT_NAMES, SelectionConfig
+from iem.selection import SelectionConfig
 from iem.trainer import TrainConfig, init_params, load_params, save_params
 
 FAST_CONFIG = "iterations_per_step=2\nt=1\nd=50\n"
@@ -149,8 +149,6 @@ def test_readme_config_table_lists_every_key_and_its_default():
     defaults = {f.name: f.default
                 for cls in (SelectionConfig, TrainConfig)
                 for f in dataclasses.fields(cls)}
-    for name, weight in zip(ERROR_WEIGHT_NAMES, SelectionConfig.error_weights):
-        defaults[f"error_weight_{name}"] = weight
     assert set(documented) == set(CONFIG_KEYS)
     for key, text in documented.items():
         assert CONFIG_KEYS[key](text) == defaults[key], key
@@ -187,6 +185,27 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch):
     exec(compile(block, "README.md", "exec"), names)
     assert [row.stage for row in names["report"].rows] == [0, 1, 2, 3, 4]
     assert len(names["staged_pool"]) == len(names["pool"]) == 400
+
+
+def test_readme_quick_start_table_matches_a_fresh_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    [config] = re.findall(r"^printf '(.*)' > run\.cfg$", section, re.MULTILINE)
+    (tmp_path / "run.cfg").write_text(config.replace("\\n", "\n"))
+    settings = read_config_file(str(tmp_path / "run.cfg"))
+    selcfg, traincfg = make_configs({**settings, "seed": 0})
+    synth.generate_scenario(synth.default_scenario(0), str(tmp_path / "data"))
+    chunks, test = harness.load_dataset(str(tmp_path / "data"))
+    reports = [harness.run_strategy(strategy, chunks, test, selcfg, traincfg)[0]
+               for strategy in harness.STRATEGIES]
+    [documented] = re.findall(r"^```\n(strategy .*?)```", section,
+                              re.MULTILINE | re.DOTALL)
+    # every column but seconds, which moves from run to run
+    cells = [[line.split()[:6] + line.split()[7:] for line in lines]
+             for lines in (documented.splitlines(),
+                           harness.final_stage_table(reports).splitlines())]
+    assert cells[0] == cells[1]
 
 
 def test_make_configs_wraps_validation_errors():
@@ -243,6 +262,16 @@ def test_gen_refuses_a_negative_seed(tmp_path):
     assert out.stderr.splitlines() == [
         "error: bad configuration: seed must be >= 0, got -1"]
     assert not (tmp_path / "data").exists()
+
+
+def test_train_refuses_a_negative_seed_as_gen_does(tiny_dataset_dir,
+                                                   tmp_path, capsys):
+    assert cli.main(["train", "--strategy", "iem", "--data",
+                     str(tiny_dataset_dir), "--out", str(tmp_path / "runs"),
+                     "--seed", "-1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: bad configuration: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "runs").exists()
 
 
 # -- train / eval ----------------------------------------------------------
@@ -487,9 +516,9 @@ def test_a_failed_run_file_write_names_it_and_keeps_the_run(
     capsys.readouterr()
     full_disk(errors, pgm)
     assert cli.main([*argv, "--seed", "1"]) == 3
-    # the report is the first file of the set written
+    # the report is the first file of the set written; its partial is gone
     assert capsys.readouterr().err == (
-        f"error: cannot write {run / harness.REPORT_NAME}.partial: {ENOSPC}\n")
+        f"error: cannot write {run / harness.REPORT_NAME}: {ENOSPC}\n")
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
@@ -500,7 +529,8 @@ def test_a_failed_compare_out_write_names_it(trained, tmp_path, capsys,
     assert cli.main(["compare", *(str(trained / "runs" / name / "report.csv")
                                   for name in ("iem_incremental", "naive_finetune")),
                      "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"error: cannot write {out}: {ENOSPC}\n"
+    # the CSV is written before the table is printed
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {ENOSPC}\n")
 
 
 @pytest.mark.parametrize("module, what, name", [

@@ -215,7 +215,8 @@ def test_error_terms_equal_error_arrays_per_block(monkeypatch, runs, stacks):
     rng = np.random.default_rng(29)
     pairs = [pair for shape, n, flip, dtype in runs
              for pair in _scored_pairs(rng, shape, n, flip, dtype)]
-    cfg = SelectionConfig(tau=0.3, error_weights=(1.0, 2.0, 0.5))
+    cfg = SelectionConfig(tau=0.3, error_weight_fn=2.0,
+                          error_weight_ji=0.5)
     want = []
     for probs, gt in kernels.stacked(pairs):
         L, preds = metrics.loss_and_predictions(probs, gt)

@@ -11,12 +11,18 @@ Readers covered: ``pool.load_state``, ``harness.read_report_fragment``,
 and ``cli.read_config_file``; and ``pool.pair_blocks`` of PGM pairs, one
 file of which has a byte flipped, is cut short, gains bytes or has a
 header token replaced.
+
+The same mutations of each input of ``iem eval`` (checkpoint, test
+manifest, a test PGM, config) and of ``iem compare`` (``report.csv``,
+``timings.csv``) must make ``cli.main`` exit 0, or 3 naming the file.
 """
 
+import dataclasses
 import math
 import os
 import random
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -270,3 +276,67 @@ def test_a_mutated_pgm_is_refused_by_name_or_read_whole(tmp_path, monkeypatch,
             refused += 1
         path.write_bytes(data)
     assert 0 < refused < MUTATIONS
+
+
+CLI_MUTATIONS = 150
+
+
+@pytest.fixture
+def cli_inputs(tiny_dataset_dir, tmp_path):
+    """The files of one ``iem eval`` and one ``iem compare`` call, each
+    a copy in ``tmp_path``, by name, and each command's argv."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset_dir, data)
+    manifest = data / "test" / synth.MANIFEST_NAME
+    positive = next(r for r in synth.read_manifest(str(manifest))
+                    if r.label == "positive")
+    files = {"checkpoint": tmp_path / harness.CHECKPOINT_NAME,
+             "manifest": manifest, "pgm": Path(positive.mask_ref),
+             "config": tmp_path / "run.cfg"}
+    _write_checkpoint(files["checkpoint"])
+    _write_config(files["config"])
+    reports = []
+    for strategy in ("iem_incremental", "naive_finetune"):
+        (tmp_path / strategy).mkdir()
+        reports.append(tmp_path / strategy / harness.REPORT_NAME)
+        report = dataclasses.replace(_report(), strategy=strategy)
+        harness.write_report_fragment(report, reports[-1])
+        harness.write_timings(report, reports[-1].parent / harness.TIMINGS_NAME)
+    files["report"] = reports[0]
+    files["timings"] = reports[0].parent / harness.TIMINGS_NAME
+    argv = {"eval": ["eval", "--checkpoint", str(files["checkpoint"]),
+                     "--test", str(manifest), "--config", str(files["config"])],
+            "compare": ["compare", *map(str, reports)]}
+    return files, argv
+
+
+@pytest.mark.parametrize("name, command, sep", [
+    ("checkpoint", "eval", b"\t"), ("manifest", "eval", b"\t"),
+    ("pgm", "eval", b" "), ("config", "eval", b"="),
+    ("report", "compare", b","), ("timings", "compare", b","),
+], ids=["checkpoint", "manifest", "pgm", "config", "report", "timings"])
+def test_a_mutated_cli_input_exits_0_or_3_naming_it(cli_inputs, capsys,
+                                                    monkeypatch, name,
+                                                    command, sep):
+    monkeypatch.setattr(pgm, "_known_header", ())  # restored afterwards
+    files, argv = cli_inputs
+    path = files[name]
+    data = path.read_bytes()
+    rng = random.Random(f"{name}-exit-codes")
+    refused = 0
+    for _ in range(CLI_MUTATIONS):
+        mutant = _mutant(data, rng, sep)
+        path.write_bytes(mutant)
+        code = cli.main(argv[command])
+        err = capsys.readouterr().err
+        assert code in (0, 3), (mutant, err)
+        refused += code == 3
+        if code == 3 and str(path) not in err:
+            # two refusals name what they check, not the mutated file: a
+            # label that disagrees with its mask names the mask and the
+            # id, and reports of different runs name no file
+            assert ((name == "manifest" and err.endswith(
+                        "disagrees with mask content\n"))
+                    or err.startswith("error: reports disagree on seed/config")
+                    ), (mutant, err)
+    assert refused > CLI_MUTATIONS // 2  # most mutations break the file

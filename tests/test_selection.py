@@ -186,11 +186,8 @@ def test_config_defaults_are_valid():
     [
         {"d": 0}, {"t": 0}, {"iterations_per_step": 0},
         {"seed": -1}, {"tau": 0.0}, {"tau": 1.5}, {"tau": float("nan")},
-        {"error_weights": (1.0, 1.0)}, {"error_weights": (1.0,) * 4},
-        {"error_weights": (float("nan"), 1.0, 1.0)},
-        {"error_weights": (1.0, -1.0, 1.0)},
-        {"error_weights": (1.0, 1.0, float("inf"))},
-        {"error_weights": (float("-inf"), 1.0, 1.0)},
+        {"error_weight_fp": float("nan")}, {"error_weight_fn": -1.0},
+        {"error_weight_ji": float("inf")}, {"error_weight_fp": float("-inf")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -203,7 +200,8 @@ def test_fingerprint_is_stable_and_sensitive():
     assert base.fingerprint() == SelectionConfig(seed=3).fingerprint()
     assert len(base.fingerprint()) == 12
     for other in (SelectionConfig(seed=4), SelectionConfig(seed=3, d=11),
-                  SelectionConfig(seed=3, error_weights=(0.0, 0.0, 1.0))):
+                  SelectionConfig(seed=3, error_weight_fp=0.0,
+                                  error_weight_fn=0.0)):
         assert other.fingerprint() != base.fingerprint()
 
 
@@ -213,5 +211,10 @@ def test_fingerprint_keeps_the_digests_of_earlier_reports():
     assert SelectionConfig().fingerprint() == "e47f77e1728a"
     golden = SelectionConfig(seed=7, iterations_per_step=3, t=3, d=5)
     assert golden.fingerprint() == "3853d41e42e2"
-    loss_ji = SelectionConfig(seed=3, error_weights=(0.0, 0.0, 1.0))
+    loss_ji = SelectionConfig(seed=3, error_weight_fp=0.0, error_weight_fn=0.0)
     assert loss_ji.fingerprint() == "64d74c5c824e"
+    # the three weight fields hash as the one error_weights tuple they were
+    weighted = SelectionConfig(seed=3, error_weight_fp=0.25,
+                               error_weight_fn=2.0, error_weight_ji=0.5)
+    assert weighted.error_weights == (0.25, 2.0, 0.5)
+    assert weighted.fingerprint() == "47072d78f3f6"

@@ -519,7 +519,8 @@ def test_train_on_subset_on_mask_labels_equals_on_masks():
 def test_augmented_error_terms_equal_per_view_scores(t, jitter):
     rng = np.random.default_rng(8)
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
-    selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
+    selcfg = SelectionConfig(t=t, tau=0.25, error_weight_fn=2.0,
+                             error_weight_ji=0.5)
     traincfg = TrainConfig(jitter=jitter)
     predicted = 0
     for i, (img, mask) in enumerate(_lesion_examples(rng, [(9, 9), (1, 8)])):
@@ -552,7 +553,8 @@ def test_augmented_error_terms_blocks_span_examples_and_shapes(
     rng = np.random.default_rng(14)
     pairs = _lesion_examples(rng, [(9, 9)] * 6 + [(7, 11)] * 3 + [(9, 9)])
     sharp = ModelParams(weights=np.array([50.0, 0.0, 0.0, -22.5]))
-    selcfg = SelectionConfig(t=t, tau=0.25, error_weights=(1.0, 2.0, 0.5))
+    selcfg = SelectionConfig(t=t, tau=0.25, error_weight_fn=2.0,
+                             error_weight_ji=0.5)
     traincfg = TrainConfig(jitter=0.2)
     ids = [f"ex{i}" for i in range(len(pairs))]
     got = augmented_error_terms(sharp, pairs, selcfg, traincfg,
@@ -585,7 +587,8 @@ def test_views_scored_from_kept_labels_equal_evaluate_example(tiny_dataset):
         add_chunk(pool, chunk, i)
     ids = [r.id for r in pool.records]
     sharp = ModelParams(weights=np.array([30.0, 0.0, 0.0, -12.0]))
-    selcfg = SelectionConfig(t=5, tau=0.3, error_weights=(1.0, 2.0, 0.5))
+    selcfg = SelectionConfig(t=5, tau=0.3, error_weight_fn=2.0,
+                             error_weight_ji=0.5)
     traincfg = TrainConfig(jitter=0.05)
     got = augmented_error_terms(sharp, pool.labeled(ids), selcfg, traincfg,
                                 [example_rng(4, 0, 0, i) for i in ids])
