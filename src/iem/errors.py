@@ -2,16 +2,12 @@
 reader and writer."""
 
 
-class IEMError(Exception):
-    """Base class for package errors."""
-
-
-class DataError(IEMError):
+class DataError(Exception):
     """A file, manifest, or serialized state is missing or malformed, or a
     file cannot be written."""
 
 
-class NumericError(IEMError):
+class NumericError(Exception):
     """Training produced non-finite values (learning rate too high)."""
 
 

@@ -413,20 +413,17 @@ def read_timings(path):
     return out
 
 
-def merge_reports(reports, paths=None):
-    """The reports in STRATEGIES order; reports of different runs, or two
-    of one strategy, are refused. Two of one strategy are named by
-    ``paths``, the files the reports were read from, or by position."""
-    seeds = {r.seed for r in reports}
-    configs = {r.config_hash for r in reports}
-    if len(seeds) > 1 or len(configs) > 1:
-        raise DataError(
-            f"reports disagree on seed/config: seeds={sorted(seeds)} "
-            f"configs={sorted(configs)}"
-        )
-    names = paths or [f"report {i}" for i in range(1, len(reports) + 1)]
+def merge_reports(reports, paths):
+    """The reports in STRATEGIES order; a report of another run than the
+    first, or a second of one strategy, is refused, named by ``paths``,
+    the files the reports were read from."""
+    first = reports[0]
     seen = {}
-    for name, report in zip(names, reports):
+    for name, report in zip(paths, reports):
+        if (report.seed, report.config_hash) != (first.seed, first.config_hash):
+            raise DataError(f"{name}: seed {report.seed} and config "
+                            f"{report.config_hash} disagree with {paths[0]}: "
+                            f"seed {first.seed} and config {first.config_hash}")
         if report.strategy in seen:
             raise DataError(f"more than one report of {report.strategy}: "
                             f"{seen[report.strategy]} and {name}")

@@ -139,16 +139,12 @@ def read_mask_pgm(path):
     return _mask(*_read_pgm_bytes(path))
 
 
-def _same_size(image_path, mask_path, image_shape, mask_shape):
-    if image_shape != mask_shape:
-        raise DataError(f"{mask_path}: mask is {mask_shape[1]}x{mask_shape[0]} "
-                        f"but image {image_path} is {image_shape[1]}x{image_shape[0]}")
-
-
 def _pair_rasters(image_path, mask_path):
     image, shape = _read_pgm_bytes(image_path)
     mask, mask_shape = _read_pgm_bytes(mask_path)
-    _same_size(image_path, mask_path, shape, mask_shape)
+    if shape != mask_shape:
+        raise DataError(f"{mask_path}: mask is {mask_shape[1]}x{mask_shape[0]} "
+                        f"but image {image_path} is {shape[1]}x{shape[0]}")
     return shape, image, mask
 
 
@@ -189,9 +185,3 @@ class ImageCache:
         if key not in self._masks:
             self._masks[key] = read_mask_pgm(path)
         return self._masks[key]
-
-    def pair(self, image_path, mask_path):
-        """Decoded (image, mask); refuses a mask whose size differs."""
-        img, mask = self.image(image_path), self.mask(mask_path)
-        _same_size(image_path, mask_path, img.shape, mask.shape)
-        return img, mask

@@ -139,9 +139,6 @@ class PoolState:
         except KeyError:
             raise ValueError(f"unknown example id {example_id!r}") from None
 
-    def __len__(self):
-        return len(self.records)
-
 
 def add_chunk(pool, examples, chunk_index):
     """Append a new chunk of records with E=0, C=0, dropped=False.

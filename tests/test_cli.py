@@ -1,12 +1,19 @@
-"""End-to-end command-line flows and exit codes, run as subprocesses."""
+"""End-to-end command-line flows and exit codes.
+
+``run_cli`` drives ``cli.main`` in-process; a fresh interpreter starts only
+where the process is the subject: imports, page faults, the oldest
+supported Python and one ``python -m iem`` entry-point check.
+"""
 
 import ast
 import builtins
+import contextlib
 import ctypes
 import dataclasses
 import errno
 import glob
 import importlib
+import io
 import os
 import platform
 import re
@@ -42,8 +49,16 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    """Run ``python -m iem`` against the same source tree as the tests."""
-    return run_python("-m", "iem", *args)
+    """Run ``cli.main`` on ``args`` in-process, as ``python -m iem`` would:
+    its exit code, or a usage error's, and what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([str(arg) for arg in args])
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(),
+                                       stderr.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +199,7 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch):
     names = {}
     exec(compile(block, "README.md", "exec"), names)
     assert [row.stage for row in names["report"].rows] == [0, 1, 2, 3, 4]
-    assert len(names["staged_pool"]) == len(names["pool"]) == 400
+    assert len(names["staged_pool"].records) == len(names["pool"].records) == 400
 
 
 def test_readme_quick_start_table_matches_a_fresh_run(tmp_path):
@@ -305,12 +320,11 @@ def test_eval_line_equals_evaluate_model_with_a_cache(eval_inputs, capsys):
     argv = ["eval", "--checkpoint", checkpoint, "--test", manifest]
     assert cli.main(argv) == 0
     line = capsys.readouterr().out.splitlines()[1]
-    cache = pgm.ImageCache()
     want = harness.evaluate_model(
         load_params(checkpoint),
-        kernels.stacked((oracles.to_raster(img), mask) for img, mask in (
-            cache.pair(r.image_ref, r.mask_ref)
-            for r in synth.read_manifest(manifest))),
+        kernels.stacked((oracles.to_raster(pgm.read_pgm(r.image_ref)),
+                         pgm.read_mask_pgm(r.mask_ref))
+                        for r in synth.read_manifest(manifest)),
         make_configs({})[0].tau,
     )
     assert line == ",".join(f"{v:.6f}" for v in want)
@@ -992,6 +1006,8 @@ def test_compare_rejects_seed_mismatch(trained, tiny_dataset_dir, tmp_path):
                   tmp_path / "other" / "naive_finetune" / "report.csv")
     assert out.returncode == 3
     assert "disagree" in out.stderr
+    assert f"{tmp_path / 'other' / 'naive_finetune' / 'report.csv'}: seed 5" in (
+        out.stderr)
 
 
 # -- top level -------------------------------------------------------------
@@ -1127,7 +1143,7 @@ def test_sources_compile_on_the_oldest_supported_python():
 
 
 def test_no_subcommand_is_usage_error():
-    out = run_cli()
+    out = run_python("-m", "iem")  # the entry point, in a fresh interpreter
     assert out.returncode == 2
 
 

@@ -25,8 +25,8 @@ from iem.harness import (
     write_timings,
 )
 from iem.kernels import stacked
-from iem.pgm import (ImageCache, pair_blocks, read_mask_pgm, read_pgm,
-                     to_image, write_mask_pgm, write_pgm)
+from iem.pgm import (pair_blocks, read_mask_pgm, read_pgm, to_image,
+                     write_mask_pgm, write_pgm)
 from iem.pool import ExampleRecord, PoolState, load_state, save_state
 from iem.selection import SelectionConfig
 from iem.trainer import (ModelParams, TrainConfig, forward, init_params,
@@ -202,7 +202,7 @@ def test_train_stage_refuses_a_stage_out_of_sequence(tiny_dataset, tiny_selcfg,
     train_stage(params, pool, chunks[0], 0, tiny_selcfg, tiny_traincfg)
     with pytest.raises(ValueError, match="stage 2 is out of sequence"):
         train_stage(params, pool, chunks[2], 2, tiny_selcfg, tiny_traincfg)
-    assert pool.stage == 0 and len(pool) == len(chunks[0])
+    assert pool.stage == 0 and len(pool.records) == len(chunks[0])
 
 
 def _one_of_each_label(tmp_path, name):
@@ -258,7 +258,7 @@ def test_hem_run_leaves_pool_pixels_as_decoded(tiny_dataset, tiny_selcfg,
     chunks, test_records = tiny_dataset
     _, _, pool, _ = run_strategy("baseline_hem", chunks, test_records,
                                  tiny_selcfg, tiny_traincfg)
-    assert len(pool) == sum(len(chunk) for chunk in chunks)
+    assert len(pool.records) == sum(len(chunk) for chunk in chunks)
     for rec in pool.records:
         [(img, labels)] = pool.labeled([rec.id])
         want_img, want_mask = read_pgm(rec.image_ref), read_mask_pgm(rec.mask_ref)
@@ -279,7 +279,7 @@ def test_hem_traces_empty_rounds_once_the_pool_runs_dry(tmp_path):
         for i in (2, 3)
     ]
     assert report.final_row().examples_trained == 8
-    assert len(pool) == 4 and all(r.dropped for r in pool.records)
+    assert len(pool.records) == 4 and all(r.dropped for r in pool.records)
 
 
 def test_traces_describe_what_was_trained(tiny_dataset, tiny_selcfg,
@@ -356,18 +356,17 @@ def test_evaluate_model_matches_per_image_reference_with_lesions(tiny_dataset):
                                         test_records, selcfg, traincfg)
     assert any(row.precision > 0 and row.recall > 0 for row in report.rows)
 
-    cache = ImageCache()
+    pairs = [(read_pgm(rec.image_ref), read_mask_pgm(rec.mask_ref))
+             for rec in test_records]
     preds, gts = [], []
-    for rec in test_records:
-        img, mask = cache.pair(rec.image_ref, rec.mask_ref)
+    for img, mask in pairs:
         preds.append(metrics.binarize(forward(params, img)))
         gts.append(mask)
     jis = [metrics.jaccard_index(p, g) for p, g in zip(preds, gts)]
     want = (*metrics.evaluate_detection(preds, gts, selcfg.tau),
             float(np.mean(jis)))
     assert want[0] > 0 and want[1] > 0
-    blocks = stacked((oracles.to_raster(img), mask) for img, mask in (
-        cache.pair(rec.image_ref, rec.mask_ref) for rec in test_records))
+    blocks = stacked((oracles.to_raster(img), mask) for img, mask in pairs)
     assert evaluate_model(params, blocks, selcfg.tau) == want
 
 
@@ -558,38 +557,46 @@ def test_report_timings_and_comparison_bytes(tmp_path):
 
 # -- merging ---------------------------------------------------------------
 
+# the files the merged reports were read from, in order
+PATHS = ["a/report.csv", "b/report.csv", "c/report.csv", "d/report.csv"]
+
 
 def test_merge_orders_strategies():
     reports = [
         _report(strategy="naive_finetune", stages=(0, 1)),
         _report(strategy="baseline_full", stages=(1,)),
     ]
-    assert merge_reports(reports) == [reports[1], reports[0]]
+    assert merge_reports(reports, PATHS) == [reports[1], reports[0]]
 
 
 def test_merge_rejects_mismatched_runs():
-    with pytest.raises(DataError, match="disagree"):
+    with pytest.raises(DataError, match=r"^b/report\.csv: seed 2 and config "
+                       r"e47f77e1728a disagree with a/report\.csv: seed 1 "
+                       r"and config e47f77e1728a$"):
         merge_reports([_report(seed=1), _report(seed=2,
-                                                strategy="baseline_full")])
-    with pytest.raises(DataError, match="disagree"):
-        merge_reports([_report(config="a"), _report(config="b",
-                                                    strategy="baseline_full")])
+                                                strategy="baseline_full")],
+                      PATHS)
+    # the first report that differs is named, not a later one
+    with pytest.raises(DataError, match=r"^b/report\.csv: seed 3 and config "
+                       r"b disagree with a/report\.csv: seed 3 and config a$"):
+        merge_reports([_report(config="a"),
+                       _report(config="b", strategy="baseline_full"),
+                       _report(config="c", strategy="baseline_hem")], PATHS)
 
 
 def test_merge_rejects_two_reports_of_one_strategy():
     with pytest.raises(DataError, match="more than one report"):
         merge_reports([_report(), _report(stages=(0,)),
-                       _report(strategy="baseline_full")])
+                       _report(strategy="baseline_full")], PATHS)
     with pytest.raises(DataError, match=r"report of iem_incremental: "
                        r"a/report\.csv and c/report\.csv$"):
         merge_reports([_report(), _report(strategy="baseline_full"),
-                       _report(stages=(0,))],
-                      ["a/report.csv", "b/report.csv", "c/report.csv"])
+                       _report(stages=(0,))], PATHS)
 
 
 def test_comparison_csv_and_table():
     merged = merge_reports(
-        [_report(strategy=s, stages=(0, 1)) for s in STRATEGIES]
+        [_report(strategy=s, stages=(0, 1)) for s in STRATEGIES], PATHS
     )
     lines = comparison_csv(merged)
     assert lines[0] == harness.FULL_HEADER

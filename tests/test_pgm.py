@@ -314,20 +314,17 @@ def test_cache_returns_same_arrays(tmp_path):
     cache = ImageCache()
     first = cache.image(str(img_path))
     assert cache.image(str(img_path)) is first
-    img, mask = cache.pair(str(img_path), str(mask_path))
-    assert img is first
+    mask = cache.mask(str(mask_path))
+    assert cache.mask(str(mask_path)) is mask
     assert mask.all()
 
 
-@pytest.mark.parametrize("read_pair", [lambda i, m: next(pgm.pair_blocks([(i, m)])),
-                                       lambda i, m: ImageCache().pair(i, m)],
-                         ids=["pgm.pair_blocks", "ImageCache.pair"])
-def test_pair_refuses_a_mask_of_another_size(tmp_path, read_pair):
+def test_pair_refuses_a_mask_of_another_size(tmp_path):
     img_path, mask_path = tmp_path / "i.pgm", tmp_path / "m.pgm"
     write_pgm(img_path, np.full((24, 24), 0.4))
     write_mask_pgm(mask_path, np.ones((16, 20), dtype=bool))
     with pytest.raises(DataError) as exc:
-        read_pair(str(img_path), str(mask_path))
+        next(pgm.pair_blocks([(str(img_path), str(mask_path))]))
     assert str(exc.value) == (f"{mask_path}: mask is 20x16 but image "
                               f"{img_path} is 24x24")
 
@@ -413,8 +410,10 @@ def test_pair_blocks_raise_what_pair_does_for_the_first_bad_pair(
     else:
         write_mask_pgm(mask, np.zeros((16, 20), dtype=bool))
     os.remove(paths[18][0])
-    with pytest.raises(DataError) as want:
-        ImageCache().pair(image, mask)
+    with pytest.raises(DataError) as want:  # the per-file readers, in order
+        read_pgm(image)
+        read_mask_pgm(mask)
+        raise DataError(f"{mask}: mask is 20x16 but image {image} is 24x24")
     with pytest.raises(DataError) as got:
         list(pgm.pair_blocks(paths))
     assert str(got.value) == str(want.value)

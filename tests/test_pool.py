@@ -73,9 +73,9 @@ def test_record_lookup():
 def test_add_chunk_sequences_stages():
     pool = _pool()
     add_chunk(pool, [_rec("a"), _rec("b", label="negative")], 0)
-    assert pool.stage == 0 and len(pool) == 2
+    assert pool.stage == 0 and len(pool.records) == 2
     add_chunk(pool, [_rec("c")], 1)
-    assert pool.stage == 1 and len(pool) == 3
+    assert pool.stage == 1 and len(pool.records) == 3
     assert pool.record_for("c").chunk_index == 1
 
 
@@ -101,7 +101,7 @@ def test_add_chunk_refuses_an_empty_chunk_and_leaves_the_pool():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^chunk 0 is empty$"):
             add_chunk(pool, [], 0)
-    assert len(pool) == 0 and pool.next_stage == 0
+    assert len(pool.records) == 0 and pool.next_stage == 0
     add_chunk(pool, [_rec("a")], 0)
     with pytest.raises(ValueError, match=r"^chunk 1 is empty$"):
         add_chunk(pool, [], 1)
@@ -258,7 +258,7 @@ def test_mining_from_zero_weights_labels_at_most_a_block_of_pixels(
     params = init_params()
     mine(pool, params, 4, 2, tiny_selcfg, TrainConfig())
     h, w = pool.labeled([pool.records[0].id])[0][0].shape
-    assert len(pool) > kernels._BLOCK * 2 and params.version > 0
+    assert len(pool.records) > kernels._BLOCK * 2 and params.version > 0
     assert max(on_pixels) == kernels._BLOCK * h * w
 
 
@@ -269,7 +269,8 @@ def test_pool_builds_and_selects_without_decoding(monkeypatch):
     monkeypatch.setattr(pgm, "_read_pgm_bytes", no_decode)
     pool = _pool(*(_rec(f"p{i}", E=float(i)) for i in range(3)),
                  *(_rec(f"n{i}", "negative", E=float(i)) for i in range(3)))
-    assert len(select_subset(pool, 1, np.random.default_rng(0))) == 4
+    subset = select_subset(pool, 1, np.random.default_rng(0))
+    assert len(subset.all_ids()) == 4
 
 
 def test_pool_labels_each_record_once_into_read_only_arrays(tmp_path,
@@ -460,7 +461,7 @@ def test_save_load_round_trip(tmp_path):
     save_state(pool, path)
     got = load_state(path)
     assert got.stage == 2 and got.config_hash == "abc123"
-    assert len(got) == 3
+    assert len(got.records) == 3
     for want in records:
         back = got.record_for(want.id)
         for name in ("image_ref", "mask_ref", "label", "chunk_index",

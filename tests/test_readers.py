@@ -332,11 +332,8 @@ def test_a_mutated_cli_input_exits_0_or_3_naming_it(cli_inputs, capsys,
         assert code in (0, 3), (mutant, err)
         refused += code == 3
         if code == 3 and str(path) not in err:
-            # two refusals name what they check, not the mutated file: a
-            # label that disagrees with its mask names the mask and the
-            # id, and reports of different runs name no file
-            assert ((name == "manifest" and err.endswith(
-                        "disagrees with mask content\n"))
-                    or err.startswith("error: reports disagree on seed/config")
-                    ), (mutant, err)
+            # a label that disagrees with its mask is refused naming the
+            # mask and the id, not the mutated manifest
+            assert name == "manifest" and err.endswith(
+                "disagrees with mask content\n"), (mutant, err)
     assert refused > CLI_MUTATIONS // 2  # most mutations break the file

@@ -11,8 +11,8 @@ import oracles
 from iem import harness, kernels, metrics, pgm, trainer
 from iem.errors import DataError, NumericError
 from iem.harness import load_dataset, run_strategy, stage_budgets, train_pooled
-from iem.pgm import (ImageCache, read_mask_pgm, read_pgm, to_image,
-                     write_mask_pgm, write_pgm)
+from iem.pgm import (read_mask_pgm, read_pgm, to_image, write_mask_pgm,
+                     write_pgm)
 from iem.pool import (ExampleRecord, PoolState, add_chunk, load_state,
                       refresh_errors, save_state)
 from iem.selection import SelectionConfig, compute_partition_number
@@ -669,11 +669,11 @@ def test_incremental_step_advances_stage_and_trains(tmp_path):
     selcfg = SelectionConfig(seed=0, iterations_per_step=2, t=2, d=50)
     pool, params = incremental_step(PoolState([]), init_params(), selcfg,
                                     TrainConfig(), chunk0)
-    assert pool.stage == 0 and len(pool) == 6
+    assert pool.stage == 0 and len(pool.records) == 6
     assert params.version > 0
     assert any(r.C > 0 for r in pool.records)
     pool, params = incremental_step(pool, params, selcfg, TrainConfig(), chunk1)
-    assert pool.stage == 1 and len(pool) == 10
+    assert pool.stage == 1 and len(pool.records) == 10
 
 
 def test_incremental_step_traces_every_iteration(tmp_path):
@@ -681,7 +681,8 @@ def test_incremental_step_traces_every_iteration(tmp_path):
     seen = []
     selcfg = SelectionConfig(seed=0, iterations_per_step=3, t=1, d=50)
     incremental_step(PoolState([]), init_params(), selcfg, TrainConfig(),
-                     chunk, trace=lambda s, i, sub: seen.append((s, i, len(sub))))
+                     chunk, trace=lambda s, i, sub: seen.append(
+                         (s, i, len(sub.all_ids()))))
     assert [(s, i) for s, i, _ in seen] == [(0, 0), (0, 1), (0, 2)]
     assert all(size <= 4 * 2 for _, _, size in seen)
 
@@ -741,11 +742,10 @@ def test_incremental_step_error_audit(tmp_path):
         PoolState([]), init_params(), selcfg, traincfg, chunk,
         trace=lambda s, i, sub: selected.extend(sub.all_ids()),
     )
-    cache = ImageCache()
     assert selected
     for rid in selected:
         record = pool.record_for(rid)
-        img, mask = cache.pair(record.image_ref, record.mask_ref)
+        img, mask = read_pgm(record.image_ref), read_mask_pgm(record.mask_ref)
         [errors] = augmented_error_terms(
             params, [(oracles.to_raster(img), mask)], selcfg, traincfg,
             [example_rng(selcfg.seed, 0, 0, rid)],
@@ -797,7 +797,7 @@ def test_mining_loop_equals_its_one_image_reference(data, selcfg, traincfg,
         ref_rounds += [(stage, i, subset) for i, subset in enumerate(subsets)]
     assert rounds == ref_rounds
     assert _bits(pool, params) == _bits(ref_pool, ref_params)
-    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool.records)
 
     # baseline_hem: one mining stage over the pooled stream, K from the
     # newest chunk, for the rounds the summed stage budgets buy
@@ -811,7 +811,7 @@ def test_mining_loop_equals_its_one_image_reference(data, selcfg, traincfg,
                            sum(stage_budgets(chunks, selcfg)) // (4 * K),
                            selcfg, traincfg)
     assert _bits(pool, params) == _bits(ref_pool, ref_params)
-    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool.records)
 
 
 def test_mine_scores_no_views_of_an_update_that_drops(tiny_dataset,
@@ -843,7 +843,7 @@ def test_mine_scores_no_views_of_an_update_that_drops(tiny_dataset,
     assert _bits(pool, params) == _bits(ref_pool, ref_params)
     assert {(C < selcfg.d, n) for C, n in updates} == {(True, selcfg.t),
                                                        (False, 0)}
-    assert 0 < sum(r.dropped for r in pool.records) < len(pool)
+    assert 0 < sum(r.dropped for r in pool.records) < len(pool.records)
 
 
 def test_hot_loops_call_no_numpy_python_wrapper(tiny_dataset, tiny_selcfg,
