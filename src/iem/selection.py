@@ -85,6 +85,10 @@ class SelectedSubset:
         return (list(self.hard_positives) + list(self.hard_negatives)
                 + list(self.easy_positives) + list(self.easy_negatives))
 
+    def __len__(self):
+        return (len(self.hard_positives) + len(self.hard_negatives)
+                + len(self.easy_positives) + len(self.easy_negatives))
+
 
 def compute_partition_number(chunk):
     """K for a new chunk: its positive count, floored at 1."""

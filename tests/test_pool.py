@@ -269,8 +269,7 @@ def test_pool_builds_and_selects_without_decoding(monkeypatch):
     monkeypatch.setattr(pgm, "_read_pgm_bytes", no_decode)
     pool = _pool(*(_rec(f"p{i}", E=float(i)) for i in range(3)),
                  *(_rec(f"n{i}", "negative", E=float(i)) for i in range(3)))
-    subset = select_subset(pool, 1, np.random.default_rng(0))
-    assert len(subset.all_ids()) == 4
+    assert len(select_subset(pool, 1, np.random.default_rng(0))) == 4
 
 
 def test_pool_labels_each_record_once_into_read_only_arrays(tmp_path,

@@ -34,7 +34,7 @@ def test_hard_sets_take_the_highest_errors():
     assert len(subset.easy_positives) == 1
     assert subset.easy_positives[0] in {"b", "c"}
     assert subset.easy_negatives[0] in {"y", "z"}
-    assert len(subset.all_ids()) == 4
+    assert len(subset) == 4
 
 
 def test_equal_errors_rank_by_id():
@@ -50,7 +50,7 @@ def test_equal_errors_rank_by_id():
 def test_single_label_pool_yields_empty_subset():
     pool = _pool(_rec("a", "positive", 2.0), _rec("b", "positive", 1.0))
     subset = select_subset(pool, 1, np.random.default_rng(0))
-    assert len(subset.all_ids()) == 0
+    assert len(subset) == 0
     assert subset.all_ids() == []
 
 
@@ -78,7 +78,7 @@ def test_balanced_4k_pool_is_selected_whole():
     records = [_rec(f"p{i}", "positive", float(i)) for i in range(4)]
     records += [_rec(f"n{i}", "negative", float(i)) for i in range(4)]
     subset = select_subset(_pool(*records), 2, np.random.default_rng(0))
-    assert len(subset.all_ids()) == 8
+    assert len(subset) == 8
     assert sorted(subset.all_ids()) == sorted(r.id for r in records)
 
 

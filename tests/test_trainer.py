@@ -681,8 +681,7 @@ def test_incremental_step_traces_every_iteration(tmp_path):
     seen = []
     selcfg = SelectionConfig(seed=0, iterations_per_step=3, t=1, d=50)
     incremental_step(PoolState([]), init_params(), selcfg, TrainConfig(),
-                     chunk, trace=lambda s, i, sub: seen.append(
-                         (s, i, len(sub.all_ids()))))
+                     chunk, trace=lambda s, i, sub: seen.append((s, i, len(sub))))
     assert [(s, i) for s, i, _ in seen] == [(0, 0), (0, 1), (0, 2)]
     assert all(size <= 4 * 2 for _, _, size in seen)
 
